@@ -24,7 +24,7 @@ from .enumeration import (
 )
 from .formulas import a_row, a_s, a_total, bailey, binom, catalan_bracket
 from .homs import build_category, build_matrices, ext_nonzero, hom_nonzero
-from .orbits import Indec, ModCategory, knit_category, sincere_indecomposables, support
+from .orbits import Indec, ModCategory, knit_category, sincere_indecomposables
 from .verify import VerificationReport, run_suite, verify_identities, verify_type
 
 __version__ = "0.1.0"
@@ -62,7 +62,6 @@ __all__ = [
     "simple_reflection",
     "sincere_indecomposables",
     "sink_order",
-    "support",
     "verify_identities",
     "verify_type",
 ]

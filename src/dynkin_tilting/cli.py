@@ -30,6 +30,12 @@ def _parse_orientation(spec: str):
     return arrows
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynkin-tilting",
@@ -60,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--slow", action="store_const", const="slow", dest="level")
     p.set_defaults(level="full")
     p.add_argument("--max-n", type=int, default=None, help="identity-suite bound")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", default=None, help="also write the report to this path")
 
     p = sub.add_parser("reconcile", help="compare a generated sequence against its b-file")
@@ -103,11 +109,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    max_n = args.max_n
-    report = verify.run_suite(args.level, max_n=max_n, threads=args.threads)
-    effective_max = max_n if max_n is not None else (30 if args.level == "quick" else 50)
+    max_n = args.max_n if args.max_n is not None else verify.SUITE_MAX_N[args.level]
+    report = verify.run_suite(args.level, max_n=max_n)
     header = (
-        f"# verify suite={args.level} max-n={effective_max} "
+        f"# verify suite={args.level} max-n={max_n} "
         f"orientation-sample-seed={verify.ORIENTATION_SAMPLE_SEED}\n"
     )
     text = header + report.render()
@@ -149,3 +154,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -27,7 +27,7 @@ Edge = tuple[int, int, int, int]
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
 
 # admissible rank ranges per series (inclusive)
-_RANK_RANGE = {
+RANK_RANGE = {
     "A": (1, None),
     "B": (1, None),
     "C": (2, None),
@@ -52,7 +52,7 @@ class DynkinType:
     def __post_init__(self) -> None:
         if self.series not in SERIES:
             raise DiagramError(f"unknown series {self.series!r}")
-        lo, hi = _RANK_RANGE[self.series]
+        lo, hi = RANK_RANGE[self.series]
         if self.rank < lo or (hi is not None and self.rank > hi):
             raise DiagramError(f"inadmissible rank {self.rank} for series {self.series}")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Literal
 
 from .diagrams import DiagramError
+from .homs import injective_by_socle
 from .orbits import ModCategory
 
 Statistic = Literal["antichain", "tilting"]
@@ -223,8 +224,6 @@ def eta_map(cat: ModCategory, ac: IndecSet) -> IndecSet:
 
 def eta_inverse(cat: ModCategory, ac: IndecSet) -> IndecSet:
     """Re-insert the injective whose socle sits at the smallest missing vertex."""
-    from .homs import injective_by_socle
-
     injectives = set(cat.injective_slice())
     if any(k in injectives for k in ac.members):
         raise ValueError("input already contains an injective")

@@ -19,15 +19,22 @@ Series tables (a_s = count at support-rank s, a = row total):
   D_n:  a_s = [n+s-2 over s] for s<n,   a_n = [2n-2 over n-2],  a = [2n-1 over n-1]
   E/F/G: fixed exceptional rows below.
 
-Degenerate-rank conventions (shared with the enumeration side): A_0 and B_0
-are the empty type with a_0 = 1; B_1 = A_1; D_2 = A_1 + A_1; D_3 = A_3;
-E_3 = A_2 + A_1; E_4 = A_4; E_5 = D_5.  The A/B/D formulas already produce
-the convention rows, so only the E table stores them explicitly.
+Admissible ranks are those of ``diagrams.RANK_RANGE`` plus the empty types
+A_0 and B_0, whose row is (1,); the enumeration side has no rank-0 diagram.
+Degenerate-rank conventions shared with the enumeration side: B_1 = A_1;
+D_2 = A_1 + A_1; D_3 = A_3; E_3 = A_2 + A_1; E_4 = A_4; E_5 = D_5.  The A/B/D
+formulas already produce the convention rows, so only the E table stores them
+explicitly.
 """
 
 from __future__ import annotations
 
 from math import comb
+
+from .diagrams import RANK_RANGE
+
+# rank-0 types admitted below RANK_RANGE (see the module docstring)
+_EMPTY_TYPES = frozenset({("A", 0), ("B", 0)})
 
 
 def binom(t: int, s: int) -> int:
@@ -100,11 +107,10 @@ for _label, _row in EXCEPTIONAL_ROWS.items():
 
 
 def _check_args(series: str, n: int, s: int | None = None) -> None:
-    if series not in ("A", "B", "C", "D", "E", "F", "G"):
+    if series not in RANK_RANGE:
         raise ValueError(f"unknown series {series!r}")
-    lo = {"A": 0, "B": 0, "C": 2, "D": 2, "E": 3, "F": 4, "G": 2}[series]
-    hi = {"E": 8, "F": 4, "G": 2}.get(series)
-    if n < lo or (hi is not None and n > hi):
+    lo, hi = RANK_RANGE[series]
+    if (n < lo and (series, n) not in _EMPTY_TYPES) or (hi is not None and n > hi):
         raise ValueError(f"inadmissible rank {n} for series {series}")
     if s is not None and not 0 <= s <= n:
         raise ValueError(f"support-rank {s} out of range 0..{n}")

@@ -9,7 +9,7 @@ never extends and otherwise Ext(M(i,u), Y) matches Hom(Y, M(i,u-1)).
 
 from __future__ import annotations
 
-from .orbits import ModCategory, with_matrices
+from .orbits import ModCategory, knit_category, with_matrices
 
 Key = tuple[int, int]
 
@@ -55,8 +55,6 @@ def build_matrices(cat: ModCategory) -> ModCategory:
 
 def build_category(datum) -> ModCategory:
     """Convenience: knit and fill matrices in one step."""
-    from .orbits import knit_category
-
     return build_matrices(knit_category(datum))
 
 

@@ -112,11 +112,6 @@ def knit_category(datum: CartanDatum) -> ModCategory:
     return ModCategory(datum, tuple(indecs), tuple(q), index)
 
 
-def support(ind: Indec) -> frozenset[int]:
-    """Vertices where the dimension vector is nonzero."""
-    return ind.support
-
-
 def sincere_indecomposables(cat: ModCategory) -> list[Indec]:
     """All indecomposables with full support (connected diagrams only)."""
     if not cat.datum.is_connected():

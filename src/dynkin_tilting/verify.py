@@ -6,17 +6,15 @@ line per check:
 
     <id>\t<subject>\t<expected>\t<actual>\t<PASS|FAIL>
 
-Check thunks are independent and may run on a thread pool; results are
-merged back in submission order, so reports are byte-identical for any
-thread count.
+Suites run their checks serially, in a fixed order, so a report is
+byte-identical from run to run.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import formulas, oeis
 from .diagrams import DynkinType, all_orientations, build_cartan, canonical_shape
@@ -60,9 +58,6 @@ class VerificationReport:
         else:
             lines.append(f"# all {len(self.checks)} checks passed")
         return "\n".join(lines) + "\n"
-
-    def __add__(self, other: "VerificationReport") -> "VerificationReport":
-        return VerificationReport(self.checks + other.checks)
 
 
 def _fmt_counts(counts: Sequence[int], total: int) -> str:
@@ -175,158 +170,70 @@ def _family(check_id: str, subject: str, instances) -> Check:
 
 
 def verify_identities(max_n: int) -> VerificationReport:
-    """Run every closed-form identity over all admissible arguments <= max_n."""
-    checks = []
+    """Run every closed-form identity over all admissible arguments <= max_n.
 
-    def inst(gen):
-        return [(args, fn()) for args, fn in gen]
-
-    checks.append(
-        _family(
-            "id.hook.A",
-            f"n<={max_n}",
-            inst(((n, s), (lambda n=n, s=s: formulas.hook_check("A", n, s))) for n in range(1, max_n + 1) for s in range(1, n + 1)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.hook.B",
-            f"n<={max_n}",
-            inst(((n, s), (lambda n=n, s=s: formulas.hook_check("B", n, s))) for n in range(2, max_n + 1) for s in range(1, n)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.hook.D",
-            f"n<={max_n}",
-            inst(((n, s), (lambda n=n, s=s: formulas.hook_check("D", n, s))) for n in range(3, max_n + 1) for s in range(1, n - 1)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.hook.E",
-            "n<=8",
-            inst(((n, s), (lambda n=n, s=s: formulas.hook_check("E", n, s))) for n in range(4, 9) for s in range(1, n - 2)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.modified-hook.D",
-            f"n<={max_n}",
-            inst(((n,), (lambda n=n: formulas.modified_hook_check("D", n))) for n in range(3, max_n + 1)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.modified-hook.E",
-            "n<=8",
-            inst(((n,), (lambda n=n: formulas.modified_hook_check("E", n))) for n in range(4, 9)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.summation",
-            f"n<={max_n}",
-            inst(
-                ((series, n, s), (lambda series=series, n=n, s=s: formulas.summation_check(series, n, s)))
-                for series in ("A", "B", "D")
-                for n in range((2 if series == "D" else 1), max_n + 1)
-                for s in range(1, n)
-            ),
-        )
-    )
-    checks.append(
-        _family(
-            "id.total-split",
-            f"n<={max_n}",
-            inst(
-                ((series, n), (lambda series=series, n=n: formulas.total_split_check(series, n)))
-                for series in ("A", "B", "D")
-                for n in range((2 if series == "D" else 1), max_n + 1)
-            ),
-        )
-    )
-    checks.append(
-        _family(
-            "id.comparison",
-            f"n<={max_n}",
-            inst(((n,), (lambda n=n: formulas.comparison_check(n))) for n in range(2, max_n + 1)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.diagonals",
-            f"n<={max_n}",
-            inst(
-                ((series, n), (lambda series=series, n=n: formulas.diagonal_checks(series, n)))
-                for series in ("A", "B", "D")
-                for n in range((2 if series == "D" else 1), max_n + 1)
-            ),
-        )
-    )
-    checks.append(
-        _family(
-            "id.b-decomposition",
-            f"n<={max_n}",
-            inst(((n,), (lambda n=n: formulas.b_decomposition_check(n))) for n in range(2, max_n + 1)),
-        )
-    )
-    checks.append(
-        _family(
-            "id.lucas-deviation",
-            f"n<={max_n}",
-            inst(((n,), (lambda n=n: formulas.lucas_vs_d_deviation_check(n))) for n in range(2, max_n + 1)),
-        )
-    )
-    checks.append(
-        _family(
+    One row per family: (check id, subject, check function, argument tuples).
+    The table is built per call, so the check functions are looked up on
+    ``formulas`` at call time and wrappers installed there see every call;
+    the argument generators are lazy, so each family is evaluated in turn.
+    """
+    abd = ("A", "B", "D")
+    ranks = [(series, n) for series in abd for n in range((2 if series == "D" else 1), max_n + 1)]
+    by_n, by_t = f"n<={max_n}", f"t<={max_n}"
+    table = (
+        ("id.hook.A", by_n, formulas.hook_check, (("A", n, s) for n in range(1, max_n + 1) for s in range(1, n + 1))),
+        ("id.hook.B", by_n, formulas.hook_check, (("B", n, s) for n in range(2, max_n + 1) for s in range(1, n))),
+        ("id.hook.D", by_n, formulas.hook_check, (("D", n, s) for n in range(3, max_n + 1) for s in range(1, n - 1))),
+        ("id.hook.E", "n<=8", formulas.hook_check, (("E", n, s) for n in range(4, 9) for s in range(1, n - 2))),
+        ("id.modified-hook.D", by_n, formulas.modified_hook_check, (("D", n) for n in range(3, max_n + 1))),
+        ("id.modified-hook.E", "n<=8", formulas.modified_hook_check, (("E", n) for n in range(4, 9))),
+        ("id.summation", by_n, formulas.summation_check, ((series, n, s) for series, n in ranks for s in range(1, n))),
+        ("id.total-split", by_n, formulas.total_split_check, iter(ranks)),
+        ("id.comparison", by_n, formulas.comparison_check, ((n,) for n in range(2, max_n + 1))),
+        ("id.diagonals", by_n, formulas.diagonal_checks, iter(ranks)),
+        ("id.b-decomposition", by_n, formulas.b_decomposition_check, ((n,) for n in range(2, max_n + 1))),
+        ("id.lucas-deviation", by_n, formulas.lucas_vs_d_deviation_check, ((n,) for n in range(2, max_n + 1))),
+        (
             "id.z-recursion",
-            f"t<={max_n}",
-            inst(
-                ((series, t, s), (lambda series=series, t=t, s=s: formulas.z_recursion_check(series, t, s)))
-                for series in ("A", "B", "D")
-                for t in range((2 if series == "D" else 1), max_n + 1)
-                for s in range(1, ((t + 1) // 2 if series == "A" else t) + 1)
-            ),
-        )
-    )
-    checks.append(
-        _family(
+            by_t,
+            formulas.z_recursion_check,
+            ((series, t, s) for series, t in ranks for s in range(1, ((t + 1) // 2 if series == "A" else t) + 1)),
+        ),
+        (
             "id.hockey-stick",
-            f"t<={max_n}",
-            inst(
-                ((series, t, s), (lambda series=series, t=t, s=s: formulas.hockey_stick_check(series, t, s)))
-                for series in ("A", "B", "D")
+            by_t,
+            formulas.hockey_stick_check,
+            (
+                (series, t, s)
+                for series in abd
                 for t in range(2, max_n + 1)
                 for s in range(1, {"A": t // 2, "B": t - 1, "D": t - 2}[series] + 1)
             ),
-        )
-    )
-    checks.append(
-        _family(
+        ),
+        (
             "id.z-boundary",
-            f"t<={max_n}",
-            inst(
-                ((series, t), (lambda series=series, t=t: formulas.z_boundary_check(series, t)))
-                for series in ("A", "B", "D")
-                for t in range((1 if series == "D" else 0), max_n + 1)
-            ),
-        )
-    )
-    checks.append(
-        _family(
+            by_t,
+            formulas.z_boundary_check,
+            ((series, t) for series in abd for t in range((1 if series == "D" else 0), max_n + 1)),
+        ),
+        (
             "id.shear",
-            f"n<={max_n}",
-            inst(
-                ((series, n, s), (lambda series=series, n=n, s=s: formulas.shear_check(series, n, s)))
-                for series in ("A", "B", "D")
-                for n in range((2 if series == "D" else 1), max_n + 1)
+            by_n,
+            formulas.shear_check,
+            (
+                (series, n, s)
+                for series, n in ranks
                 for s in range(n if series == "D" else n + 1)
                 if (series, n, s) != ("D", 2, 0)
             ),
+        ),
+    )
+    return VerificationReport(
+        tuple(
+            _family(check_id, subject, ((args, check(*args)) for args in domain))
+            for check_id, subject, check, domain in table
         )
     )
-    return VerificationReport(tuple(checks))
 
 
 def verify_sincere_structure(n_max: int) -> VerificationReport:
@@ -425,7 +332,9 @@ def verify_reconcile(terms: dict[str, int] | None = None, online: bool = False) 
 
 # --- suites ------------------------------------------------------------------
 
-SUITE_NAMES = ("quick", "full", "slow")
+# identity-suite bound of each suite when no max_n is given
+SUITE_MAX_N = {"quick": 30, "full": 50, "slow": 50}
+SUITE_NAMES = tuple(SUITE_MAX_N)
 
 
 def _suite_types(level: str) -> list[tuple[str, int]]:
@@ -450,31 +359,18 @@ def _suite_types(level: str) -> list[tuple[str, int]]:
     return full + [("E", 7), ("E", 8)]
 
 
-def run_suite(level: str = "full", max_n: int | None = None, threads: int = 1) -> VerificationReport:
-    """Assemble and run one verification suite; deterministic for any thread count."""
+def run_suite(level: str = "full", max_n: int | None = None) -> VerificationReport:
+    """Assemble and run one verification suite, one check after another."""
     if level not in SUITE_NAMES:
         raise ValueError(f"unknown suite {level!r}; choose from {', '.join(SUITE_NAMES)}")
     if max_n is None:
-        max_n = 30 if level == "quick" else 50
-    sincere_max = 4 if level == "quick" else 5
-    bc_max = 4 if level == "quick" else 5
-
-    thunks: list[Callable[[], VerificationReport]] = []
-    for series, n in _suite_types(level):
-        thunks.append(lambda series=series, n=n: verify_type(series, n))
-    thunks.append(lambda: verify_type("A", 4, orientation_sweep("A", 4)))
-    thunks.append(lambda: verify_type("D", 4, orientation_sweep("D", 4)))
-    thunks.append(lambda: verify_bc_equality(bc_max))
-    thunks.append(lambda: verify_sincere_structure(sincere_max))
-    thunks.append(lambda: verify_identities(max_n))
-    thunks.append(lambda: verify_reconcile())
-
-    if threads <= 1:
-        parts = [t() for t in thunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda t: t(), thunks))
-    checks: tuple[Check, ...] = ()
-    for part in parts:
-        checks = checks + part.checks
-    return VerificationReport(checks)
+        max_n = SUITE_MAX_N[level]
+    sincere_max = bc_max = 4 if level == "quick" else 5
+    parts = [verify_type(series, n) for series, n in _suite_types(level)]
+    parts.append(verify_type("A", 4, orientation_sweep("A", 4)))
+    parts.append(verify_type("D", 4, orientation_sweep("D", 4)))
+    parts.append(verify_bc_equality(bc_max))
+    parts.append(verify_sincere_structure(sincere_max))
+    parts.append(verify_identities(max_n))
+    parts.append(verify_reconcile())
+    return VerificationReport(tuple(c for part in parts for c in part.checks))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin_tilting import formulas as f
+from dynkin_tilting.diagrams import DynkinType
 
 # the three series tables, rows 0..9 (D starts at 2), with row sums
 TRIANGLE_A = {
@@ -156,6 +157,22 @@ def test_inadmissible_arguments():
         f.a_s("A", 3, 4)
     with pytest.raises(ValueError):
         f.a_s("A", 3, -1)
+
+
+def _admitted(build, *args):
+    try:
+        build(*args)
+    except ValueError:
+        return False
+    return True
+
+
+def test_rank_domain_matches_diagrams_plus_empty_types():
+    for series in "ABCDEFG":
+        for n in range(13):
+            diagram_ok = _admitted(DynkinType, series, n)
+            assert _admitted(f.a_total, series, n) == (diagram_ok or (series, n) in {("A", 0), ("B", 0)}), (series, n)
+    assert f.a_row("A", 0) == f.a_row("B", 0) == (1,)
 
 
 def test_hook_examples():

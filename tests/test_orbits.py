@@ -8,7 +8,6 @@ from dynkin_tilting.orbits import (
     endpoint_is_tight,
     knit_category,
     sincere_indecomposables,
-    support,
 )
 
 SMALL_TYPES = ["A1", "A2", "A3", "A5", "B2", "B3", "B4", "C2", "C4", "D2", "D4", "D5", "E6", "F4", "G2"]
@@ -27,10 +26,10 @@ def test_a2_knitting_by_hand():
 
 def test_support_examples():
     cat = _cat("A2")
-    assert support(cat.indec(2, 0)) == {1, 2}
-    assert support(cat.indec(1, 0)) == {1}
+    assert cat.indec(2, 0).support == {1, 2}
+    assert cat.indec(1, 0).support == {1}
     b2 = _cat("B2")
-    assert any(support(b2.indec(2, u)) == {1, 2} for u in range(b2.q[1] + 1))
+    assert any(b2.indec(2, u).support == {1, 2} for u in range(b2.q[1] + 1))
 
 
 def test_bn_orbits_are_square():

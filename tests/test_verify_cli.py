@@ -1,8 +1,15 @@
 """Verifier reports and the command-line surface."""
 
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from dynkin_tilting import verify
+import dynkin_tilting
+from dynkin_tilting import formulas, verify
 from dynkin_tilting.cli import run
 from dynkin_tilting.verify import (
     orientation_sweep,
@@ -50,6 +57,79 @@ def test_identities_n50():
     assert len(rep.checks) == 16
 
 
+# family of each call of a formulas check function; the hook families are
+# told apart by their series argument
+_FAMILY_OF = {
+    "hook_check": "id.hook.{}",
+    "modified_hook_check": "id.modified-hook.{}",
+    "summation_check": "id.summation",
+    "total_split_check": "id.total-split",
+    "comparison_check": "id.comparison",
+    "diagonal_checks": "id.diagonals",
+    "b_decomposition_check": "id.b-decomposition",
+    "lucas_vs_d_deviation_check": "id.lucas-deviation",
+    "z_recursion_check": "id.z-recursion",
+    "hockey_stick_check": "id.hockey-stick",
+    "z_boundary_check": "id.z-boundary",
+    "shear_check": "id.shear",
+}
+
+
+def _count_identity_calls(monkeypatch, max_n):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[_FAMILY_OF[name].format(args[0])] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in _FAMILY_OF:
+        monkeypatch.setattr(formulas, name, counting(name, getattr(formulas, name)))
+    assert verify_identities(max_n).passed
+    return calls
+
+
+def test_identity_argument_domains(monkeypatch):
+    calls = _count_identity_calls(monkeypatch, 10)
+    assert calls == {
+        "id.hook.A": 55,
+        "id.hook.B": 45,
+        "id.hook.D": 36,
+        "id.hook.E": 15,
+        "id.modified-hook.D": 8,
+        "id.modified-hook.E": 5,
+        "id.summation": 135,
+        "id.total-split": 29,
+        "id.comparison": 9,
+        "id.diagonals": 29,
+        "id.b-decomposition": 9,
+        "id.lucas-deviation": 9,
+        "id.z-recursion": 139,
+        "id.hockey-stick": 106,
+        "id.z-boundary": 32,
+        "id.shear": 183,
+    }
+    assert sum(calls.values()) == 844
+    calls = _count_identity_calls(monkeypatch, 50)
+    assert sum(calls.values()) == 18164
+    assert calls["id.shear"] == 3923
+    assert calls["id.summation"] == 3675
+
+
+def test_failing_identity_instance_is_reported(monkeypatch):
+    shear = formulas.shear_check
+    monkeypatch.setattr(formulas, "shear_check", lambda *args: args != ("B", 3, 1) and shear(*args))
+    rep = verify_identities(10)
+    assert not rep.passed
+    assert len(rep.checks) == 16
+    failed = [c for c in rep.checks if not c.passed]
+    assert [c.check_id for c in failed] == ["id.shear"]
+    assert failed[0].actual == "failed at [('B', 3, 1)]"
+    assert rep.render().endswith("# 1 of 16 checks FAILED\n")
+
+
 def test_sincere_structure():
     rep = verify_sincere_structure(5)
     assert rep.passed
@@ -78,11 +158,13 @@ def test_failing_check_does_not_abort(tmp_path, monkeypatch):
     assert "FAIL" in rep.render()
 
 
-def test_suite_quick_passes_and_thread_invariant():
+def test_suite_quick_passes_and_thread_invariant(capsys):
     r1 = run_suite("quick")
-    r8 = run_suite("quick", threads=8)
     assert r1.passed
-    assert r1.render() == r8.render()
+    assert run(["verify", "--quick", "--threads", "8"]) == 0
+    header, body = capsys.readouterr().out.split("\n", 1)
+    assert header.startswith("# verify suite=quick max-n=30 ")
+    assert r1.render() == body
 
 
 def test_suite_full_passes():
@@ -112,6 +194,20 @@ def test_cli_table(capsys):
     assert capsys.readouterr().out == "1 6 20 50 105 196 294 | total 672\n"
     assert run(["table", "G", "2"]) == 0
     assert capsys.readouterr().out == "1 2 5 | total 8\n"
+
+
+def test_cli_table_empty_type(capsys):
+    assert run(["table", "A", "0"]) == 0
+    assert capsys.readouterr().out == "1 | total 1\n"
+
+
+def test_cli_module_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dynkin_tilting.cli", "table", "A", "3"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "1 3 5 5 | total 14\n"
 
 
 def test_cli_table_bad_rank(capsys):
@@ -171,6 +267,11 @@ def test_cli_verify_quick_deterministic(capsys):
     assert first == third
     assert first.startswith("# verify suite=quick")
     assert "checks passed" in first
+
+
+def test_cli_verify_rejects_nonpositive_threads(capsys):
+    assert run(["verify", "--quick", "--threads", "0"]) == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_cli_verify_writes_report(tmp_path, capsys):
