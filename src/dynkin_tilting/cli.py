@@ -9,6 +9,7 @@ stderr so stdout stays byte-stable and machine-readable.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Sequence
 
@@ -30,10 +31,13 @@ def _parse_orientation(spec: str):
     return arrows
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,8 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--full", action="store_const", const="full", dest="level")
     g.add_argument("--slow", action="store_const", const="slow", dest="level")
     p.set_defaults(level="full")
-    p.add_argument("--max-n", type=int, default=None, help="identity-suite bound")
-    p.add_argument("--threads", type=_positive_int, default=1, help="accepted for compatibility; has no effect")
+    p.add_argument(
+        "--max-n",
+        type=_int_at_least(verify.IDENTITY_MIN_N),
+        default=None,
+        help=f"identity-suite bound, at least {verify.IDENTITY_MIN_N}",
+    )
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", default=None, help="also write the report to this path")
 
     p = sub.add_parser("reconcile", help="compare a generated sequence against its b-file")
@@ -110,16 +119,17 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_verify(args) -> int:
     max_n = args.max_n if args.max_n is not None else verify.SUITE_MAX_N[args.level]
-    report = verify.run_suite(args.level, max_n=max_n)
-    header = (
-        f"# verify suite={args.level} max-n={max_n} "
-        f"orientation-sample-seed={verify.ORIENTATION_SAMPLE_SEED}\n"
-    )
-    text = header + report.render()
-    sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    # open --out before the suite runs, so a bad path fails before any output
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
+        report = verify.run_suite(args.level, max_n=max_n)
+        header = (
+            f"# verify suite={args.level} max-n={max_n} "
+            f"orientation-sample-seed={verify.ORIENTATION_SAMPLE_SEED}\n"
+        )
+        text = header + report.render()
+        sys.stdout.write(text)
+        if out is not None:
+            out.write(text)
     return 0 if report.passed else 1
 
 
@@ -147,7 +157,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (DiagramError, ValueError, FileNotFoundError) as exc:
+    except (DiagramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -161,6 +161,18 @@ def verify_bc_equality(n_max: int) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
+# smallest identity-suite bound at which every family has an instance
+# (id.hook.D and id.modified-hook.D start at n = 3)
+IDENTITY_MIN_N = 3
+
+
+def _require_identity_bound(max_n: int) -> None:
+    if max_n < IDENTITY_MIN_N:
+        raise ValueError(
+            f"identity-suite bound {max_n} is below {IDENTITY_MIN_N}; some identity families would have no instance"
+        )
+
+
 def _family(check_id: str, subject: str, instances) -> Check:
     """Aggregate a family of boolean identity instances into one check."""
     failures = [args for args, ok in instances if not ok]
@@ -172,11 +184,14 @@ def _family(check_id: str, subject: str, instances) -> Check:
 def verify_identities(max_n: int) -> VerificationReport:
     """Run every closed-form identity over all admissible arguments <= max_n.
 
+    max_n must be at least IDENTITY_MIN_N, so that no family is empty.
+
     One row per family: (check id, subject, check function, argument tuples).
     The table is built per call, so the check functions are looked up on
     ``formulas`` at call time and wrappers installed there see every call;
     the argument generators are lazy, so each family is evaluated in turn.
     """
+    _require_identity_bound(max_n)
     abd = ("A", "B", "D")
     ranks = [(series, n) for series in abd for n in range((2 if series == "D" else 1), max_n + 1)]
     by_n, by_t = f"n<={max_n}", f"t<={max_n}"
@@ -365,6 +380,7 @@ def run_suite(level: str = "full", max_n: int | None = None) -> VerificationRepo
         raise ValueError(f"unknown suite {level!r}; choose from {', '.join(SUITE_NAMES)}")
     if max_n is None:
         max_n = SUITE_MAX_N[level]
+    _require_identity_bound(max_n)
     sincere_max = bc_max = 4 if level == "quick" else 5
     parts = [verify_type(series, n) for series, n in _suite_types(level)]
     parts.append(verify_type("A", 4, orientation_sweep("A", 4)))

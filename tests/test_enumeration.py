@@ -1,10 +1,11 @@
 """Antichain and support-tilting enumeration against hand and formula oracles."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
-from dynkin_tilting.diagrams import DynkinType, build_cartan
+from dynkin_tilting.diagrams import DynkinType, all_orientations, build_cartan, canonical_shape
 from dynkin_tilting.enumeration import (
     classify_sincere,
     count_tables,
@@ -52,6 +53,61 @@ def _brute_tilting(cat):
                 if len(combo) == len(supp):
                     out.append(combo)
     return out
+
+
+def _recursive_walk(cat, statistic):
+    """Reference oracle: the unpruned recursive walker that preceded the
+    explicit-stack one.  It visits every compatible set in lex order and keeps,
+    for tilting, those whose size equals their support-rank; returns the
+    (members, support) pairs in visiting order."""
+    rel = cat.hom if statistic == "antichain" else cat.ext
+    m = len(cat.indecs)
+    comp = [
+        sum(1 << y for y in range(m) if y != x and not (rel[x] >> y) & 1 and not (rel[y] >> x) & 1) for x in range(m)
+    ]
+    out = []
+
+    def rec(members, allowed, support):
+        if statistic == "antichain" or len(members) == len(support):
+            out.append((members, support))
+        rest = allowed
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            rest ^= low
+            rec(members + (y,), allowed & comp[y] & -(low << 1), support | cat.indecs[y].support)
+
+    rec((), (1 << m) - 1, frozenset())
+    return out
+
+
+_ORACLE_TYPES = (
+    [f"A{n}" for n in range(1, 6)]
+    + [f"{s}{n}" for s in "BCD" for n in range(2, 6)]
+    + ["E3", "E4", "E5", "F4", "G2"]
+)
+
+
+def _oracle_cases():
+    for label in _ORACLE_TYPES:
+        for orientation in all_orientations(canonical_shape(DynkinType.parse(label))):
+            yield label, orientation
+    yield "D6", "default"
+    yield "E6", "default"
+
+
+@pytest.mark.parametrize("statistic, stream", [("antichain", enumerate_antichains), ("tilting", enumerate_support_tilting)])
+def test_walker_matches_recursive_oracle(statistic, stream):
+    for label, orientation in _oracle_cases():
+        cat = _cat(label, orientation)
+        want = _recursive_walk(cat, statistic)
+        assert [(s.members, s.support) for s in stream(cat)] == want, (label, orientation)
+        by_rank = Counter(len(support) for _, support in want)
+        by_size = Counter(len(members) for members, _ in want)
+        table = count_tables(cat, statistic)
+        assert table.by_support_rank == tuple(by_rank[r] for r in range(cat.n + 1)), (label, orientation)
+        assert table.by_size == tuple(by_size[k] for k in range(cat.n + 1)), (label, orientation)
+        assert table.total == len(want)
 
 
 def test_a2_antichains_by_hand():

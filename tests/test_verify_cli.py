@@ -1,5 +1,6 @@
 """Verifier reports and the command-line surface."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -111,11 +112,26 @@ def test_identity_argument_domains(monkeypatch):
         "id.z-boundary": 32,
         "id.shear": 183,
     }
+    families = set(calls)
     assert sum(calls.values()) == 844
     calls = _count_identity_calls(monkeypatch, 50)
     assert sum(calls.values()) == 18164
     assert calls["id.shear"] == 3923
     assert calls["id.summation"] == 3675
+    # at the smallest accepted bound every family is called at least once
+    assert set(_count_identity_calls(monkeypatch, verify.IDENTITY_MIN_N)) == families
+
+
+def test_identity_bound_below_minimum_rejected(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("run_suite enumerated before checking max_n")
+
+    monkeypatch.setattr(verify, "verify_type", no_enumeration)
+    for bad in (verify.IDENTITY_MIN_N - 1, 0, -5):
+        with pytest.raises(ValueError, match="identity-suite bound"):
+            verify_identities(bad)
+        with pytest.raises(ValueError, match="identity-suite bound"):
+            run_suite("quick", max_n=bad)
 
 
 def test_failing_identity_instance_is_reported(monkeypatch):
@@ -245,6 +261,37 @@ def test_cli_enumerate_listing(capsys):
     assert capsys.readouterr().out == "-\n1,0\n1,0 1,1\n1,1\n2,0\n"
 
 
+# sha256 of `enumerate ... --list` stdout, pinned from the recursive walker
+# that preceded the explicit-stack one; the order of the sets is part of it
+_LISTING_DIGESTS = [
+    ("D 6 --orientation 2>1,2>3,4>3,5>4,4>6", "550345629ae19b39a501e04fdd74e51991fa249a7a7dc73af6f548462bbf2044"),
+    (
+        "F 4 --orientation 2>1,2>3,4>3 --statistic antichain",
+        "5b96807e41984d7c5445c4cd8d6be0882767f992792284ba73b9dc89b51e2098",
+    ),
+    ("C 6 --orientation 1>2,3>2,3>4,5>4,5>6", "0c2a3dbf43bcbc8a0f1088e3233dbdb006ee4a39fef9aa26c078f13c339ce724"),
+    ("B 7", "6126434e8265b39e7d2492d04e01812d4a63b63aaa7c16b28e7e6e1abba58a43"),
+    ("D 8", "0f94128eab39b381ce486f07ffc32a930a2de883ee38275281095ed3acb3546f"),
+    pytest.param("E 8", "4e0be3a5f1b1e20f52a8933e54602392e1804ef3d8fb0ffbc00ec2bee1d3d679", marks=pytest.mark.slow),
+    pytest.param(
+        "E 7 --orientation 2>1,2>3,4>3,4>5,6>4,6>7",
+        "3df1ecfdfa404d56cb5d7c2187ba9b04fccae0cc587b09fc6dbfe7033fff1fac",
+        marks=pytest.mark.slow,
+    ),
+    pytest.param(
+        "A 10 --statistic antichain",
+        "1d856a80dde3ec7a8423523fcfeb0857c5dd15a9d9750f8c6c31d86fecc48433",
+        marks=pytest.mark.slow,
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", _LISTING_DIGESTS)
+def test_cli_enumerate_listing_bytes(capsys, args, digest):
+    assert run(["enumerate", *args.split(), "--list"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_triangle_csv(capsys):
     assert run(["triangle", "B", "--rows", "10", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -272,6 +319,22 @@ def test_cli_verify_quick_deterministic(capsys):
 def test_cli_verify_rejects_nonpositive_threads(capsys):
     assert run(["verify", "--quick", "--threads", "0"]) == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["2", "0", "-5"])
+def test_cli_verify_rejects_bound_below_identity_minimum(capsys, bound):
+    assert run(["verify", "--quick", "--max-n", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-n" in captured.err
+
+
+def test_cli_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # a directory cannot be opened for writing; the suite must not run
+    assert run(["verify", "--quick", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
 
 
 def test_cli_verify_writes_report(tmp_path, capsys):
