@@ -18,6 +18,9 @@ from .diagrams import DiagramError, DynkinType, build_cartan
 from .enumeration import count_tables, enumerate_antichains, enumerate_support_tilting, format_set
 from .homs import build_category
 
+# default --max-results: the largest result count enumerate forecasts and runs
+MAX_RESULTS = 10_000_000
+
 
 def _parse_orientation(spec: str):
     if spec == "default":
@@ -62,6 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orientation", default="default", help="'default' or arrows like '2>1,3>2'")
     p.add_argument("--statistic", choices=("antichain", "tilting"), default="tilting")
     p.add_argument("--list", action="store_true", dest="listing", help="list every set")
+    p.add_argument(
+        "--max-results",
+        type=_int_at_least(1),
+        default=MAX_RESULTS,
+        help=f"refuse types with more result sets than this (default {MAX_RESULTS})",
+    )
 
     p = sub.add_parser("verify", help="run a verification suite and print the report")
     g = p.add_mutually_exclusive_group()
@@ -99,6 +108,13 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     dtype = DynkinType(args.series, args.n)
+    # both statistics have a_total results: refuse before any search starts
+    forecast = formulas.a_total(args.series, args.n)
+    if forecast > args.max_results:
+        raise ValueError(
+            f"{args.series}{args.n} has {forecast} result sets, above the limit of "
+            f"{args.max_results}; raise it with --max-results"
+        )
     orientation = _parse_orientation(args.orientation)
     cat = build_category(build_cartan(dtype, orientation))
     if args.listing:

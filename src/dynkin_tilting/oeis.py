@@ -7,6 +7,15 @@ Supported triangle names:
   pascal             C(t, s)
   lucas              [t over s], with the open (0,0) corner
 
+Rows are built one from the previous by the additive recursions that
+``formulas`` states and ``verify`` checks: the hook recursion
+a_s(n) = a_s(n-1) + a_{s-1}(n) for the A, B and D tables, and the
+z-recursion z_s(t) = z_{s-1}(t-1) + z_s(t-1) for the Pascal, Lucas and
+sheared ballot triangles.  The few cells outside the recursions' regions
+(the B main diagonal, the last two cells of each D row) take O(1) exact
+integer steps per row.  The closed forms in ``formulas`` are the test
+oracle for every generated row.
+
 b-file format: ASCII lines "<index> <value>", '#' comments and blank lines
 ignored, indices increasing by 1 from the sequence offset.  Offline fixture
 files shipped with the package are authoritative; a live fetch from oeis.org
@@ -27,17 +36,16 @@ from __future__ import annotations
 
 import os
 import sys
-import urllib.request
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
+from operator import add
 from pathlib import Path
-from typing import Callable, Iterator
-
-from . import formulas
+from typing import Callable, Iterable, Iterator
 
 FIXTURE_ENV_VAR = "DYNKIN_TILTING_FIXTURES"
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
-TRIANGLE_NAMES = ("A", "B", "D", "sheared-catalan", "pascal", "lucas")
+Row = tuple[int, ...]
 
 
 class BFileError(ValueError):
@@ -50,7 +58,7 @@ class TriangleDoc:
 
     name: str
     first_row: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[Row, ...]
     sums: tuple[int, ...]
     offset: int  # linear index of the first b-file term
 
@@ -68,39 +76,95 @@ class BFile:
         return tuple(v for _, v in self.entries)
 
 
-def _series_rows(series: str, count: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    first = 2 if series == "D" else 0
-    for n in range(first, first + count):
-        yield n, formulas.a_row(series, n)
+# --- row generators -----------------------------------------------------------
+
+
+def _a_rows() -> Iterator[Row]:
+    """A_0, A_1, ...: the hook recursion on the whole row, a_n(n) = a_{n-1}(n)."""
+    row: Row = (1,)
+    while True:
+        yield row
+        hooked = tuple(accumulate(row))
+        row = hooked + hooked[-1:]
+
+
+def _b_rows() -> Iterator[Row]:
+    """B_0, B_1, ...: the hook recursion for s < n, then the main diagonal
+    a_n(B_n) = C(2n-1, n) = a_{n-1}(B_n) (2n-1)/n."""
+    row: Row = (1,)
+    n = 0
+    while True:
+        yield row
+        n += 1
+        hooked = tuple(accumulate(row))
+        row = hooked + (hooked[-1] * (2 * n - 1) // n,)
+
+
+def _d_rows() -> Iterator[Row]:
+    """D_2, D_3, ...: the hook recursion for s <= n-2, the modified hook
+    a_{n-1}(D_n) = a_{n-1}(D_{n-1}) + a_{n-2}(D_n) + Catalan(n-2), and
+    a_n(D_n) = [2n-2 over n-2] = (3n-4) Catalan(n-1) / 2."""
+    row: Row = (1, 2, 1)
+    n = 2
+    catalan, next_catalan = 1, 1  # Catalan(n-2), Catalan(n-1)
+    while True:
+        yield row
+        n += 1
+        catalan, next_catalan = next_catalan, next_catalan * 2 * (2 * n - 3) // n
+        hooked = tuple(accumulate(row[:-1]))
+        row = hooked + (row[-1] + hooked[-1] + catalan, (3 * n - 4) * next_catalan // 2)
+
+
+def _z_rows(row: Row) -> Iterator[Row]:
+    """Pascal (first row (1,)) or Lucas (first row (1, 2)): each row is
+    z_0 = 1, z_s(t) = z_{s-1}(t-1) + z_s(t-1), and the diagonal kept."""
+    while True:
+        yield row
+        row = (row[0], *map(add, row, row[1:]), row[-1])
+
+
+def _sheared_ballot_rows() -> Iterator[Row]:
+    """Rows t = 0, 1, ... of the sheared ballot triangle, s <= (t+1)//2: the
+    z-recursion, where the new cell of an odd row has z_s(t-1) = 0."""
+    row: Row = (1,)
+    t = 0
+    while True:
+        yield row
+        t += 1
+        row = (row[0], *map(add, row, row[1:])) + (row[-1:] if t % 2 else ())
+
+
+def _pascal_rows() -> Iterator[Row]:
+    return _z_rows((1,))
+
+
+def _lucas_rows() -> Iterator[Row]:
+    # row 0 is the open corner; OEIS A029635 pins it to 2
+    return chain([(2,)], _z_rows((1, 2)))
+
+
+# name -> (first row index, b-file index of the first cell, row generator)
+_TRIANGLES: dict[str, tuple[int, int, Callable[[], Iterator[Row]]]] = {
+    "A": (0, 0, _a_rows),
+    "B": (0, 0, _b_rows),
+    "D": (2, 1, _d_rows),
+    "sheared-catalan": (0, 0, _sheared_ballot_rows),
+    "pascal": (0, 0, _pascal_rows),
+    "lucas": (0, 0, _lucas_rows),
+}
+
+TRIANGLE_NAMES = tuple(_TRIANGLES)
 
 
 def triangle_doc(name: str, rows: int) -> TriangleDoc:
     """Build a TriangleDoc with `rows` rows of the named triangle."""
     if rows < 1 or rows > 1000:
         raise ValueError("row count must be within 1..1000")
-    if name in ("A", "B", "D"):
-        first = 2 if name == "D" else 0
-        data = tuple(row for _, row in _series_rows(name, rows))
-        return TriangleDoc(
-            name, first, data, tuple(sum(r) for r in data), 1 if name == "D" else 0
-        )
-    if name == "sheared-catalan":
-        data = tuple(
-            tuple(formulas.z_value("A", t, s) for s in range((t + 1) // 2 + 1))
-            for t in range(rows)
-        )
-        return TriangleDoc(name, 0, data, tuple(sum(r) for r in data), 0)
-    if name == "pascal":
-        data = tuple(tuple(formulas.binom(t, s) for s in range(t + 1)) for t in range(rows))
-        return TriangleDoc(name, 0, data, tuple(sum(r) for r in data), 0)
-    if name == "lucas":
-        # row 0 is the open corner; OEIS A029635 pins it to 2
-        data = tuple(
-            (2,) if t == 0 else tuple(formulas.bailey(t, s) for s in range(t + 1))
-            for t in range(rows)
-        )
-        return TriangleDoc(name, 0, data, tuple(sum(r) for r in data), 0)
-    raise ValueError(f"unknown triangle {name!r}; choose one of {', '.join(TRIANGLE_NAMES)}")
+    if name not in _TRIANGLES:
+        raise ValueError(f"unknown triangle {name!r}; choose one of {', '.join(TRIANGLE_NAMES)}")
+    first, offset, generate = _TRIANGLES[name]
+    data = tuple(islice(generate(), rows))
+    return TriangleDoc(name, first, data, tuple(map(sum, data)), offset)
 
 
 def render_triangle(name: str, rows: int, fmt: str) -> bytes:
@@ -116,8 +180,9 @@ def render_triangle(name: str, rows: int, fmt: str) -> bytes:
 
 
 def _render_pretty(doc: TriangleDoc) -> str:
-    width = max(len(str(v)) for row in doc.rows for v in row)
-    sum_width = max(len(str(v)) for v in doc.sums)
+    # every cell and sum is a nonnegative integer, so the widest is the largest
+    width = len(str(max(map(max, doc.rows))))
+    sum_width = len(str(max(doc.sums)))
     with_sums = doc.name in ("A", "B", "D")
     lines = []
     dot_rows: list[tuple[int, tuple[str, ...]]] = []
@@ -159,60 +224,39 @@ def _render_bfile(doc: TriangleDoc) -> str:
 # --- sequence generators for reconciliation ---------------------------------
 
 
-def _flat(name: str, terms: int, offset: int) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    rows_needed = terms + 2
-    doc = triangle_doc(name, rows_needed)
-    idx = offset
-    for row in doc.rows:
-        for v in row:
-            out.append((idx, v))
-            idx += 1
-            if len(out) == terms:
-                return out
-    return out
+def _flat(rows: Iterable[Row], terms: int, offset: int) -> list[tuple[int, int]]:
+    # islice stops inside the row that completes the prefix
+    return list(enumerate(islice(chain.from_iterable(rows), terms), offset))
 
 
-def _d_diagonal(terms: int) -> list[tuple[int, int]]:
-    return [(k, formulas.bailey(2 * k + 2, k)) for k in range(terms)]
-
-
-def _ballot_rows(terms: int) -> list[tuple[int, int]]:
-    # OEIS row convention: T(n,k) = C(n,k) - C(n,k-1) for 0 <= k <= n//2,
-    # which is the sheared triangle's row t = n-1 preceded by a lone 1.
-    out: list[tuple[int, int]] = []
-    idx = 0
-    n = 0
-    while len(out) < terms:
-        for k in range(n // 2 + 1):
-            out.append((idx, formulas.catalan_bracket(n, k)))
-            idx += 1
-            if len(out) == terms:
-                return out
-        n += 1
-    return out
-
-
-_GENERATORS: dict[str, Callable[[int], list[tuple[int, int]]]] = {
-    "A009766": lambda t: _flat("A", t, 0),
-    "A059481": lambda t: _flat("B", t, 0),
-    "A241188": lambda t: _flat("D", t, 1),
-    "A008315": _ballot_rows,
-    "A007318": lambda t: _flat("pascal", t, 0),
-    "A029635": lambda t: _flat("lucas", t, 0),
-    "A129869": _d_diagonal,
+# sequence id -> (row generator, index of the first term)
+_SEQUENCES: dict[str, tuple[Callable[[], Iterable[Row]], int]] = {
+    "A009766": (_a_rows, 0),
+    "A059481": (_b_rows, 0),
+    "A241188": (_d_rows, 1),
+    # OEIS rows T(n,k) = C(n,k) - C(n,k-1), 0 <= k <= n//2: the sheared
+    # triangle's row t = n-1, preceded by a lone 1
+    "A008315": (lambda: chain([(1,)], _sheared_ballot_rows()), 0),
+    "A007318": (_pascal_rows, 0),
+    "A029635": (_lucas_rows, 0),
+    "A129869": (lambda: (row[-1:] for row in _d_rows()), 0),
 }
 
-SEQUENCE_IDS = tuple(sorted(_GENERATORS))
+SEQUENCE_IDS = tuple(sorted(_SEQUENCES))
+
+
+def _sequence(sequence_id: str, terms: int) -> tuple[Callable[[], Iterable[Row]], int]:
+    if sequence_id not in _SEQUENCES:
+        raise ValueError(f"unsupported sequence {sequence_id!r}; known: {', '.join(SEQUENCE_IDS)}")
+    if terms < 1:
+        raise ValueError("need at least one term")
+    return _SEQUENCES[sequence_id]
 
 
 def generate_terms(sequence_id: str, terms: int) -> list[tuple[int, int]]:
     """First `terms` (index, value) pairs of a supported sequence."""
-    if sequence_id not in _GENERATORS:
-        raise ValueError(f"unsupported sequence {sequence_id!r}; known: {', '.join(SEQUENCE_IDS)}")
-    if terms < 1:
-        raise ValueError("need at least one term")
-    return _GENERATORS[sequence_id](terms)
+    rows, offset = _sequence(sequence_id, terms)
+    return _flat(rows(), terms, offset)
 
 
 # --- b-file parsing and fetching --------------------------------------------
@@ -259,6 +303,8 @@ def fetch_bfile(sequence_id: str, online: bool = False, timeout: float = 10.0) -
     A failed live fetch warns on stderr and falls back to the fixture.
     """
     if online:
+        import urllib.request  # here, not at module level: it was a third of importing the CLI
+
         url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
         try:
             with urllib.request.urlopen(url, timeout=timeout) as resp:
@@ -285,16 +331,19 @@ class ReconcileResult:
 
 
 def reconcile(sequence_id: str, terms: int, online: bool = False) -> ReconcileResult:
-    """Compare the first `terms` generated values against the b-file."""
-    generated = generate_terms(sequence_id, terms)
+    """Compare the first `terms` generated values against the b-file.
+
+    The b-file is loaded first, so no more terms are generated than it holds.
+    """
+    rows, offset = _sequence(sequence_id, terms)
     bfile = fetch_bfile(sequence_id, online=online)
-    reference = list(bfile.entries[:terms])
-    if len(reference) < terms:
+    if len(bfile.entries) < terms:
         return ReconcileResult(
-            sequence_id, terms, False, f"b-file has only {len(reference)} terms"
+            sequence_id, terms, False, f"b-file has only {len(bfile.entries)} terms"
         )
+    generated = _flat(rows(), terms, offset)
     note = " (corner convention 2)" if sequence_id == "A029635" else ""
-    for (gi, gv), (ri, rv) in zip(generated, reference):
+    for (gi, gv), (ri, rv) in zip(generated, bfile.entries):
         if (gi, gv) != (ri, rv):
             return ReconcileResult(
                 sequence_id,

@@ -1,8 +1,15 @@
 """Triangle rendering, b-file parsing, and fixture reconciliation."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from dynkin_tilting import oeis
+import dynkin_tilting
+from dynkin_tilting import formulas, oeis
 from dynkin_tilting.oeis import (
     BFileError,
     fetch_bfile,
@@ -24,6 +31,60 @@ def test_triangle_doc_row_shapes():
     lucas = triangle_doc("lucas", 5)
     assert lucas.rows[0] == (2,)
     assert lucas.rows[3] == (1, 4, 5, 2)
+
+
+def _closed_form_rows(name, rows):
+    """The rows of a triangle from the closed forms, one cell at a time."""
+    if name in ("A", "B", "D"):
+        first = 2 if name == "D" else 0
+        return tuple(formulas.a_row(name, n) for n in range(first, first + rows))
+    if name == "sheared-catalan":
+        return tuple(tuple(formulas.z_value("A", t, s) for s in range((t + 1) // 2 + 1)) for t in range(rows))
+    if name == "pascal":
+        return tuple(tuple(formulas.binom(t, s) for s in range(t + 1)) for t in range(rows))
+    # lucas: the open corner carries the OEIS value 2
+    return ((2,),) + tuple(tuple(formulas.bailey(t, s) for s in range(t + 1)) for t in range(1, rows))
+
+
+@pytest.mark.parametrize("rows", [200, pytest.param(1000, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", oeis.TRIANGLE_NAMES)
+def test_recursion_rows_match_closed_forms(name, rows):
+    doc = triangle_doc(name, rows)
+    assert doc.rows == _closed_form_rows(name, rows)
+    if name in ("A", "B", "D"):
+        assert doc.sums == tuple(formulas.a_total(name, doc.first_row + k) for k in range(rows))
+    else:
+        assert doc.sums == tuple(map(sum, doc.rows))
+
+
+# sha256 of render_triangle(name, 200, fmt), pinned from the per-cell
+# closed-form builder that preceded the recursions
+_TRIANGLE_DIGESTS = {
+    ("A", "pretty"): "54007c27b79b52e408494b75040c1adc5a6f7f9e68f8c9e6536ded5ae0fda492",
+    ("A", "csv"): "abbb4c09524a06d6fbc56ab06d14722e328a7d7a8be411e272a876fa0e8aaa29",
+    ("A", "bfile"): "b0d31b04c6dec1aa179c5495e8cea5820dbc6266fe2d2aac6116131484bda0f1",
+    ("B", "pretty"): "d31bbcd406d9075e57b3b003a24dddb4695c23abef8b03ef1756d32b7cdc48b8",
+    ("B", "csv"): "cacba561ce4f8f17ff9a5890b428d6797069e7f87975c775ca54ef20945e9e75",
+    ("B", "bfile"): "1c281c4286f6082c766aa4fe52f1593093b7570f7c7e0db5761c5104a730aebd",
+    ("D", "pretty"): "4f0db540feef33e847ec7c6b1e75a215599dbda6a367c5e011bd323c51203440",
+    ("D", "csv"): "f1506f7c64fece18045bc6bcb14278915dc760317a384f65c7c2e562acef56bc",
+    ("D", "bfile"): "d3fa50ba7a3c2e049b32a3752fc7bb7cd248c2c49d1d98ce4d13fed0df29fe08",
+    ("sheared-catalan", "pretty"): "3ee589ae9f90fabfd0109b1e1197aca707d2ca51b0ba8ee551ad1e8ef5c12785",
+    ("sheared-catalan", "csv"): "42719e09425ad2c08d7fa99ece41be5012ad0e30efd1a4275b7df272d64819b5",
+    ("sheared-catalan", "bfile"): "995006a56ccaa6e1a3a88e63077d1d11e711fc67b04e1658ebfe23b6c90602fc",
+    ("pascal", "pretty"): "adf88fed1d036f26f8facea2817fdae2123d0f1ff94d54325323d98be64bd66f",
+    ("pascal", "csv"): "5651ce0be046bdc78b7e46cf32cb377551ecee6ffcbcbd57e141e118f795cdae",
+    ("pascal", "bfile"): "45cc62a163d021991fc7ad5d1700bea7ab15b7eca6e15caedeb1ead4542ded88",
+    ("lucas", "pretty"): "a9dd8a3c52865b2037947f3277d586dcbf20609e7946f292c64baac46224f012",
+    ("lucas", "csv"): "657c2fb01c30b657ff2dc3253d898e3f50690b5e57e49f96a1f7e6cdca0ecf60",
+    ("lucas", "bfile"): "a11dc2fe28e7cf24609f7d22b6528e3298a4b26f360eb3c7c1f5e96d149d4161",
+}
+
+
+@pytest.mark.parametrize("name, fmt", list(_TRIANGLE_DIGESTS))
+def test_triangle_bytes_pinned(name, fmt):
+    digest = hashlib.sha256(render_triangle(name, 200, fmt)).hexdigest()
+    assert digest == _TRIANGLE_DIGESTS[name, fmt]
 
 
 def test_pretty_rendering_d_has_dots_and_sums():
@@ -102,6 +163,19 @@ def test_generated_prefixes():
     assert [v for _, v in generate_terms("A129869", 8)] == [1, 5, 20, 77, 294, 1122, 4290, 16445]
 
 
+def test_flat_stops_at_the_row_that_completes_the_prefix():
+    pulled = []
+
+    def rows():
+        for row in oeis._SEQUENCES["A009766"][0]():
+            pulled.append(row)
+            yield row
+
+    # rows (1,), (1, 1), (1, 2, 2): the fourth term opens the third row
+    assert oeis._flat(rows(), 4, 0) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+    assert len(pulled) == 3
+
+
 def test_d_fixture_matches_transcribed_rows():
     from tests.test_formulas import TRIANGLE_B, TRIANGLE_D
 
@@ -145,3 +219,23 @@ def test_online_fetch_falls_back(monkeypatch, capsys):
     # no network in CI: the fetch must warn and fall back to the fixture
     res = fetch_bfile("A129869", online=True, timeout=0.01)
     assert res.entries[0] == (0, 1)
+
+
+def test_online_fetch_failure_warns_and_uses_fixture(monkeypatch, capsys):
+    import urllib.request
+
+    def refuse(url, timeout):
+        raise OSError("network unreachable")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    res = fetch_bfile("A129869", online=True)
+    assert res == fetch_bfile("A129869")
+    assert "falling back to fixture" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_urllib_request_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    code = "import sys, dynkin_tilting.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dynkin_tilting
-from dynkin_tilting import formulas, verify
+from dynkin_tilting import cli, formulas, verify
 from dynkin_tilting.cli import run
 from dynkin_tilting.verify import (
     orientation_sweep,
@@ -292,6 +292,28 @@ def test_cli_enumerate_listing_bytes(capsys, args, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+def test_cli_enumerate_refuses_before_building(capsys, monkeypatch):
+    def build_category(*_):
+        raise AssertionError("a refused enumeration built its category")
+
+    monkeypatch.setattr(cli, "build_category", build_category)
+    assert run(["enumerate", "A", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: A20 has 24466267020 result sets, above the limit of 10000000" in captured.err
+
+
+def test_cli_enumerate_max_results(capsys):
+    assert run(["enumerate", "A", "4", "--max-results", "41"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: A4 has 42 result sets, above the limit of 41" in captured.err
+    assert run(["enumerate", "A", "4", "--max-results", "42"]) == 0
+    assert capsys.readouterr().out == "by-support-rank: 1 4 9 14 14 | total 42\n"
+    assert run(["enumerate", "A", "4", "--max-results", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_triangle_csv(capsys):
     assert run(["triangle", "B", "--rows", "10", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -301,6 +323,19 @@ def test_cli_triangle_csv(capsys):
 def test_cli_reconcile(capsys):
     assert run(["reconcile", "A009766", "--terms", "55"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("terms", ["200", "999", "10000000000000"])
+def test_cli_reconcile_beyond_bfile_fails(capsys, terms):
+    assert run(["reconcile", "A009766", "--terms", terms]) == 1
+    assert capsys.readouterr().out == f"A009766\tterms={terms}\tb-file has only 136 terms\tFAIL\n"
+
+
+def test_cli_reconcile_rejects_zero_terms(capsys):
+    assert run(["reconcile", "A009766", "--terms", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: need at least one term" in captured.err
 
 
 def test_cli_verify_quick_deterministic(capsys):
