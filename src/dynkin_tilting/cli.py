@@ -3,13 +3,15 @@
 Subcommands: table, triangle, enumerate, verify, reconcile.  Numeric output
 is plain decimal on stdout; the effective configuration of each run goes to
 stderr so stdout stays byte-stable and machine-readable.  Exit codes:
-0 success / all checks pass, 1 verification failure, 2 usage error.
+0 success / all checks pass, 1 verification failure, 2 usage error, 141
+stdout closed by its reader before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Sequence
 
@@ -20,6 +22,8 @@ from .homs import build_category
 
 # default --max-results: the largest result count enumerate forecasts and runs
 MAX_RESULTS = 10_000_000
+# largest rank `table` prints, the same cap as `triangle --rows`
+_MAX_TABLE_N = 1000
 
 
 def _parse_orientation(spec: str):
@@ -34,10 +38,12 @@ def _parse_orientation(spec: str):
     return arrows
 
 
-def _int_at_least(minimum: int):
+def _bounded_int(minimum: int, maximum: int | None = None):
+    bounds = f">= {minimum}" if maximum is None else f"within {minimum}..{maximum}"
+
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        if not text.isdecimal() or int(text) < minimum or (maximum is not None and int(text) > maximum):
+            raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
         return int(text)
 
     return parse
@@ -67,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true", dest="listing", help="list every set")
     p.add_argument(
         "--max-results",
-        type=_int_at_least(1),
+        type=_bounded_int(1),
         default=MAX_RESULTS,
         help=f"refuse types with more result sets than this (default {MAX_RESULTS})",
     )
@@ -80,11 +86,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(level="full")
     p.add_argument(
         "--max-n",
-        type=_int_at_least(verify.IDENTITY_MIN_N),
+        type=_bounded_int(verify.IDENTITY_MIN_N, verify.IDENTITY_MAX_N),
         default=None,
-        help=f"identity-suite bound, at least {verify.IDENTITY_MIN_N}",
+        help=f"identity-suite bound, {verify.IDENTITY_MIN_N}..{verify.IDENTITY_MAX_N}",
     )
-    p.add_argument("--threads", type=_int_at_least(1), default=1, help="accepted for compatibility; has no effect")
+    p.add_argument("--threads", type=_bounded_int(1), default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", default=None, help="also write the report to this path")
 
     p = sub.add_parser("reconcile", help="compare a generated sequence against its b-file")
@@ -95,6 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table(args) -> int:
+    if args.n > _MAX_TABLE_N:
+        raise ValueError(f"table rank {args.n} is above the limit of {_MAX_TABLE_N}")
     row = formulas.a_row(args.series, args.n)
     total = formulas.a_total(args.series, args.n)
     print(" ".join(str(v) for v in row) + f" | total {total}")
@@ -102,7 +110,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    sys.stdout.write(oeis.render_triangle(args.name, args.rows, args.fmt).decode())
+    sys.stdout.writelines(oeis.triangle_lines(args.name, args.rows, args.fmt))
     return 0
 
 
@@ -172,7 +180,18 @@ def run(argv: Sequence[str] | None = None) -> int:
         "reconcile": _cmd_reconcile,
     }[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away.  Point fd 1 at devnull so the final
+        # flush cannot fail, and exit as a shell reports a SIGPIPE death.
+        # SIGPIPE itself stays ignored: a socket write in `reconcile --online`
+        # must raise and fall back to the fixture, not kill the process.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DiagramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

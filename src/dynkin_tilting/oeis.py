@@ -14,7 +14,8 @@ z-recursion z_s(t) = z_{s-1}(t-1) + z_s(t-1) for the Pascal, Lucas and
 sheared ballot triangles.  The few cells outside the recursions' regions
 (the B main diagonal, the last two cells of each D row) take O(1) exact
 integer steps per row.  The closed forms in ``formulas`` are the test
-oracle for every generated row.
+oracle for every generated row.  ``triangle_lines`` gives the text one row
+at a time, and the CLI writes each row as it comes.
 
 b-file format: ASCII lines "<index> <value>", '#' comments and blank lines
 ignored, indices increasing by 1 from the sequence offset.  Offline fixture
@@ -37,7 +38,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, count, islice
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -167,58 +168,54 @@ def triangle_doc(name: str, rows: int) -> TriangleDoc:
     return TriangleDoc(name, first, data, tuple(map(sum, data)), offset)
 
 
+def triangle_lines(name: str, rows: int, fmt: str) -> Iterator[str]:
+    """A triangle as pretty text, CSV, or a b-file, one string per row after
+    any header lines; a plain function, so bad arguments raise ValueError
+    before the first line."""
+    if fmt not in _RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}; choose pretty, csv, or bfile")
+    return _RENDERERS[fmt](triangle_doc(name, rows))
+
+
 def render_triangle(name: str, rows: int, fmt: str) -> bytes:
-    """Render a triangle as pretty text, CSV, or a b-file."""
-    doc = triangle_doc(name, rows)
-    if fmt == "pretty":
-        return _render_pretty(doc).encode()
-    if fmt == "csv":
-        return _render_csv(doc).encode()
-    if fmt == "bfile":
-        return _render_bfile(doc).encode()
-    raise ValueError(f"unknown format {fmt!r}; choose pretty, csv, or bfile")
+    """The whole text of triangle_lines as bytes."""
+    return "".join(triangle_lines(name, rows, fmt)).encode()
 
 
-def _render_pretty(doc: TriangleDoc) -> str:
+def _pretty_lines(doc: TriangleDoc) -> Iterator[str]:
     # every cell and sum is a nonnegative integer, so the widest is the largest
     width = len(str(max(map(max, doc.rows))))
     sum_width = len(str(max(doc.sums)))
     with_sums = doc.name in ("A", "B", "D")
-    lines = []
-    dot_rows: list[tuple[int, tuple[str, ...]]] = []
-    if doc.name == "D":
-        dot_rows = [(0, ("·",)), (1, ("·", "·"))]
-    if doc.name == "lucas":
-        # re-show the corner as the open dot; the value 2 is OEIS-only
-        dot_rows = [(0, ("·",))]
-        doc = TriangleDoc(doc.name, 1, doc.rows[1:], doc.sums[1:], doc.offset)
-    for n, cells in dot_rows:
-        body = " ".join(c.rjust(width) for c in cells)
-        lines.append(f"{n:>3}  {body}")
-    for k, row in enumerate(doc.rows):
-        n = doc.first_row + k
+    # rows before the first printed one are open dots: D's rows 0 and 1, and
+    # lucas's corner, whose value 2 is OEIS-only
+    skip = 1 if doc.name == "lucas" else 0
+    first = doc.first_row + skip
+    for n in range(first):
+        yield f"{n:>3}  " + " ".join(["·".rjust(width)] * (n + 1)) + "\n"
+    for n, row, total in zip(count(first), doc.rows[skip:], doc.sums[skip:]):
         body = " ".join(str(v).rjust(width) for v in row)
-        if with_sums:
-            lines.append(f"{n:>3}  {body}  | {str(doc.sums[k]).rjust(sum_width)}")
-        else:
-            lines.append(f"{n:>3}  {body}")
-    return "\n".join(lines) + "\n"
+        tail = f"  | {str(total).rjust(sum_width)}" if with_sums else ""
+        yield f"{n:>3}  {body}{tail}\n"
 
 
-def _render_csv(doc: TriangleDoc) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in doc.rows) + "\n"
+def _csv_lines(doc: TriangleDoc) -> Iterator[str]:
+    for row in doc.rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
-def _render_bfile(doc: TriangleDoc) -> str:
-    lines = [f"# {doc.name} triangle read by rows, first row {doc.first_row}"]
+def _bfile_lines(doc: TriangleDoc) -> Iterator[str]:
+    yield f"# {doc.name} triangle read by rows, first row {doc.first_row}\n"
     if doc.name == "lucas":
-        lines.append("# corner (0,0) uses the OEIS convention value 2")
+        yield "# corner (0,0) uses the OEIS convention value 2\n"
     idx = doc.offset
     for row in doc.rows:
-        for v in row:
-            lines.append(f"{idx} {v}")
-            idx += 1
-    return "\n".join(lines) + "\n"
+        # a whole row per string: one write per cell costs more than formatting
+        yield "".join(f"{i} {v}\n" for i, v in enumerate(row, idx))
+        idx += len(row)
+
+
+_RENDERERS = {"pretty": _pretty_lines, "csv": _csv_lines, "bfile": _bfile_lines}
 
 
 # --- sequence generators for reconciliation ---------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 import dynkin_tilting
 from dynkin_tilting import formulas, oeis
+from dynkin_tilting.cli import run
 from dynkin_tilting.oeis import (
     BFileError,
     fetch_bfile,
@@ -18,6 +19,7 @@ from dynkin_tilting.oeis import (
     reconcile,
     render_triangle,
     triangle_doc,
+    triangle_lines,
 )
 
 
@@ -57,8 +59,8 @@ def test_recursion_rows_match_closed_forms(name, rows):
         assert doc.sums == tuple(map(sum, doc.rows))
 
 
-# sha256 of render_triangle(name, 200, fmt), pinned from the per-cell
-# closed-form builder that preceded the recursions
+# sha256 of render_triangle(name, 200, fmt) and of the CLI's stdout, pinned
+# from the per-cell closed-form builder that preceded the recursions
 _TRIANGLE_DIGESTS = {
     ("A", "pretty"): "54007c27b79b52e408494b75040c1adc5a6f7f9e68f8c9e6536ded5ae0fda492",
     ("A", "csv"): "abbb4c09524a06d6fbc56ab06d14722e328a7d7a8be411e272a876fa0e8aaa29",
@@ -82,9 +84,41 @@ _TRIANGLE_DIGESTS = {
 
 
 @pytest.mark.parametrize("name, fmt", list(_TRIANGLE_DIGESTS))
-def test_triangle_bytes_pinned(name, fmt):
-    digest = hashlib.sha256(render_triangle(name, 200, fmt)).hexdigest()
-    assert digest == _TRIANGLE_DIGESTS[name, fmt]
+def test_triangle_bytes_pinned(name, fmt, capsys):
+    assert run(["triangle", name, "--rows", "200", "--format", fmt]) == 0
+    for blob in (render_triangle(name, 200, fmt), capsys.readouterr().out.encode()):
+        assert hashlib.sha256(blob).hexdigest() == _TRIANGLE_DIGESTS[name, fmt]
+
+
+_VMHWM_CHILD = """
+import os, sys
+import dynkin_tilting.cli as cli
+
+def vmhwm_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = vmhwm_kb()
+sys.stdout = open(os.devnull, "w")
+assert cli.run(["triangle", "B", "--rows", "400", "--format", "pretty"]) == 0
+sys.stdout.close()
+print(vmhwm_kb() - before, file=sys.__stdout__)
+"""
+
+
+def test_triangle_is_written_row_by_row():
+    try:
+        with open("/proc/self/status") as status:
+            if not any(line.startswith("VmHWM:") for line in status):
+                pytest.skip("no VmHWM in /proc/self/status")
+    except OSError:
+        pytest.skip("/proc/self/status is unreadable")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # holding the 19 MB text whole (as lines, str and bytes) grows VmHWM by
+    # about 80 MB; writing it row by row, by about 7 MB
+    assert int(proc.stdout) < 25 * 1024
 
 
 def test_pretty_rendering_d_has_dots_and_sums():
@@ -129,12 +163,11 @@ def test_bfile_roundtrip():
 
 
 def test_bad_inputs():
-    with pytest.raises(ValueError):
-        render_triangle("Z", 5, "pretty")
-    with pytest.raises(ValueError):
-        render_triangle("A", 5, "yaml")
-    with pytest.raises(ValueError):
-        render_triangle("A", 0, "csv")
+    for bad in (("Z", 5, "pretty"), ("A", 5, "yaml"), ("A", 0, "csv"), ("A", 1001, "csv")):
+        with pytest.raises(ValueError):
+            render_triangle(*bad)
+        with pytest.raises(ValueError):  # raised without taking a line
+            triangle_lines(*bad)
     with pytest.raises(ValueError):
         generate_terms("A000001", 5)
 
@@ -216,7 +249,12 @@ def test_missing_fixture(tmp_path, monkeypatch):
 
 
 def test_online_fetch_falls_back(monkeypatch, capsys):
-    # no network in CI: the fetch must warn and fall back to the fixture
+    import urllib.request
+
+    def time_out(url, timeout):
+        raise TimeoutError("timed out")
+
+    monkeypatch.setattr(urllib.request, "urlopen", time_out)
     res = fetch_bfile("A129869", online=True, timeout=0.01)
     assert res.entries[0] == (0, 1)
 

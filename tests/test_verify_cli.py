@@ -127,7 +127,7 @@ def test_identity_bound_below_minimum_rejected(monkeypatch):
         raise AssertionError("run_suite enumerated before checking max_n")
 
     monkeypatch.setattr(verify, "verify_type", no_enumeration)
-    for bad in (verify.IDENTITY_MIN_N - 1, 0, -5):
+    for bad in (verify.IDENTITY_MIN_N - 1, 0, -5, verify.IDENTITY_MAX_N + 1):
         with pytest.raises(ValueError, match="identity-suite bound"):
             verify_identities(bad)
         with pytest.raises(ValueError, match="identity-suite bound"):
@@ -229,6 +229,12 @@ def test_cli_module_entry_point():
 def test_cli_table_bad_rank(capsys):
     assert run(["table", "C", "1"]) == 2
     assert "inadmissible" in capsys.readouterr().err
+    assert run(["table", "A", "1001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: table rank 1001 is above the limit of 1000" in captured.err
+    assert run(["table", "A", "1000"]) == 0
+    assert capsys.readouterr().out.endswith(f" | total {formulas.a_total('A', 1000)}\n")
 
 
 def test_cli_usage_error(capsys):
@@ -320,6 +326,31 @@ def test_cli_triangle_csv(capsys):
     assert lines[9] == "1,9,45,165,495,1287,3003,6435,12870,24310"
 
 
+@pytest.mark.parametrize("rows", ["0", "1001"])
+def test_cli_triangle_rejects_row_count(capsys, rows):
+    assert run(["triangle", "A", "--rows", rows]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: row count must be within 1..1000" in captured.err
+
+
+@pytest.mark.parametrize("args", [["triangle", "B", "--rows", "400"], ["enumerate", "A", "8", "--list"]])
+def test_cli_reader_closing_stdout_early(tmp_path, args):
+    # each command writes well over a pipe's buffer, so it writes after the close
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dynkin_tilting.cli", *args], stdout=subprocess.PIPE, stderr=err, env=env
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        err.seek(0)
+        stderr = err.read()
+    assert "error:" not in stderr
+    assert "Traceback" not in stderr
+
+
 def test_cli_reconcile(capsys):
     assert run(["reconcile", "A009766", "--terms", "55"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -356,12 +387,18 @@ def test_cli_verify_rejects_nonpositive_threads(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["2", "0", "-5"])
-def test_cli_verify_rejects_bound_below_identity_minimum(capsys, bound):
-    assert run(["verify", "--quick", "--max-n", bound]) == 2
+@pytest.mark.parametrize("bound", ["2", "0", "-5", "121"])
+def test_cli_verify_rejects_bound_below_identity_minimum(tmp_path, capsys, bound):
+    out = tmp_path / "report.txt"
+    out.write_text("kept\n")
+    assert run(["verify", "--quick", "--max-n", bound, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-n" in captured.err
+    assert out.read_text() == "kept\n"
+    # the bounds themselves parse
+    for edge in (verify.IDENTITY_MIN_N, verify.IDENTITY_MAX_N):
+        assert cli._build_parser().parse_args(["verify", "--max-n", str(edge)]).max_n == edge
 
 
 def test_cli_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
