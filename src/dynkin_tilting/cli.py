@@ -151,9 +151,11 @@ def _cmd_verify(args) -> int:
             f"orientation-sample-seed={verify.ORIENTATION_SAMPLE_SEED}\n"
         )
         text = header + report.render()
-        sys.stdout.write(text)
         if out is not None:
             out.write(text)
+    # --out is written and closed first: a reader that closes stdout early
+    # must not leave the file truncated
+    sys.stdout.write(text)
     return 0 if report.passed else 1
 
 

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the long enumerations (E7/E8)",
+        help="run the long enumerations (E7/E8, long listings, memo against walk on A10/B10/D10, B12/D12 rows)",
     )
 
 

@@ -351,6 +351,19 @@ def test_cli_reader_closing_stdout_early(tmp_path, args):
     assert "Traceback" not in stderr
 
 
+def test_cli_verify_out_survives_reader_closing_stdout(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    command = [sys.executable, "-m", "dynkin_tilting.cli", "verify", "--quick"]
+    report = tmp_path / "report.txt"
+    # the suite runs for a while, so the reader is gone before the first write
+    proc = subprocess.Popen([*command, "--out", str(report)], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    plain = subprocess.run(command, capture_output=True, env=env, timeout=120)
+    assert plain.returncode == 0
+    assert report.read_bytes() == plain.stdout
+
+
 def test_cli_reconcile(capsys):
     assert run(["reconcile", "A009766", "--terms", "55"]) == 0
     assert "PASS" in capsys.readouterr().out
