@@ -20,8 +20,6 @@ from .diagrams import DiagramError, DynkinType, build_cartan
 from .enumeration import count_tables, enumerate_antichains, enumerate_support_tilting, format_set
 from .homs import build_category
 
-# default --max-results: the largest result count enumerate forecasts and runs
-MAX_RESULTS = 10_000_000
 # largest rank `table` prints, the same cap as `triangle --rows`
 _MAX_TABLE_N = 1000
 
@@ -74,8 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-results",
         type=_bounded_int(1),
-        default=MAX_RESULTS,
-        help=f"refuse types with more result sets than this (default {MAX_RESULTS})",
+        default=verify.MAX_RESULTS,
+        help=f"refuse types with more result sets than this (default {verify.MAX_RESULTS})",
     )
 
     p = sub.add_parser("verify", help="run a verification suite and print the report")
@@ -116,13 +114,7 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     dtype = DynkinType(args.series, args.n)
-    # both statistics have a_total results: refuse before any search starts
-    forecast = formulas.a_total(args.series, args.n)
-    if forecast > args.max_results:
-        raise ValueError(
-            f"{args.series}{args.n} has {forecast} result sets, above the limit of "
-            f"{args.max_results}; raise it with --max-results"
-        )
+    verify.check_result_budget(dtype, args.max_results)
     orientation = _parse_orientation(args.orientation)
     cat = build_category(build_cartan(dtype, orientation))
     if args.listing:

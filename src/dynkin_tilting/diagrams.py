@@ -82,14 +82,6 @@ class DiagramShape:
 
     def __post_init__(self) -> None:
         seen: set[tuple[int, int]] = set()
-        parent = list(range(self.vertex_count + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for i, j, a, b in self.edges:
             if not (1 <= i < j <= self.vertex_count):
                 raise DiagramError(f"bad edge endpoints ({i},{j})")
@@ -98,10 +90,9 @@ class DiagramShape:
             if (i, j) in seen:
                 raise DiagramError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                raise DiagramError(f"diagram has a cycle through edge ({i},{j})")
-            parent[ri] = rj
+        # a forest has one edge fewer than vertices in each component
+        if len(self.edges) != self.vertex_count - len(self.components()):
+            raise DiagramError("diagram has a cycle")
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components, each a frozen vertex set, ordered by minimum."""
@@ -349,16 +340,16 @@ def is_positive(coords: Sequence[int]) -> bool:
     return all(c >= 0 for c in coords) and any(c > 0 for c in coords)
 
 
-_MAX_ROOTS = 1000  # closure guard: the largest rank-9 system (E8 + A1) stays far below
-
-
 def positive_roots(datum: CartanDatum) -> frozenset[Coords]:
     """Positive roots: closure of the simple roots under all reflections.
 
-    Non-termination of the closure (more than _MAX_ROOTS vectors) means the
-    matrix was not of finite type, which build_cartan already excludes.
+    A connected finite type of rank k has at most max(k², 120) positive
+    roots (k² for B and C, 120 for E8), so a closure that outgrows twice the
+    sum of that bound over the components means the matrix was not of
+    finite type, which build_cartan already excludes.
     """
     n = datum.n
+    max_roots = 2 * sum(max(len(c) ** 2, 120) for c in datum.shape.components())
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     seen: set[Coords] = set(simples)
     work = list(simples)
@@ -369,7 +360,7 @@ def positive_roots(datum: CartanDatum) -> frozenset[Coords]:
             if y not in seen:
                 seen.add(y)
                 work.append(y)
-        if len(seen) > 2 * _MAX_ROOTS:
+        if len(seen) > max_roots:
             raise DiagramError("root closure does not terminate: not finite type")
     return frozenset(x for x in seen if is_positive(x))
 

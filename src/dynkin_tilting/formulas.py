@@ -286,8 +286,6 @@ def lucas_vs_d_deviation_check(n: int) -> bool:
 
 # --- sheared triangles ------------------------------------------------------
 
-Z_SERIES = ("A", "B", "D")
-
 
 def z_value(series: str, t: int, s: int) -> int:
     """Entry of the triangle that shears onto the series table.

@@ -9,7 +9,9 @@ never extends and otherwise Ext(M(i,u), Y) matches Hom(Y, M(i,u-1)).
 
 from __future__ import annotations
 
-from .orbits import ModCategory, knit_category, with_matrices
+import dataclasses
+
+from .orbits import ModCategory, knit_category
 
 Key = tuple[int, int]
 
@@ -50,7 +52,7 @@ def build_matrices(cat: ModCategory) -> ModCategory:
                 e |= 1 << b
         hom_rows.append(h)
         ext_rows.append(e)
-    return with_matrices(cat, tuple(hom_rows), tuple(ext_rows))
+    return dataclasses.replace(cat, hom=tuple(hom_rows), ext=tuple(ext_rows))
 
 
 def build_category(datum) -> ModCategory:

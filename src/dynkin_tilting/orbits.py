@@ -11,7 +11,6 @@ coordinates.  Everything is verified against the positive-root closure.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -132,10 +131,6 @@ def dump_category(cat: ModCategory) -> str:
         supp = " ".join(str(v) for v in sorted(m.support))
         lines.append(f"{m.vertex} {m.power} | {dims} | {supp}")
     return "\n".join(lines) + "\n"
-
-
-def with_matrices(cat: ModCategory, hom: tuple[int, ...], ext: tuple[int, ...]) -> ModCategory:
-    return dataclasses.replace(cat, hom=hom, ext=ext)
 
 
 def endpoint_is_tight(cat: ModCategory) -> bool:

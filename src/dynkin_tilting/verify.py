@@ -22,7 +22,9 @@ from .enumeration import CountTable, classify_sincere, count_tables, enumerate_a
 from .homs import build_category
 
 ORIENTATION_SAMPLE_SEED = 271828
-_MAX_ENUM_RANK = 8
+# largest forecast result count a search runs to: the default of `enumerate
+# --max-results`, and the limit of verify_type and verify_bc_equality
+MAX_RESULTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,16 @@ def _orientation_label(orientation) -> str:
     return ",".join(f"{a}>{b}" for a, b in orientation) or "none"
 
 
-def _reject_infeasible(dtype: DynkinType) -> None:
-    shape = canonical_shape(dtype)
-    big = [c for c in shape.components() if len(c) > _MAX_ENUM_RANK]
-    if big:
-        # only A, B, C and D have components above _MAX_ENUM_RANK, and
-        # a_total is defined for every admissible rank of those
+def check_result_budget(dtype: DynkinType, limit: int = MAX_RESULTS) -> None:
+    """Refuse a type with more than ``limit`` result sets before anything is built.
+
+    Both statistics have ``formulas.a_total`` results, so the closed form
+    forecasts the size of every search of the type.
+    """
+    forecast = formulas.a_total(dtype.series, dtype.rank)
+    if forecast > limit:
         raise ValueError(
-            f"enumeration for {dtype.label} rejected: component of rank {len(big[0])} "
-            f"exceeds {_MAX_ENUM_RANK} (estimated result count {formulas.a_total(dtype.series, dtype.rank)})"
+            f"{dtype.label} has {forecast} result sets, above the limit of {limit}; raise it with --max-results"
         )
 
 
@@ -91,9 +94,13 @@ def verify_type(series: str, n: int, orientations: Sequence | None = None) -> Ve
     closed-form row, totals against the closed-form total, and the
     antichain-by-support-rank table against the tilting table.  With several
     orientations the tables must also agree across all of them.
+
+    A type with more than MAX_RESULTS result sets is refused before any
+    category is built: A14, B12, C12 and D13 verify, A15, B13, C13 and D14
+    do not.
     """
     dtype = DynkinType(series, n)
-    _reject_infeasible(dtype)
+    check_result_budget(dtype)
     if orientations is None:
         orientations = ["default"]
     checks: list[Check] = []
@@ -143,7 +150,13 @@ def orientation_sweep(series: str, n: int) -> list:
 
 
 def verify_bc_equality(n_max: int) -> VerificationReport:
-    """CountTables of B_n and C_n agree entrywise for 2 <= n <= n_max."""
+    """CountTables of B_n and C_n agree entrywise for 2 <= n <= n_max.
+
+    Refused before B2 is built if B_{n_max} (and so C_{n_max}, which has the
+    same counts) has more than MAX_RESULTS result sets.
+    """
+    if n_max >= 2:
+        check_result_budget(DynkinType("B", n_max))
     checks = []
     for n in range(2, n_max + 1):
         b = count_tables(build_category(build_cartan(DynkinType("B", n))), "tilting")

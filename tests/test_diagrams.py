@@ -150,6 +150,13 @@ def test_positive_root_counts():
         assert all(is_positive(r) for r in roots)
 
 
+@pytest.mark.parametrize("label", ["A45", "B32", "C32", "D33"])
+def test_positive_root_counts_past_a_thousand(label):
+    # more than 1000 positive roots: the closure guard follows the rank
+    dtype = DynkinType.parse(label)
+    assert len(positive_roots(build_cartan(dtype))) == known_positive_root_count(dtype)
+
+
 def _naive_closure(datum):
     # independent oracle: repeatedly sweep every reflection over the whole set
     n = datum.n

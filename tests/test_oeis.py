@@ -1,6 +1,7 @@
 """Triangle rendering, b-file parsing, and fixture reconciliation."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -257,6 +258,21 @@ def test_online_fetch_falls_back(monkeypatch, capsys):
     monkeypatch.setattr(urllib.request, "urlopen", time_out)
     res = fetch_bfile("A129869", online=True, timeout=0.01)
     assert res.entries[0] == (0, 1)
+
+
+def test_fixture_generator_reproduces_shipped_bfiles(tmp_path):
+    # tools/gen_fixtures.py builds each b-file from its binomial definition,
+    # without the package; the shipped fixtures must be exactly its output
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("gen_fixtures", root / "tools" / "gen_fixtures.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.OUT = tmp_path
+    gen.main()
+    shipped = root / "src" / "dynkin_tilting" / "fixtures"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in shipped.iterdir())
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (shipped / path.name).read_bytes(), path.name
 
 
 def test_online_fetch_failure_warns_and_uses_fixture(monkeypatch, capsys):

@@ -29,9 +29,29 @@ def test_verify_type_e6():
     assert "1 6 20 50 110 228 418 | 833" in line
 
 
-def test_verify_type_rejects_big_ranks():
-    with pytest.raises(ValueError, match="estimated result count 16796"):
-        verify_type("A", 9)
+def _refuse_to_build(*_):
+    raise AssertionError("a refused search built a category")
+
+
+def test_verify_type_rejects_big_ranks(monkeypatch):
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    with pytest.raises(ValueError, match="A15 has 35357670 result sets, above the limit of 10000000"):
+        verify_type("A", 15)
+
+
+def test_bc_equality_rejects_big_ranks(monkeypatch):
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    with pytest.raises(ValueError, match="B13 has 10400600 result sets, above the limit of 10000000"):
+        verify_bc_equality(13)
+
+
+@pytest.mark.parametrize(
+    "series, n",
+    [("A", 9), ("A", 10), pytest.param("B", 12, marks=pytest.mark.slow), pytest.param("D", 12, marks=pytest.mark.slow)],
+)
+def test_verify_type_within_budget(series, n):
+    # A9 has 16,796 result sets, which the rank cap of 8 used to refuse
+    assert verify_type(series, n).passed
 
 
 def test_verify_orientations_a4_d4():
