@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import formulas, oeis, verify
 from .diagrams import DiagramError, DynkinType, build_cartan
-from .enumeration import count_tables, enumerate_antichains, enumerate_support_tilting, format_set
+from .enumeration import count_tables, listing_lines
 from .homs import build_category
 
 # largest rank `table` prints, the same cap as `triangle --rows`
@@ -29,10 +29,11 @@ def _parse_orientation(spec: str):
         return "default"
     arrows = []
     for part in spec.split(","):
-        if ">" not in part:
-            raise DiagramError(f"bad orientation fragment {part!r}; expected 'src>dst'")
-        src, dst = part.split(">", 1)
-        arrows.append((int(src), int(dst)))
+        src, _, dst = part.partition(">")
+        try:
+            arrows.append((int(src), int(dst)))
+        except ValueError:
+            raise DiagramError(f"bad orientation fragment {part!r}; expected 'src>dst'") from None
     return arrows
 
 
@@ -114,17 +115,14 @@ def _cmd_triangle(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     dtype = DynkinType(args.series, args.n)
-    verify.check_result_budget(dtype, args.max_results)
+    try:
+        verify.check_result_budget(dtype, args.max_results)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; raise it with --max-results") from None
     orientation = _parse_orientation(args.orientation)
     cat = build_category(build_cartan(dtype, orientation))
     if args.listing:
-        stream = (
-            enumerate_antichains(cat)
-            if args.statistic == "antichain"
-            else enumerate_support_tilting(cat)
-        )
-        for s in stream:
-            print(format_set(cat, s))
+        sys.stdout.writelines(listing_lines(cat, args.statistic))
         return 0
     table = count_tables(cat, args.statistic)
     print("by-support-rank: " + " ".join(str(c) for c in table.by_support_rank) + f" | total {table.total}")

@@ -82,9 +82,7 @@ def check_result_budget(dtype: DynkinType, limit: int = MAX_RESULTS) -> None:
     """
     forecast = formulas.a_total(dtype.series, dtype.rank)
     if forecast > limit:
-        raise ValueError(
-            f"{dtype.label} has {forecast} result sets, above the limit of {limit}; raise it with --max-results"
-        )
+        raise ValueError(f"{dtype.label} has {forecast} result sets, above the limit of {limit}")
 
 
 def verify_type(series: str, n: int, orientations: Sequence | None = None) -> VerificationReport:

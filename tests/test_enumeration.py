@@ -22,6 +22,7 @@ from dynkin_tilting.enumeration import (
     eta_inverse,
     eta_map,
     format_set,
+    listing_lines,
 )
 from dynkin_tilting.formulas import a_row, a_total, binom
 from dynkin_tilting.homs import build_category, ext_nonzero, hom_nonzero
@@ -118,6 +119,18 @@ def test_walker_matches_recursive_oracle(statistic, stream):
         assert table.total == len(want)
 
 
+def test_listing_lines_match_format_set():
+    streams = {"antichain": enumerate_antichains, "tilting": enumerate_support_tilting}
+    for label in _ORACLE_TYPES:
+        for orientation in all_orientations(canonical_shape(DynkinType.parse(label))):
+            cat = _cat(label, orientation)
+            for statistic, stream in streams.items():
+                lines = list(listing_lines(cat, statistic))
+                assert lines == [format_set(cat, s) + "\n" for s in stream(cat)], (label, orientation, statistic)
+                assert lines[0] == "-\n"
+                assert len(lines) == count_tables(cat, statistic).total
+
+
 def _walk_tally(cat):
     by_rank = Counter()
     by_size = Counter()
@@ -174,13 +187,15 @@ def vmhwm_kb():
 sys.stdout = open(os.devnull, "w")
 assert cli.run(["table", "A", "1"]) == 0
 before = vmhwm_kb()
-assert cli.run(["enumerate", "B", "10", "--statistic", "tilting"]) == 0
+assert cli.run(sys.argv[1:]) == 0
 sys.stdout.close()
 print(vmhwm_kb() - before, file=sys.__stdout__)
 """
 
 
-def test_tilting_memo_stays_small():
+def _vmhwm_growth_kb(*args):
+    """VmHWM growth of a fresh CLI process running `args` after `table A 1`,
+    with stdout to /dev/null."""
     try:
         with open("/proc/self/status") as status:
             if not any(line.startswith("VmHWM:") for line in status):
@@ -188,13 +203,23 @@ def test_tilting_memo_stays_small():
     except OSError:
         pytest.skip("/proc/self/status is unreadable")
     env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def test_tilting_memo_stays_small():
     # the plain walk grows VmHWM by about 0.13 MB here and the memo by 0.47 MB.
     # perfbench's enum-count allows 5% (0.8 MB) more peak RSS, so a memo that
     # reads above 1 MB breaks it: every level memoized reads 1.56 MB, levels
     # with at least 3 candidates 1.04 MB
-    assert int(proc.stdout) < 1024
+    assert _vmhwm_growth_kb("enumerate", "B", "10", "--statistic", "tilting") < 1024
+
+
+def test_listing_is_written_line_by_line():
+    # the listing is 1.18 MB of text; streaming it grows VmHWM by about
+    # 0.15 MB, joining all lines before the write by about 6 MB
+    assert _vmhwm_growth_kb("enumerate", "A", "10", "--statistic", "antichain", "--list") < 1024
 
 
 def test_a2_antichains_by_hand():

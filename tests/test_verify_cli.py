@@ -35,8 +35,10 @@ def _refuse_to_build(*_):
 
 def test_verify_type_rejects_big_ranks(monkeypatch):
     monkeypatch.setattr(verify, "build_category", _refuse_to_build)
-    with pytest.raises(ValueError, match="A15 has 35357670 result sets, above the limit of 10000000"):
+    with pytest.raises(ValueError, match="A15 has 35357670 result sets, above the limit of 10000000") as refused:
         verify_type("A", 15)
+    # no option of a library caller raises the limit; only `enumerate` names one
+    assert "--max-results" not in str(refused.value)
 
 
 def test_bc_equality_rejects_big_ranks(monkeypatch):
@@ -287,6 +289,14 @@ def test_cli_enumerate_listing(capsys):
     assert capsys.readouterr().out == "-\n1,0\n1,0 1,1\n1,1\n2,0\n"
 
 
+@pytest.mark.parametrize("spec, fragment", [("x>2,2>3", "x>2"), ("1>2>3", "1>2>3"), ("1>2,3", "3")])
+def test_cli_enumerate_rejects_bad_orientation(capsys, spec, fragment):
+    assert run(["enumerate", "A", "3", "--orientation", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: bad orientation fragment {fragment!r}; expected 'src>dst'"
+
+
 # sha256 of `enumerate ... --list` stdout, pinned from the recursive walker
 # that preceded the explicit-stack one; the order of the sets is part of it
 _LISTING_DIGESTS = [
@@ -298,17 +308,9 @@ _LISTING_DIGESTS = [
     ("C 6 --orientation 1>2,3>2,3>4,5>4,5>6", "0c2a3dbf43bcbc8a0f1088e3233dbdb006ee4a39fef9aa26c078f13c339ce724"),
     ("B 7", "6126434e8265b39e7d2492d04e01812d4a63b63aaa7c16b28e7e6e1abba58a43"),
     ("D 8", "0f94128eab39b381ce486f07ffc32a930a2de883ee38275281095ed3acb3546f"),
-    pytest.param("E 8", "4e0be3a5f1b1e20f52a8933e54602392e1804ef3d8fb0ffbc00ec2bee1d3d679", marks=pytest.mark.slow),
-    pytest.param(
-        "E 7 --orientation 2>1,2>3,4>3,4>5,6>4,6>7",
-        "3df1ecfdfa404d56cb5d7c2187ba9b04fccae0cc587b09fc6dbfe7033fff1fac",
-        marks=pytest.mark.slow,
-    ),
-    pytest.param(
-        "A 10 --statistic antichain",
-        "1d856a80dde3ec7a8423523fcfeb0857c5dd15a9d9750f8c6c31d86fecc48433",
-        marks=pytest.mark.slow,
-    ),
+    ("E 8", "4e0be3a5f1b1e20f52a8933e54602392e1804ef3d8fb0ffbc00ec2bee1d3d679"),
+    ("E 7 --orientation 2>1,2>3,4>3,4>5,6>4,6>7", "3df1ecfdfa404d56cb5d7c2187ba9b04fccae0cc587b09fc6dbfe7033fff1fac"),
+    ("A 10 --statistic antichain", "1d856a80dde3ec7a8423523fcfeb0857c5dd15a9d9750f8c6c31d86fecc48433"),
 ]
 
 
@@ -326,7 +328,9 @@ def test_cli_enumerate_refuses_before_building(capsys, monkeypatch):
     assert run(["enumerate", "A", "20"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: A20 has 24466267020 result sets, above the limit of 10000000" in captured.err
+    assert captured.err.splitlines()[-1] == (
+        "error: A20 has 24466267020 result sets, above the limit of 10000000; raise it with --max-results"
+    )
 
 
 def test_cli_enumerate_max_results(capsys):
