@@ -15,10 +15,8 @@ knits to dimension vector (1,...,1)); type C is the transposed matrix.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Coords = tuple[int, ...]
 Arrow = tuple[int, int]
@@ -42,19 +40,30 @@ class DiagramError(ValueError):
     """Raised for inadmissible types, bad orientations, or non-finite data."""
 
 
-@dataclass(frozen=True)
-class DynkinType:
-    """A series letter together with a rank, e.g. DynkinType('B', 3)."""
-
+class _DynkinTypeFields(NamedTuple):
     series: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.series not in SERIES:
-            raise DiagramError(f"unknown series {self.series!r}")
-        lo, hi = RANK_RANGE[self.series]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise DiagramError(f"inadmissible rank {self.rank} for series {self.series}")
+
+class DynkinType(_DynkinTypeFields):
+    """A series letter together with a rank, e.g. DynkinType('B', 3)."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int) -> "DynkinType":
+        if series not in SERIES:
+            raise DiagramError(f"unknown series {series!r}")
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise DiagramError(f"rank must be an integer, got {rank!r}")
+        lo, hi = RANK_RANGE[series]
+        if rank < lo or (hi is not None and rank > hi):
+            raise DiagramError(f"inadmissible rank {rank} for series {series}")
+        return super().__new__(cls, series, rank)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DynkinType":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, label: str) -> "DynkinType":
@@ -73,17 +82,21 @@ class DynkinType:
         return f"{self.series}{self.rank}"
 
 
-@dataclass(frozen=True)
-class DiagramShape:
-    """Underlying valued forest of a Dynkin type (orientation-free)."""
-
+class _DiagramShapeFields(NamedTuple):
     vertex_count: int
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
+
+class DiagramShape(_DiagramShapeFields):
+    """Underlying valued forest of a Dynkin type (orientation-free)."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "DiagramShape":
+        self = super().__new__(cls, vertex_count, edges)
         seen: set[tuple[int, int]] = set()
-        for i, j, a, b in self.edges:
-            if not (1 <= i < j <= self.vertex_count):
+        for i, j, a, b in edges:
+            if not (1 <= i < j <= vertex_count):
                 raise DiagramError(f"bad edge endpoints ({i},{j})")
             if a < 1 or b < 1 or a * b not in (1, 2, 3):
                 raise DiagramError(f"bad valuation on edge ({i},{j}): {a}*{b}")
@@ -91,8 +104,14 @@ class DiagramShape:
                 raise DiagramError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
         # a forest has one edge fewer than vertices in each component
-        if len(self.edges) != self.vertex_count - len(self.components()):
+        if len(edges) != vertex_count - len(self.components()):
             raise DiagramError("diagram has a cycle")
+        return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "DiagramShape":
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     def components(self) -> tuple[frozenset[int], ...]:
         """Connected components, each a frozen vertex set, ordered by minimum."""
@@ -160,8 +179,7 @@ def canonical_shape(dtype: DynkinType) -> DiagramShape:
     raise DiagramError(f"unknown series {s!r}")
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(NamedTuple):
     """A valued diagram with an acyclic orientation and its Cartan matrix."""
 
     label: str
@@ -202,25 +220,32 @@ def _cartan_matrix(shape: DiagramShape) -> tuple[Coords, ...]:
 
 
 def _symmetrizer(shape: DiagramShape, cartan: tuple[Coords, ...]) -> tuple[int, ...]:
-    # propagate d_j = d_i * A_ij / A_ji along edges of each component
+    # propagate d_j = d_i * A_ij / A_ji along edges of each component, each
+    # d_j an exact fraction kept as a reduced (numerator, denominator) pair
     n = shape.vertex_count
-    d: list[Fraction | None] = [None] * (n + 1)
+    d: list[tuple[int, int] | None] = [None] * (n + 1)
     adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for i, j, _, _ in shape.edges:
         adj[i].append(j)
         adj[j].append(i)
     for comp in shape.components():
         root = min(comp)
-        d[root] = Fraction(1)
+        d[root] = (1, 1)
         stack = [root]
         while stack:
             v = stack.pop()
+            num, den = d[v]  # type: ignore[misc]
             for w in adj[v]:
                 if d[w] is None:
-                    d[w] = d[v] * Fraction(cartan[v - 1][w - 1], cartan[w - 1][v - 1])
+                    # both entries are negative on an edge, so the ratio is positive
+                    p = num * -cartan[v - 1][w - 1]
+                    q = den * -cartan[w - 1][v - 1]
+                    g = gcd(p, q)
+                    d[w] = (p // g, q // g)
                     stack.append(w)
-    denoms = lcm(*(f.denominator for f in d[1:]))  # type: ignore[union-attr]
-    ints = [int(f * denoms) for f in d[1:]]  # type: ignore[operator]
+    pairs: list[tuple[int, int]] = d[1:]  # type: ignore[assignment]
+    denoms = lcm(*(q for _, q in pairs))
+    ints = [p * (denoms // q) for p, q in pairs]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
@@ -277,15 +302,19 @@ def build_cartan(dtype: DynkinType, orientation_spec: OrientationSpec = "default
             raise DiagramError(f"unknown orientation spec {orientation_spec!r}")
         orientation = default_orientation(shape)
     else:
-        arrows = sorted(set(tuple(a) for a in orientation_spec))
+        first: dict[tuple, tuple] = {}  # undirected edge -> the arrow given for it
+        for arrow in map(tuple, orientation_spec):
+            edge = tuple(sorted(arrow))
+            if edge in first:
+                raise DiagramError(f"orientation repeats the edge {edge}: arrows {first[edge]} and {arrow}")
+            first[edge] = arrow
         want = {tuple(sorted((i, j))) for i, j, _, _ in shape.edges}
-        got = {tuple(sorted(a)) for a in arrows}
-        if got != want or len(arrows) != len(shape.edges):
+        if first.keys() != want:
             raise DiagramError(
                 f"arrow set does not match the {dtype.label} diagram edges: "
-                f"expected undirected {sorted(want)}, got {sorted(got)}"
+                f"expected undirected {sorted(want)}, got {sorted(first)}"
             )
-        orientation = tuple(arrows)
+        orientation = tuple(sorted(first.values()))
     cartan = _cartan_matrix(shape)
     symmetrizer = _symmetrizer(shape, cartan)
     _check_finite_type(cartan, symmetrizer)

@@ -24,8 +24,7 @@ join per result (E8: about 0.07 s of 0.08 s in the walk).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator, Literal, NamedTuple
 
 from .diagrams import DiagramError
 from .homs import injective_by_socle
@@ -34,16 +33,14 @@ from .orbits import Indec, ModCategory
 Statistic = Literal["antichain", "tilting"]
 
 
-@dataclass(frozen=True)
-class IndecSet:
+class IndecSet(NamedTuple):
     """A set of indecomposables, stored as sorted indices into cat.indecs."""
 
     members: tuple[int, ...]
     support: frozenset[int]
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Exact counts indexed by support-rank and by set size."""
 
     label: str
@@ -208,8 +205,7 @@ def count_tables(cat: ModCategory, kind: Statistic) -> CountTable:
     return CountTable(cat.datum.label, n, tuple(by_rank), tuple(by_size), total)
 
 
-@dataclass(frozen=True)
-class SincereSplit:
+class SincereSplit(NamedTuple):
     """Sincere antichains split by whether they contain a sincere element."""
 
     u_count: int

@@ -9,8 +9,6 @@ never extends and otherwise Ext(M(i,u), Y) matches Hom(Y, M(i,u-1)).
 
 from __future__ import annotations
 
-import dataclasses
-
 from .orbits import ModCategory, knit_category
 
 Key = tuple[int, int]
@@ -52,7 +50,7 @@ def build_matrices(cat: ModCategory) -> ModCategory:
                 e |= 1 << b
         hom_rows.append(h)
         ext_rows.append(e)
-    return dataclasses.replace(cat, hom=tuple(hom_rows), ext=tuple(ext_rows))
+    return ModCategory(cat.datum, cat.indecs, cat.q, cat.index, tuple(hom_rows), tuple(ext_rows))
 
 
 def build_category(datum) -> ModCategory:

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from itertools import accumulate, chain, count, islice
 from operator import add
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 FIXTURE_ENV_VAR = "DYNKIN_TILTING_FIXTURES"
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -53,8 +52,7 @@ class BFileError(ValueError):
     """Malformed b-file content."""
 
 
-@dataclass(frozen=True)
-class TriangleDoc:
+class TriangleDoc(NamedTuple):
     """A rendered triangle: rows plus row sums, read row by row."""
 
     name: str
@@ -64,8 +62,7 @@ class TriangleDoc:
     offset: int  # linear index of the first b-file term
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     sequence_id: str
     entries: tuple[tuple[int, int], ...]
 
@@ -319,8 +316,7 @@ def fetch_bfile(sequence_id: str, online: bool = False, timeout: float = 10.0) -
     return parse_bfile(sequence_id, path.read_text())
 
 
-@dataclass(frozen=True)
-class ReconcileResult:
+class ReconcileResult(NamedTuple):
     sequence_id: str
     terms: int
     passed: bool

@@ -11,8 +11,7 @@ coordinates.  Everything is verified against the positive-root closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .diagrams import (
     CartanDatum,
@@ -25,8 +24,7 @@ from .diagrams import (
 )
 
 
-@dataclass(frozen=True)
-class Indec:
+class Indec(NamedTuple):
     """One indecomposable module M(vertex, power) with its dimension vector."""
 
     vertex: int
@@ -39,20 +37,59 @@ class Indec:
         return (self.vertex, self.power)
 
 
-@dataclass(frozen=True)
 class ModCategory:
     """All indecomposables of one (type, orientation), plus Hom/Ext bitmasks.
 
     ``hom``/``ext`` are filled by homs.build_matrices: row x is an int whose
-    bit y says Hom(M_x, M_y) != 0 (resp. Ext^1(M_x, M_y) != 0).
+    bit y says Hom(M_x, M_y) != 0 (resp. Ext^1(M_x, M_y) != 0).  ``index``
+    maps each key (vertex, power) to its position in ``indecs``; it is derived
+    data, so equality, hashing and repr leave it out.  Instances are
+    immutable: assigning to an attribute raises AttributeError.
     """
+
+    __slots__ = ("datum", "indecs", "q", "index", "hom", "ext")
 
     datum: CartanDatum
     indecs: tuple[Indec, ...]
     q: tuple[int, ...]
-    index: dict[tuple[int, int], int] = field(compare=False, repr=False)
-    hom: Optional[tuple[int, ...]] = None
-    ext: Optional[tuple[int, ...]] = None
+    index: dict[tuple[int, int], int]
+    hom: Optional[tuple[int, ...]]
+    ext: Optional[tuple[int, ...]]
+
+    def __init__(
+        self,
+        datum: CartanDatum,
+        indecs: tuple[Indec, ...],
+        q: tuple[int, ...],
+        index: dict[tuple[int, int], int],
+        hom: Optional[tuple[int, ...]] = None,
+        ext: Optional[tuple[int, ...]] = None,
+    ) -> None:
+        for name, value in zip(self.__slots__, (datum, indecs, q, index, hom, ext)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: ModCategory is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: ModCategory is immutable")
+
+    def _compared(self) -> tuple:
+        return (self.datum, self.indecs, self.q, self.hom, self.ext)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return (
+            f"ModCategory(datum={self.datum!r}, indecs={self.indecs!r}, q={self.q!r}, "
+            f"hom={self.hom!r}, ext={self.ext!r})"
+        )
 
     @property
     def n(self) -> int:

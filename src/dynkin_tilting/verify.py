@@ -13,8 +13,7 @@ byte-identical from run to run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import formulas, oeis
 from .diagrams import DynkinType, all_orientations, build_cartan, canonical_shape
@@ -27,8 +26,7 @@ ORIENTATION_SAMPLE_SEED = 271828
 MAX_RESULTS = 10_000_000
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     check_id: str
     subject: str
     expected: str
@@ -36,8 +34,7 @@ class Check:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[Check, ...]
 
     @property

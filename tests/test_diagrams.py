@@ -1,5 +1,7 @@
 """Diagram shapes, Cartan matrices, reflections, and positive-root closures."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,12 @@ def test_admissible_ranks():
     for series, n in [("A", 0), ("C", 1), ("E", 2), ("E", 9), ("F", 3), ("G", 3), ("B", 0)]:
         with pytest.raises(DiagramError):
             DynkinType(series, n)
+
+
+def test_rank_must_be_an_int():
+    for rank in (True, False, 3.0, "3", None):
+        with pytest.raises(DiagramError, match="rank must be an integer"):
+            DynkinType("A", rank)
 
 
 def test_parse_labels():
@@ -89,6 +97,10 @@ def test_symmetrized_matrix_symmetric():
             for j in range(n):
                 assert d[i] * A[i][j] == d[j] * A[j][i]
         assert all(x >= 1 for x in d)
+        assert math.gcd(*d) == 1, (series, n, d)
+    # rows pinned from the Fraction-based computation; a scaled vector fails here
+    for label, d in (("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("F4", (2, 2, 1, 1)), ("G2", (3, 1))):
+        assert build_cartan(DynkinType.parse(label)).symmetrizer == d, label
 
 
 def test_sink_order_default_is_identity():
@@ -111,6 +123,13 @@ def test_orientation_validation():
         build_cartan(DynkinType("A", 3), [(1, 2), (2, 3), (1, 3)])  # not a diagram edge
     with pytest.raises(DiagramError):
         build_cartan(DynkinType("A", 2), "linear")
+    # a repeated arrow, and two arrows on one edge, are refused by name
+    with pytest.raises(DiagramError, match=r"repeats the edge \(1, 2\): arrows \(1, 2\) and \(1, 2\)"):
+        build_cartan(DynkinType("A", 3), [(1, 2), (2, 3), (1, 2)])
+    with pytest.raises(DiagramError, match=r"repeats the edge \(1, 2\): arrows \(1, 2\) and \(2, 1\)"):
+        build_cartan(DynkinType("A", 3), [(1, 2), (3, 2), (2, 1)])
+    # arrows may come from a one-shot iterator
+    assert build_cartan(DynkinType("A", 3), iter([(3, 2), (1, 2)])).orientation == ((1, 2), (3, 2))
 
 
 def test_all_orientations_count():

@@ -289,12 +289,24 @@ def test_cli_enumerate_listing(capsys):
     assert capsys.readouterr().out == "-\n1,0\n1,0 1,1\n1,1\n2,0\n"
 
 
-@pytest.mark.parametrize("spec, fragment", [("x>2,2>3", "x>2"), ("1>2>3", "1>2>3"), ("1>2,3", "3")])
-def test_cli_enumerate_rejects_bad_orientation(capsys, spec, fragment):
+_BAD_ORIENTATIONS = [
+    # (spec, the part at fault, last line of stderr)
+    ("x>2,2>3", "x>2", "error: bad orientation fragment 'x>2'; expected 'src>dst'"),
+    ("1>2>3", "1>2>3", "error: bad orientation fragment '1>2>3'; expected 'src>dst'"),
+    ("1>2,3", "3", "error: bad orientation fragment '3'; expected 'src>dst'"),
+    ("1>2,2>3,1>2", "1>2", "error: orientation repeats the edge (1, 2): arrows (1, 2) and (1, 2)"),
+    ("1>2,3>2,2>1", "2>1", "error: orientation repeats the edge (1, 2): arrows (1, 2) and (2, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, error", [pytest.param(spec, error, id=f"{spec}-{culprit}") for spec, culprit, error in _BAD_ORIENTATIONS]
+)
+def test_cli_enumerate_rejects_bad_orientation(capsys, spec, error):
     assert run(["enumerate", "A", "3", "--orientation", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == f"error: bad orientation fragment {fragment!r}; expected 'src>dst'"
+    assert captured.err.splitlines()[-1] == error
 
 
 # sha256 of `enumerate ... --list` stdout, pinned from the recursive walker
