@@ -24,7 +24,7 @@ from .enumeration import (
 )
 from .formulas import a_row, a_s, a_total, bailey, binom, catalan_bracket
 from .homs import build_category, build_matrices, ext_nonzero, hom_nonzero
-from .orbits import Indec, ModCategory, knit_category, sincere_indecomposables
+from .orbits import Indec, ModCategory, knit_category
 from .verify import VerificationReport, run_suite, verify_identities, verify_type
 
 __version__ = "0.1.0"
@@ -60,7 +60,6 @@ __all__ = [
     "positive_roots",
     "run_suite",
     "simple_reflection",
-    "sincere_indecomposables",
     "sink_order",
     "verify_identities",
     "verify_type",

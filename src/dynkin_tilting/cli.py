@@ -99,12 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _count_row(counts: Sequence[int], total: int) -> str:
+    """'c0 c1 ... cn | total N', the row `table` and `enumerate` print."""
+    return " ".join(str(c) for c in counts) + f" | total {total}"
+
+
 def _cmd_table(args) -> int:
     if args.n > _MAX_TABLE_N:
         raise ValueError(f"table rank {args.n} is above the limit of {_MAX_TABLE_N}")
-    row = formulas.a_row(args.series, args.n)
-    total = formulas.a_total(args.series, args.n)
-    print(" ".join(str(v) for v in row) + f" | total {total}")
+    print(_count_row(formulas.a_row(args.series, args.n), formulas.a_total(args.series, args.n)))
     return 0
 
 
@@ -125,9 +128,9 @@ def _cmd_enumerate(args) -> int:
         sys.stdout.writelines(listing_lines(cat, args.statistic))
         return 0
     table = count_tables(cat, args.statistic)
-    print("by-support-rank: " + " ".join(str(c) for c in table.by_support_rank) + f" | total {table.total}")
+    print("by-support-rank: " + _count_row(table.by_support_rank, table.total))
     if args.statistic == "antichain":
-        print("by-size:         " + " ".join(str(c) for c in table.by_size) + f" | total {table.total}")
+        print("by-size:         " + _count_row(table.by_size, table.total))
     return 0
 
 

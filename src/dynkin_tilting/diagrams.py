@@ -392,19 +392,3 @@ def positive_roots(datum: CartanDatum) -> frozenset[Coords]:
         if len(seen) > max_roots:
             raise DiagramError("root closure does not terminate: not finite type")
     return frozenset(x for x in seen if is_positive(x))
-
-
-def known_positive_root_count(dtype: DynkinType) -> int:
-    """Standard positive-root counts (degenerate ranks included)."""
-    s, n = dtype.series, dtype.rank
-    if s == "A":
-        return n * (n + 1) // 2
-    if s in ("B", "C"):
-        return n * n
-    if s == "D":
-        return n * (n - 1)
-    if s == "E":
-        return {3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120}[n]
-    if s == "F":
-        return 24
-    return 6  # G2

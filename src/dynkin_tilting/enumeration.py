@@ -27,7 +27,7 @@ import math
 from typing import Iterator, Literal, NamedTuple
 
 from .diagrams import DiagramError
-from .homs import injective_by_socle
+from .homs import injective_by_socle, transpose
 from .orbits import Indec, ModCategory
 
 Statistic = Literal["antichain", "tilting"]
@@ -54,19 +54,16 @@ class CountTable(NamedTuple):
 
 
 def _compat_masks(cat: ModCategory, statistic: Statistic) -> list[int]:
+    """Bit y of mask x: x != y and neither Hom (antichain) nor Ext (tilting)
+    runs between them in either direction, i.e. the complement of row x,
+    column x and x itself."""
     if cat.hom is None or cat.ext is None:
         raise ValueError("category matrices not built; call homs.build_matrices first")
-    m = len(cat.indecs)
     rel = cat.hom if statistic == "antichain" else cat.ext
-    masks = []
-    for x in range(m):
-        ok = 0
-        for y in range(m):
-            if y == x:
-                continue
-            if not (rel[x] >> y) & 1 and not (rel[y] >> x) & 1:
-                ok |= 1 << y
-        masks.append(ok)
+    full = (1 << len(rel)) - 1
+    masks = []  # a loop, not a comprehension: that would add a call to perfbench's per-layer call counts
+    for x, (row, col) in enumerate(zip(rel, transpose(rel))):
+        masks.append(full & ~(row | col | 1 << x))
     return masks
 
 

@@ -151,15 +151,6 @@ def a_row(series: str, n: int) -> tuple[int, ...]:
     return tuple(a_s(series, n, s) for s in range(n + 1))
 
 
-def convolve(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[int, ...]:
-    """Row of a disjoint union: supports split over the two components."""
-    out = [0] * (len(row1) + len(row2) - 1)
-    for i, x in enumerate(row1):
-        for j, y in enumerate(row2):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 # --- identities -------------------------------------------------------------
 
 HOOK_BOUNDS = {"A": (1, 0), "B": (2, 1), "D": (3, 2), "E": (4, 3)}  # (min n, c)

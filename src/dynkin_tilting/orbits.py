@@ -11,12 +11,12 @@ coordinates.  Everything is verified against the positive-root closure.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .diagrams import (
     CartanDatum,
     Coords,
-    DiagramError,
     is_positive,
     positive_roots,
     simple_reflection,
@@ -37,70 +37,34 @@ class Indec(NamedTuple):
         return (self.vertex, self.power)
 
 
-class ModCategory:
+class ModCategory(NamedTuple):
     """All indecomposables of one (type, orientation), plus Hom/Ext bitmasks.
 
+    ``indecs`` is sorted by (vertex, power), so orbit i is the contiguous
+    block of q(i) + 1 positions after the orbits of the smaller vertices.
     ``hom``/``ext`` are filled by homs.build_matrices: row x is an int whose
-    bit y says Hom(M_x, M_y) != 0 (resp. Ext^1(M_x, M_y) != 0).  ``index``
-    maps each key (vertex, power) to its position in ``indecs``; it is derived
-    data, so equality, hashing and repr leave it out.  Instances are
-    immutable: assigning to an attribute raises AttributeError.
+    bit y says Hom(M_x, M_y) != 0 (resp. Ext^1(M_x, M_y) != 0).
     """
-
-    __slots__ = ("datum", "indecs", "q", "index", "hom", "ext")
 
     datum: CartanDatum
     indecs: tuple[Indec, ...]
     q: tuple[int, ...]
-    index: dict[tuple[int, int], int]
-    hom: Optional[tuple[int, ...]]
-    ext: Optional[tuple[int, ...]]
-
-    def __init__(
-        self,
-        datum: CartanDatum,
-        indecs: tuple[Indec, ...],
-        q: tuple[int, ...],
-        index: dict[tuple[int, int], int],
-        hom: Optional[tuple[int, ...]] = None,
-        ext: Optional[tuple[int, ...]] = None,
-    ) -> None:
-        for name, value in zip(self.__slots__, (datum, indecs, q, index, hom, ext)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}: ModCategory is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}: ModCategory is immutable")
-
-    def _compared(self) -> tuple:
-        return (self.datum, self.indecs, self.q, self.hom, self.ext)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return (
-            f"ModCategory(datum={self.datum!r}, indecs={self.indecs!r}, q={self.q!r}, "
-            f"hom={self.hom!r}, ext={self.ext!r})"
-        )
+    hom: Optional[tuple[int, ...]] = None
+    ext: Optional[tuple[int, ...]] = None
 
     @property
     def n(self) -> int:
         return self.datum.n
 
     def indec(self, i: int, u: int) -> Indec:
-        return self.indecs[self.index[(i, u)]]
+        """M(i, u); KeyError unless 1 <= i <= n and 0 <= u <= q(i)."""
+        if not (1 <= i <= self.n and 0 <= u <= self.q[i - 1]):
+            raise KeyError(f"no such indecomposable: {(i, u)}")
+        return self.indecs[sum(self.q[: i - 1]) + i - 1 + u]
 
     def injective_slice(self) -> tuple[int, ...]:
-        """Indices of the injectives M(i, q(i))."""
-        return tuple(self.index[(i, self.q[i - 1])] for i in range(1, self.n + 1))
+        """Indices of the injectives M(i, q(i)): the last position of each orbit."""
+        return tuple(end - 1 for end in accumulate(qi + 1 for qi in self.q))
 
 
 def tau_minus(datum: CartanDatum, order: tuple[int, ...], coords: Coords) -> Coords:
@@ -144,37 +108,4 @@ def knit_category(datum: CartanDatum) -> ModCategory:
             f"orbit grid of {datum.label} does not enumerate the positive roots "
             f"({len(dims)} orbit vectors vs {len(roots)} roots)"
         )
-    index = {m.key: k for k, m in enumerate(indecs)}
-    return ModCategory(datum, tuple(indecs), tuple(q), index)
-
-
-def sincere_indecomposables(cat: ModCategory) -> list[Indec]:
-    """All indecomposables with full support (connected diagrams only)."""
-    if not cat.datum.is_connected():
-        raise DiagramError("sincere indecomposables are defined for connected diagrams")
-    return [m for m in cat.indecs if len(m.support) == cat.n]
-
-
-def dump_category(cat: ModCategory) -> str:
-    """Plain-text dump, one line per indecomposable:
-
-        i u | d_1 ... d_n | s_1 ... s_k
-
-    with the dimension vector and the sorted support.  Used by golden tests.
-    """
-    lines = []
-    for m in cat.indecs:
-        dims = " ".join(str(c) for c in m.dim)
-        supp = " ".join(str(v) for v in sorted(m.support))
-        lines.append(f"{m.vertex} {m.power} | {dims} | {supp}")
-    return "\n".join(lines) + "\n"
-
-
-def endpoint_is_tight(cat: ModCategory) -> bool:
-    """tau-minus of every injective leaves the positive cone."""
-    order = sink_order(cat.datum)
-    for i in range(1, cat.n + 1):
-        last = cat.indec(i, cat.q[i - 1]).dim
-        if is_positive(tau_minus(cat.datum, order, last)):
-            return False
-    return True
+    return ModCategory(datum, tuple(indecs), tuple(q))

@@ -14,7 +14,6 @@ from dynkin_tilting.diagrams import (
     canonical_shape,
     default_orientation,
     is_positive,
-    known_positive_root_count,
     positive_roots,
     simple_reflection,
     sink_order,
@@ -28,6 +27,22 @@ ALL_TYPES = (
     + [("E", n) for n in range(3, 9)]
     + [("F", 4), ("G", 2)]
 )
+
+
+def known_positive_root_count(dtype: DynkinType) -> int:
+    """Standard positive-root counts (degenerate ranks included)."""
+    s, n = dtype.series, dtype.rank
+    if s == "A":
+        return n * (n + 1) // 2
+    if s in ("B", "C"):
+        return n * n
+    if s == "D":
+        return n * (n - 1)
+    if s == "E":
+        return {3: 4, 4: 10, 5: 20, 6: 36, 7: 63, 8: 120}[n]
+    if s == "F":
+        return 24
+    return 6  # G2
 
 
 def test_admissible_ranks():

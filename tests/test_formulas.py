@@ -141,10 +141,19 @@ def test_exceptional_rows():
     assert f.EXCEPTIONAL_ROWS["B3"] == (1, 3, 6, 10) == f.a_row("B", 3)
 
 
+def convolve(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[int, ...]:
+    """Row of a disjoint union: supports split over the two components."""
+    out = [0] * (len(row1) + len(row2) - 1)
+    for i, x in enumerate(row1):
+        for j, y in enumerate(row2):
+            out[i + j] += x * y
+    return tuple(out)
+
+
 def test_degenerate_rows_are_convolutions():
     a1 = f.a_row("A", 1)
-    assert f.convolve(a1, a1) == f.a_row("D", 2)
-    assert f.convolve(f.a_row("A", 2), a1) == f.EXCEPTIONAL_ROWS["E3"]
+    assert convolve(a1, a1) == f.a_row("D", 2)
+    assert convolve(f.a_row("A", 2), a1) == f.EXCEPTIONAL_ROWS["E3"]
     assert f.EXCEPTIONAL_ROWS["E4"] == f.a_row("A", 4)
     assert f.EXCEPTIONAL_ROWS["E5"] == f.a_row("D", 5)
 

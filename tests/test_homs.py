@@ -1,8 +1,11 @@
 """Hom/Ext non-vanishing predicates and the dense bit-matrices."""
 
+import re
+
 import pytest
 
-from dynkin_tilting.diagrams import DynkinType, build_cartan
+from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
+from dynkin_tilting.enumeration import _compat_masks
 from dynkin_tilting.homs import build_category, build_matrices, ext_nonzero, hom_nonzero, injective_by_socle
 from dynkin_tilting.orbits import knit_category
 
@@ -63,7 +66,7 @@ def test_tau_shift_invariance():
         cat = _cat(label)
         for x in cat.indecs:
             for y in cat.indecs:
-                if (x.vertex, x.power + 1) in cat.index and (y.vertex, y.power + 1) in cat.index:
+                if x.power < cat.q[x.vertex - 1] and y.power < cat.q[y.vertex - 1]:
                     assert hom_nonzero(cat, x.key, y.key) == hom_nonzero(
                         cat, (x.vertex, x.power + 1), (y.vertex, y.power + 1)
                     )
@@ -94,12 +97,50 @@ def test_matrices_deterministic():
     assert a.hom == b.hom and a.ext == b.ext
 
 
+def _pairwise(cat, predicate):
+    keys = [m.key for m in cat.indecs]
+    return tuple(sum(1 << b for b, y in enumerate(keys) if predicate(cat, x, y)) for x in keys)
+
+
+def test_rows_match_pairwise_oracle():
+    # every orientation of every type up to rank 5, plus default E6: the
+    # whole-row build equals the pairwise definitions, and each compat mask
+    # equals the complement of Hom (resp. Ext) in either direction, decided
+    # pair by pair
+    cats = [_cat("E6")]
+    for series, (lo, hi) in RANK_RANGE.items():
+        for n in range(lo, min(5, hi or 5) + 1):
+            dtype = DynkinType(series, n)
+            for orientation in all_orientations(canonical_shape(dtype)):
+                cats.append(build_category(build_cartan(dtype, orientation)))
+    assert len(cats) == 158
+    for cat in cats:
+        where = (cat.datum.label, cat.datum.orientation)
+        hom = _pairwise(cat, hom_nonzero)
+        ext = _pairwise(cat, ext_nonzero)
+        assert cat.hom == hom and cat.ext == ext, where
+        m = len(cat.indecs)
+        for statistic, rel in (("antichain", hom), ("tilting", ext)):
+            compatible = [
+                sum(1 << y for y in range(m) if y != x and not (rel[x] >> y) & 1 and not (rel[y] >> x) & 1)
+                for x in range(m)
+            ]
+            assert _compat_masks(cat, statistic) == compatible, (where, statistic)
+
+
 def test_unknown_key_raises():
     cat = _cat("A2")
     with pytest.raises(KeyError):
         hom_nonzero(cat, (1, 5), (1, 0))
     with pytest.raises(KeyError):
         ext_nonzero(cat, (1, 0), (3, 0))
+    # keys just outside the grid, which positions computed from q would
+    # otherwise misread as other modules: vertex 0, power -1, vertex n + 1
+    for bad in [(0, 0), (1, -1), (cat.n + 1, 0)]:
+        for pair in [(bad, (1, 0)), ((1, 0), bad), (bad, (2, 0)), ((1, 1), bad)]:
+            for predicate in (hom_nonzero, ext_nonzero):
+                with pytest.raises(KeyError, match=re.escape(f"no such indecomposable: {bad}")):
+                    predicate(cat, *pair)
 
 
 def test_injective_socle_labels():

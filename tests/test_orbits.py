@@ -2,19 +2,55 @@
 
 import pytest
 
-from dynkin_tilting.diagrams import DiagramError, DynkinType, all_orientations, build_cartan, canonical_shape, positive_roots
-from dynkin_tilting.orbits import (
-    dump_category,
-    endpoint_is_tight,
-    knit_category,
-    sincere_indecomposables,
+from dynkin_tilting.diagrams import (
+    DiagramError,
+    DynkinType,
+    all_orientations,
+    build_cartan,
+    canonical_shape,
+    is_positive,
+    positive_roots,
+    sink_order,
 )
+from dynkin_tilting.orbits import knit_category, tau_minus
 
 SMALL_TYPES = ["A1", "A2", "A3", "A5", "B2", "B3", "B4", "C2", "C4", "D2", "D4", "D5", "E6", "F4", "G2"]
 
 
 def _cat(label, orientation="default"):
     return knit_category(build_cartan(DynkinType.parse(label), orientation))
+
+
+def sincere_indecomposables(cat):
+    """All indecomposables with full support (connected diagrams only)."""
+    if not cat.datum.is_connected():
+        raise DiagramError("sincere indecomposables are defined for connected diagrams")
+    return [m for m in cat.indecs if len(m.support) == cat.n]
+
+
+def dump_category(cat):
+    """Plain-text dump, one line per indecomposable:
+
+        i u | d_1 ... d_n | s_1 ... s_k
+
+    with the dimension vector and the sorted support.  Used by golden tests.
+    """
+    lines = []
+    for m in cat.indecs:
+        dims = " ".join(str(c) for c in m.dim)
+        supp = " ".join(str(v) for v in sorted(m.support))
+        lines.append(f"{m.vertex} {m.power} | {dims} | {supp}")
+    return "\n".join(lines) + "\n"
+
+
+def endpoint_is_tight(cat):
+    """tau-minus of every injective leaves the positive cone."""
+    order = sink_order(cat.datum)
+    for i in range(1, cat.n + 1):
+        last = cat.indec(i, cat.q[i - 1]).dim
+        if is_positive(tau_minus(cat.datum, order, last)):
+            return False
+    return True
 
 
 def test_a2_knitting_by_hand():
