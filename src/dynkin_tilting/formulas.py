@@ -29,6 +29,8 @@ explicitly.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .diagrams import RANK_RANGE
@@ -194,6 +196,18 @@ def modified_hook_check(series: str, n: int) -> bool:
     raise ValueError(f"modified hook covers series D and E, not {series!r}")
 
 
+# Partial sums shared by consecutive identity instances: row sums here and
+# diagonal sums of the z triangles below.  Each cache holds at most two
+# entries, so they cost O(n) memory, and _reset_partial_sums empties both so
+# that the next call reads a_s and z_value afresh.
+
+
+@lru_cache(maxsize=2)
+def _row_sums(series: str, n: int) -> tuple[int, ...]:
+    """Prefix sums (a_0, a_0 + a_1, ..., a(n)) of the row of rank n."""
+    return tuple(accumulate(a_row(series, n)))
+
+
 def summation_check(series: str, n: int, s: int) -> bool:
     """sum_{i<=s} a_i(n) = a_s(n+1) for series A, B, D and 1 <= s <= n-1."""
     if series not in ("A", "B", "D"):
@@ -202,7 +216,7 @@ def summation_check(series: str, n: int, s: int) -> bool:
         raise ValueError("D-series summation needs n >= 2")
     if not 1 <= s <= n - 1:
         raise ValueError(f"summation needs 1 <= s <= n-1, got s={s}, n={n}")
-    return sum(a_s(series, n, i) for i in range(s + 1)) == a_s(series, n + 1, s)
+    return _row_sums(series, n)[s] == a_s(series, n + 1, s)
 
 
 def total_split_check(series: str, n: int) -> bool:
@@ -312,6 +326,43 @@ def z_recursion_check(series: str, t: int, s: int) -> bool:
     return z_value(series, t, s) == z_value(series, t - 1, s - 1) + z_value(series, t - 1, s)
 
 
+_DIAGONAL_SUMS: dict[tuple[str, int], tuple[int, ...]] = {}
+
+
+def _diagonal_sums(series: str, t: int) -> tuple[int, ...]:
+    """Entry d is sum_i z_i(d+i) over the rows d+i < t of the z triangle.
+
+    hockey_stick_check(series, t, s) reads entry d = t-s-1.  The entry for t
+    extends the one for t-1 by row t-1, or is built row by row from the
+    first row (D has no row 0), so no call recurses.  A sheared-ballot row
+    adds only its region s <= (r+2)//2: the diagonals that leave it are never
+    read by an instance inside the hockey-stick region.
+    """
+    sums = _DIAGONAL_SUMS.get((series, t))
+    if sums is not None:
+        return sums
+    first = t - 1
+    sums = _DIAGONAL_SUMS.get((series, first))
+    if sums is None:
+        first = 1 if series == "D" else 0
+        sums = (0,) * first
+    for r in range(first, t):
+        top = (r + 2) // 2 if series == "A" else r
+        sums = tuple(acc + z_value(series, r, r - d) if r - d <= top else acc for d, acc in enumerate(sums))
+        sums += (z_value(series, r, 0),)
+    # keep the newest entry next to this one; pop tolerates a key another
+    # thread dropped first
+    for key in list(_DIAGONAL_SUMS)[:-1]:
+        _DIAGONAL_SUMS.pop(key, None)
+    _DIAGONAL_SUMS[(series, t)] = sums
+    return sums
+
+
+def _reset_partial_sums() -> None:
+    _row_sums.cache_clear()
+    _DIAGONAL_SUMS.clear()
+
+
 def hockey_stick_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = sum_{i=0..s} z_i(t-s+i-1), the telescoped recursion."""
     if series == "A":
@@ -325,7 +376,7 @@ def hockey_stick_check(series: str, t: int, s: int) -> bool:
             raise ValueError(f"hockey stick region violated: t={t}, s={s}")
     else:
         raise ValueError(f"z triangles exist for series A, B, D, not {series!r}")
-    return z_value(series, t, s) == sum(z_value(series, t - s + i - 1, i) for i in range(s + 1))
+    return z_value(series, t, s) == _diagonal_sums(series, t)[t - s - 1]
 
 
 def z_boundary_check(series: str, t: int) -> bool:

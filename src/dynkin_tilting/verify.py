@@ -170,8 +170,8 @@ def verify_bc_equality(n_max: int) -> VerificationReport:
 # smallest identity-suite bound at which every family has an instance
 # (id.hook.D and id.modified-hook.D start at n = 3)
 IDENTITY_MIN_N = 3
-# largest identity-suite bound: the suite takes about 0.6 s at 80 and 2.6 s at
-# 120 (CPython 3.11, 2 vCPUs), and its time grows faster than max_n cubed
+# largest identity-suite bound: the suite takes about 0.16 s at 80 and 0.5 s
+# at 120 (CPython 3.11, 2 vCPUs), and its time grows about as max_n cubed
 IDENTITY_MAX_N = 120
 
 
@@ -204,6 +204,8 @@ def verify_identities(max_n: int) -> VerificationReport:
     the argument generators are lazy, so each family is evaluated in turn.
     """
     _require_identity_bound(max_n)
+    # sums cached by an earlier call may come from other a_s or z_value
+    formulas._reset_partial_sums()
     abd = ("A", "B", "D")
     ranks = [(series, n) for series in abd for n in range((2 if series == "D" else 1), max_n + 1)]
     by_n, by_t = f"n<={max_n}", f"t<={max_n}"

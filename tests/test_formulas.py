@@ -1,5 +1,7 @@
 """Closed forms against the published tables, plus integrality properties."""
 
+import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -205,6 +207,66 @@ def test_summation_examples():
     assert f.summation_check("A", 4, 3)  # 1+4+9+14 = 28
     assert f.summation_check("B", 3, 2)  # 1+3+6 = 10
     assert f.summation_check("D", 4, 3)  # 1+4+9+16 = 30
+
+
+def _literal_row_sum(series, n, s):
+    return sum(f.a_s(series, n, i) for i in range(s + 1))
+
+
+def _literal_diagonal_sum(series, t, s):
+    return sum(f.z_value(series, t - s + i - 1, i) for i in range(s + 1))
+
+
+# every admissible instance up to 60, in the identity suite's order
+SUMMATION_INSTANCES = [
+    (series, n, s) for series in "ABD" for n in range(2 if series == "D" else 1, 61) for s in range(1, n)
+]
+HOCKEY_STICK_INSTANCES = [
+    (series, t, s)
+    for series in "ABD"
+    for t in range(2, 61)
+    for s in range(1, {"A": t // 2, "B": t - 1, "D": t - 2}[series] + 1)
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["suite-order", "reversed"])
+def test_shared_partial_sums_match_literal_sums(order):
+    # reversed, every row and t starts cold; A's last instances per t read the
+    # diagonals next to those its truncated region leaves out
+    f._reset_partial_sums()
+    for series, n, s in SUMMATION_INSTANCES[::order]:
+        literal = _literal_row_sum(series, n, s)
+        assert f._row_sums(series, n)[s] == literal, (series, n, s)
+        assert f.summation_check(series, n, s) == (literal == f.a_s(series, n + 1, s))
+    for series, t, s in HOCKEY_STICK_INSTANCES[::order]:
+        literal = _literal_diagonal_sum(series, t, s)
+        assert f._diagonal_sums(series, t)[t - s - 1] == literal, (series, t, s)
+        assert f.hockey_stick_check(series, t, s) == (f.z_value(series, t, s) == literal)
+
+
+def test_cold_hockey_stick_does_not_recurse():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    f._reset_partial_sums()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        t = depth + 150
+        assert f.hockey_stick_check("B", t, 1)  # t = 1 + (t - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+        f._reset_partial_sums()
+
+
+def test_public_formulas_are_plain_functions():
+    # perfbench's tracer wraps only plain functions; a cached public function
+    # would silently leave its traced set
+    own = {name: v for name, v in vars(f).items() if callable(v) and getattr(v, "__module__", None) == f.__name__}
+    assert {"a_s", "summation_check", "hockey_stick_check"} <= set(own)
+    for name, value in own.items():
+        if not name.startswith("_"):
+            assert isinstance(value, types.FunctionType), name
 
 
 def test_comparison_examples():

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -168,6 +169,61 @@ def test_failing_identity_instance_is_reported(monkeypatch):
     assert rep.render().endswith("# 1 of 16 checks FAILED\n")
 
 
+@pytest.fixture
+def forget_partial_sums():
+    yield
+    formulas._reset_partial_sums()
+
+
+def _literal_summation(series, n, s):
+    return sum(formulas.a_s(series, n, i) for i in range(s + 1)) == formulas.a_s(series, n + 1, s)
+
+
+def _literal_hockey_stick(series, t, s):
+    return formulas.z_value(series, t, s) == sum(formulas.z_value(series, t - s + i - 1, i) for i in range(s + 1))
+
+
+@pytest.mark.parametrize(
+    "patched, cell, check_name, literal",
+    [
+        ("a_s", ("A", 2, 1), "summation_check", _literal_summation),
+        ("z_value", ("A", 1, 0), "hockey_stick_check", _literal_hockey_stick),
+    ],
+    ids=["summation", "hockey-stick"],
+)
+def test_identity_suite_forgets_stale_partial_sums(
+    monkeypatch, forget_partial_sums, patched, cell, check_name, literal
+):
+    # A run reads the A rows first and leaves the D rows cached, so the sums
+    # a run could read stale are those of calls made outside it, like these
+    assert verify_identities(12).passed
+    assert formulas.summation_check("A", 2, 1) and formulas.hockey_stick_check("A", 2, 1)
+    original = getattr(formulas, patched)
+    monkeypatch.setattr(formulas, patched, lambda *args: original(*args) + (args == cell))
+    check, instances = getattr(formulas, check_name), []
+    monkeypatch.setattr(formulas, check_name, lambda *args: instances.append(args) or check(*args))
+    report = {c.check_id: c for c in verify_identities(12).checks}
+    failures = [args for args in instances if not literal(*args)]
+    assert failures
+    assert report[_FAMILY_OF[check_name]].actual == f"failed at {failures[:5]}"
+
+
+def test_identity_suite_memory_stays_linear(monkeypatch, forget_partial_sums):
+    # Only the two families that cache sums run: traced allocations make the
+    # whole suite at 120 about 8 s, and the other families keep nothing
+    # between instances.  A cache of the whole triangle peaks near 0.54 MB.
+    for name in _FAMILY_OF:
+        if name not in ("summation_check", "hockey_stick_check"):
+            monkeypatch.setattr(formulas, name, lambda *args: True)
+    tracemalloc.start()
+    try:
+        assert verify_identities(verify.IDENTITY_MAX_N).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 250_000
+
+
 def test_sincere_structure():
     rep = verify_sincere_structure(5)
     assert rep.passed
@@ -239,13 +295,19 @@ def test_cli_table_empty_type(capsys):
     assert capsys.readouterr().out == "1 | total 1\n"
 
 
-def test_cli_module_entry_point():
+def _assert_module_prints_table_a3(module):
     env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "dynkin_tilting.cli", "table", "A", "3"], capture_output=True, text=True, env=env
-    )
+    proc = subprocess.run([sys.executable, "-m", module, "table", "A", "3"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "1 3 5 5 | total 14\n"
+
+
+def test_cli_module_entry_point():
+    _assert_module_prints_table_a3("dynkin_tilting.cli")
+
+
+def test_package_module_entry_point():
+    _assert_module_prints_table_a3("dynkin_tilting")
 
 
 def test_cli_table_bad_rank(capsys):
