@@ -12,10 +12,12 @@ Every antichain node is a result, so that search visits 1 node per result.
 The tilting search visits Ext-rigid sets that are not results; cutting
 branches whose rank deficit exceeds their remaining candidates, it visits
 6.9 nodes per result on A8, 10.6 on E8, 14.7 on D10, 18.4 on B10 and 23.0
-on A12 (default orientations).  Listing and antichain counts pay that walk.
-Tilting counts do not: the subtree below a walker level depends only on
-(untried candidates, support, size), so they add up memoized subtree counts
-and cost memo states, not results (B10: 5,409 states for 184,756 sets).
+on A12 (default orientations).  Listings pay that walk; antichain counts pay
+theirs.  Tilting counts walk no result: a support-tilting set is one tilting
+set per connected component of its support, so they count the tilting sets
+over each connected support once, memoized on (candidates, members still
+needed), and combine those counts over vertex sets (B10: 55 supports, about
+17,000 calls and at most 5,056 memo states for 184,756 sets).
 Counting builds no IndecSet, and neither does listing_lines: it joins
 labels made once per indecomposable, so a listing costs the walk plus one
 join per result (E8: about 0.07 s of 0.08 s in the walk).
@@ -126,67 +128,103 @@ def enumerate_support_tilting(cat: ModCategory) -> Iterator[IndecSet]:
     return _indec_sets(cat, "tilting")
 
 
-# Tilting counts memoize only the levels with at least this many untried
-# candidates; smaller subtrees are walked again.  Measured on B10, the largest
-# memo among A10, B10, D10 and E8 (CPython 3.11): at 10 it holds 5,409 states
-# and `enumerate B 10` peaks 0.32 MB above the plain walk; at 8 counting takes
-# about a third less time but peaks 0.70 MB above, close to the 5% (0.8 MB)
-# peak-RSS bound of perfbench's enum-count; storing every state adds 1.4 MB.
-_MEMO_MIN_CANDIDATES = 10
+# The rigid-subset count memoizes only the levels with at least this many
+# candidates; smaller subtrees are walked again.  Measured over A10, B10, D10
+# and E8 (CPython 3.11): at 4 counting takes about a third less time than at
+# 8, and the largest memos (B10: 5,056 states, E8: 4,980) grow VmHWM by about
+# 0.4 MB; memoizing every level doubles E8's growth.
+_MEMO_MIN_CANDIDATES = 4
 
 
 def _tilting_counts(cat: ModCategory) -> list[int]:
-    """Support-tilting sets by support-rank, from memoized subtree counts.
+    """Support-tilting sets by support-rank, as a product over support components.
 
-    A level's count vector is one int of n fields `width` bits wide; field j
-    holds the results at rank size + 1 + j below it.  A field never exceeds
-    the number of subsets of at most n indecomposables, because an Ext-rigid
-    set has at most n members; the same bound keeps the recursion n + 1 deep.
+    A support-tilting set with support S is tilting over the full subdiagram
+    on S, so it splits into one tilting set per connected component C of S:
+    Ext vanishes between modules whose supports are disjoint and not
+    adjacent, and a rigid set of |C| modules supported in C has support
+    exactly C (Bongartz's bound).  The connected supports are the distinct
+    root supports; t(C), the number of tilting sets over C, counts the
+    pairwise compatible |C|-subsets of the modules supported in C.  The rank
+    row of a vertex set U, with v its lowest vertex and N(C) the neighbours
+    of C, is F(U) = F(U - v) + sum over C with v in C inside U of
+    t(C) x^|C| F(U - C - N(C)).  A row is one int of n + 1 fields `width`
+    bits wide; a field never exceeds the number of subsets of at most n
+    indecomposables, since an Ext-rigid set has at most n members.
     """
     comp = _compat_masks(cat, "tilting")
     vmask = _vertex_masks(cat)
     n = cat.n
     m = len(cat.indecs)
     width = sum(math.comb(m, k) for k in range(n + 1)).bit_length()
-    size_bits = n.bit_length()
+    need_bits = n.bit_length()
     memo: dict[int, int] = {}
 
-    def subtree(rest: int, base: int, size: int) -> int:
+    def rigid(allowed: int, need: int) -> int:
+        """Pairwise compatible need-subsets of allowed, for need >= 2."""
         acc = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            y = low.bit_length() - 1
-            supp = base | vmask[y]
-            deficit = supp.bit_count() - size - 1
-            if not deficit:
-                acc += 1
-            allowed = rest & comp[y]
-            if not allowed:
+        left = allowed.bit_count()
+        while left >= need:
+            low = allowed & -allowed
+            allowed ^= low
+            left -= 1
+            below = allowed & comp[low.bit_length() - 1]
+            if need == 2:
+                acc += below.bit_count()
                 continue
-            candidates = allowed.bit_count()
-            if candidates < deficit:
+            candidates = below.bit_count()
+            if candidates < need - 1:
                 continue
             if candidates < _MEMO_MIN_CANDIDATES:
-                acc += subtree(allowed, supp, size + 1) << width
+                acc += rigid(below, need - 1)
                 continue
-            key = (((allowed << n) | supp) << size_bits) | size
-            below = memo.get(key)
-            if below is None:
-                below = memo[key] = subtree(allowed, supp, size + 1)
-            acc += below << width
+            key = (below << need_bits) | (need - 1)
+            count = memo.get(key)
+            if count is None:
+                count = memo[key] = rigid(below, need - 1)
+            acc += count
         return acc
 
-    packed = subtree((1 << m) - 1, 0, 0)
+    # vertex i and its neighbours: the non-zero entries of Cartan row i
+    near = [sum(1 << j for j, a in enumerate(row) if a) for row in cat.datum.cartan]
+    by_lowest: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for c in set(vmask):
+        inside = 0
+        for y, v in enumerate(vmask):
+            if not v & ~c:
+                inside |= 1 << y
+        size = c.bit_count()
+        tilting = rigid(inside, size) if size > 1 else inside.bit_count()
+        memo.clear()
+        closure = 0
+        for i in range(n):
+            if (c >> i) & 1:
+                closure |= near[i]
+        by_lowest[(c & -c).bit_length() - 1].append((c, closure, tilting, size * width))
+
+    rows = {0: 1}
+
+    def row(u: int) -> int:
+        got = rows.get(u)
+        if got is None:
+            low = u & -u
+            got = row(u ^ low)
+            for c, closure, tilting, shift in by_lowest[low.bit_length() - 1]:
+                if not c & ~u:
+                    got += row(u & ~closure) * tilting << shift
+            rows[u] = got
+        return got
+
+    packed = row((1 << n) - 1)
     field = (1 << width) - 1
-    return [1] + [(packed >> (j * width)) & field for j in range(n)]
+    return [(packed >> (j * width)) & field for j in range(n + 1)]
 
 
 def count_tables(cat: ModCategory, kind: Statistic) -> CountTable:
     """Tally one statistic by support-rank and by size.
 
     Antichains are tallied from the walk; support-tilting sets come from the
-    memoized subtree counts, and their size equals their support-rank.
+    product over support components, and their size equals their support-rank.
     """
     n = cat.n
     if kind == "tilting":

@@ -6,7 +6,8 @@ def pytest_addoption(parser):
         "--runslow",
         action="store_true",
         default=False,
-        help="run the long enumerations (E7/E8 counts, memo against walk on A10/B10/D10, B12/D12 rows and verify_type)",
+        help="run the long checks: tilting counts against the walk on every rank-6/7 orientation and on "
+        "A10/B10/D10, E7/E8 counts, B12/D12 rows and verify_type, and the 1000-row triangle recursions",
     )
 
 

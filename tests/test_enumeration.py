@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dynkin_tilting
-from dynkin_tilting.diagrams import DynkinType, all_orientations, build_cartan, canonical_shape
+from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
 from dynkin_tilting.enumeration import (
     _walk,
     classify_sincere,
@@ -140,6 +140,37 @@ def _walk_tally(cat):
     return tuple(by_rank[r] for r in range(cat.n + 1)), tuple(by_size[k] for k in range(cat.n + 1))
 
 
+def _labels(ranks):
+    return [f"{s}{r}" for s, (lo, hi) in RANK_RANGE.items() for r in ranks if lo <= r and (hi is None or r <= hi)]
+
+
+# every type of rank <= 5 (B1, D2 and E3 among them) in tier-1, rank 6 and 7
+# (E7 among them) under --runslow; default E6 is checked below
+@pytest.mark.parametrize(
+    "label", _labels(range(1, 6)) + [pytest.param(label, marks=pytest.mark.slow) for label in _labels(range(6, 8))]
+)
+def test_tilting_counts_match_walk_every_orientation(label):
+    for orientation in all_orientations(canonical_shape(DynkinType.parse(label))):
+        cat = _cat(label, orientation)
+        table = count_tables(cat, "tilting")
+        assert (table.by_support_rank, table.by_size) == _walk_tally(cat), (label, orientation)
+
+
+def test_no_ext_between_separated_supports():
+    # the product over support components rests on this: Ext vanishes both
+    # ways between modules whose supports are disjoint and not adjacent
+    for label in _labels(range(1, 6)):
+        for orientation in all_orientations(canonical_shape(DynkinType.parse(label))):
+            cat = _cat(label, orientation)
+            near = {i: {i} for i in range(1, cat.n + 1)}
+            for i, j, _, _ in cat.datum.shape.edges:
+                near[i].add(j)
+                near[j].add(i)
+            for x, y in itertools.permutations(cat.indecs, 2):
+                if not set().union(*(near[i] for i in x.support)) & y.support:
+                    assert not ext_nonzero(cat, x.key, y.key), (label, orientation, x.key, y.key)
+
+
 # E8 is of rank 8, so the tier-1 list already covers it
 @pytest.mark.parametrize(
     "label",
@@ -167,7 +198,7 @@ _ROWS = {
 }
 
 
-# the walk takes 10-12 s on A12; the memo about 1 s
+# the walk takes 10-12 s on A12; the count over support components about 0.25 s
 @pytest.mark.parametrize(
     "label", ["A12", pytest.param("B12", marks=pytest.mark.slow), pytest.param("D12", marks=pytest.mark.slow)]
 )
@@ -209,11 +240,18 @@ def _vmhwm_growth_kb(*args):
 
 
 def test_tilting_memo_stays_small():
-    # the plain walk grows VmHWM by about 0.13 MB here and the memo by 0.47 MB.
-    # perfbench's enum-count allows 5% (0.8 MB) more peak RSS, so a memo that
-    # reads above 1 MB breaks it: every level memoized reads 1.56 MB, levels
-    # with at least 3 candidates 1.04 MB
+    # counting B10 grows VmHWM by about 0.40 MB here; a memo kept across
+    # supports instead of cleared after each reads 0.92 MB.  perfbench's
+    # enum-count allows 5% (0.8 MB) more peak RSS, so a count that reads
+    # above 1 MB breaks it
     assert _vmhwm_growth_kb("enumerate", "B", "10", "--statistic", "tilting") < 1024
+
+
+def test_tilting_memo_stays_small_on_e8():
+    # E8 has the most indecomposables (120), so its memo keys are the widest:
+    # counting it grows VmHWM by about 0.41 MB here, every level memoized by
+    # about 0.85 MB, a memo kept across supports by 0.89 MB
+    assert _vmhwm_growth_kb("enumerate", "E", "8", "--statistic", "tilting") < 1024
 
 
 def test_listing_is_written_line_by_line():
