@@ -20,10 +20,6 @@ from .diagrams import DiagramError, DynkinType, build_cartan
 from .enumeration import count_tables, listing_lines
 from .homs import build_category
 
-# largest rank `table` prints, the same cap as `triangle --rows`
-_MAX_TABLE_N = 1000
-
-
 def _parse_orientation(spec: str):
     if spec == "default":
         return "default"
@@ -105,8 +101,8 @@ def _count_row(counts: Sequence[int], total: int) -> str:
 
 
 def _cmd_table(args) -> int:
-    if args.n > _MAX_TABLE_N:
-        raise ValueError(f"table rank {args.n} is above the limit of {_MAX_TABLE_N}")
+    if args.n > oeis.MAX_ROWS:
+        raise ValueError(f"table rank {args.n} is above the limit of {oeis.MAX_ROWS}")
     print(_count_row(formulas.a_row(args.series, args.n), formulas.a_total(args.series, args.n)))
     return 0
 

@@ -250,40 +250,28 @@ def _symmetrizer(shape: DiagramShape, cartan: tuple[Coords, ...]) -> tuple[int, 
     return tuple(x // g for x in ints)
 
 
-def _det_bareiss(rows: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _check_finite_type(cartan: tuple[Coords, ...], symmetrizer: tuple[int, ...]) -> None:
-    # symmetrized matrix must be symmetric positive definite
+    """Raise unless the symmetrized matrix is symmetric positive definite.
+
+    Sylvester's criterion: every leading principal minor is positive.  In one
+    fraction-free (Bareiss) elimination pass without row swaps the k-th pivot
+    is the k-th leading minor, so the pass stops at the first pivot <= 0.
+    """
     n = len(cartan)
-    sym = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+    m = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if sym[i][j] != sym[j][i]:
+            if m[i][j] != m[j][i]:
                 raise DiagramError("symmetrizer failed: d_i*A_ij != d_j*A_ji")
-    for k in range(1, n + 1):
-        minor = [row[:k] for row in sym[:k]]
-        if _det_bareiss(minor) <= 0:
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
             raise DiagramError("Cartan matrix is not of finite type")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
 
 
 OrientationSpec = Union[str, Iterable[Arrow]]

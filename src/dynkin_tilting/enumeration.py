@@ -25,7 +25,6 @@ join per result (E8: about 0.07 s of 0.08 s in the walk).
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Literal, NamedTuple
 
 from .diagrams import DiagramError
@@ -148,15 +147,11 @@ def _tilting_counts(cat: ModCategory) -> list[int]:
     pairwise compatible |C|-subsets of the modules supported in C.  The rank
     row of a vertex set U, with v its lowest vertex and N(C) the neighbours
     of C, is F(U) = F(U - v) + sum over C with v in C inside U of
-    t(C) x^|C| F(U - C - N(C)).  A row is one int of n + 1 fields `width`
-    bits wide; a field never exceeds the number of subsets of at most n
-    indecomposables, since an Ext-rigid set has at most n members.
+    t(C) x^|C| F(U - C - N(C)).
     """
     comp = _compat_masks(cat, "tilting")
     vmask = _vertex_masks(cat)
     n = cat.n
-    m = len(cat.indecs)
-    width = sum(math.comb(m, k) for k in range(n + 1)).bit_length()
     need_bits = n.bit_length()
     memo: dict[int, int] = {}
 
@@ -200,24 +195,24 @@ def _tilting_counts(cat: ModCategory) -> list[int]:
         for i in range(n):
             if (c >> i) & 1:
                 closure |= near[i]
-        by_lowest[(c & -c).bit_length() - 1].append((c, closure, tilting, size * width))
+        by_lowest[(c & -c).bit_length() - 1].append((c, closure, tilting, size))
 
-    rows = {0: 1}
+    rows = {0: [1] + [0] * n}
 
-    def row(u: int) -> int:
+    def row(u: int) -> list[int]:
         got = rows.get(u)
         if got is None:
             low = u & -u
-            got = row(u ^ low)
-            for c, closure, tilting, shift in by_lowest[low.bit_length() - 1]:
+            got = row(u ^ low).copy()
+            for c, closure, tilting, size in by_lowest[low.bit_length() - 1]:
                 if not c & ~u:
-                    got += row(u & ~closure) * tilting << shift
+                    rest = row(u & ~closure)
+                    for j in range(n + 1 - size):
+                        got[j + size] += rest[j] * tilting
             rows[u] = got
         return got
 
-    packed = row((1 << n) - 1)
-    field = (1 << width) - 1
-    return [(packed >> (j * width)) & field for j in range(n + 1)]
+    return row((1 << n) - 1)
 
 
 def count_tables(cat: ModCategory, kind: Statistic) -> CountTable:

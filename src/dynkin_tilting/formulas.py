@@ -86,7 +86,6 @@ EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
     "E6": (1, 6, 20, 50, 110, 228, 418),
     "E7": (1, 7, 27, 77, 187, 429, 1001, 2431),
     "E8": (1, 8, 35, 112, 299, 728, 1771, 4784, 17342),
-    "B3": (1, 3, 6, 10),
     "F4": (1, 4, 10, 24, 66),
     "G2": (1, 2, 5),
 }
@@ -98,7 +97,6 @@ EXCEPTIONAL_TOTALS: dict[str, int] = {
     "E6": 833,
     "E7": 4160,
     "E8": 25080,
-    "B3": 20,
     "F4": 105,
     "G2": 8,
 }
@@ -295,12 +293,12 @@ def lucas_vs_d_deviation_check(n: int) -> bool:
 def z_value(series: str, t: int, s: int) -> int:
     """Entry of the triangle that shears onto the series table.
 
-    A: sheared ballot  z_s(t) = ]t+1 over s[ (region s <= (t+2)//2);
+    A: sheared ballot  z_s(t) = ]t+1 over s[ (region t >= 0, s <= (t+2)//2);
     B: Pascal          z_s(t) = C(t, s);
     D: Lucas           z_s(t) = [t over s]  (t >= 1).
     """
     if series == "A":
-        if not 0 <= s <= (t + 2) // 2:
+        if not (t >= 0 and 0 <= s <= (t + 2) // 2):
             raise ValueError(f"sheared ballot entry out of region: t={t}, s={s}")
         return catalan_bracket(t + 1, s)
     if series == "B":
@@ -350,10 +348,9 @@ def _diagonal_sums(series: str, t: int) -> tuple[int, ...]:
         top = (r + 2) // 2 if series == "A" else r
         sums = tuple(acc + z_value(series, r, r - d) if r - d <= top else acc for d, acc in enumerate(sums))
         sums += (z_value(series, r, 0),)
-    # keep the newest entry next to this one; pop tolerates a key another
-    # thread dropped first
+    # keep the newest entry next to this one
     for key in list(_DIAGONAL_SUMS)[:-1]:
-        _DIAGONAL_SUMS.pop(key, None)
+        del _DIAGONAL_SUMS[key]
     _DIAGONAL_SUMS[(series, t)] = sums
     return sums
 
@@ -398,14 +395,10 @@ def shear_check(series: str, n: int, s: int) -> bool:
     A and B shear with t = n+s-1; the sub-diagonal part of D shears from the
     Lucas triangle with t = n+s-2 (its main diagonal deviates and is excluded).
     """
-    if series == "A":
+    if series in ("A", "B"):
         if not (n >= 1 and 0 <= s <= n):
             raise ValueError(f"shear region violated: n={n}, s={s}")
-        return a_s("A", n, s) == z_value("A", n + s - 1, s)
-    if series == "B":
-        if not (n >= 1 and 0 <= s <= n):
-            raise ValueError(f"shear region violated: n={n}, s={s}")
-        return a_s("B", n, s) == z_value("B", n + s - 1, s)
+        return a_s(series, n, s) == z_value(series, n + s - 1, s)
     if series == "D":
         if not (n >= 2 and 0 <= s <= n - 1 and (n, s) != (2, 0)):
             raise ValueError(f"shear region violated: n={n}, s={s}")

@@ -44,6 +44,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 FIXTURE_ENV_VAR = "DYNKIN_TILTING_FIXTURES"
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
+_FETCH_TIMEOUT_S = 10.0
+
+# most rows `triangle` renders; also the largest rank `table` prints
+MAX_ROWS = 1000
 
 Row = tuple[int, ...]
 
@@ -65,13 +69,6 @@ class TriangleDoc(NamedTuple):
 class BFile(NamedTuple):
     sequence_id: str
     entries: tuple[tuple[int, int], ...]
-
-    @property
-    def offset(self) -> int:
-        return self.entries[0][0] if self.entries else 0
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.entries)
 
 
 # --- row generators -----------------------------------------------------------
@@ -156,8 +153,8 @@ TRIANGLE_NAMES = tuple(_TRIANGLES)
 
 def triangle_doc(name: str, rows: int) -> TriangleDoc:
     """Build a TriangleDoc with `rows` rows of the named triangle."""
-    if rows < 1 or rows > 1000:
-        raise ValueError("row count must be within 1..1000")
+    if rows < 1 or rows > MAX_ROWS:
+        raise ValueError(f"row count must be within 1..{MAX_ROWS}")
     if name not in _TRIANGLES:
         raise ValueError(f"unknown triangle {name!r}; choose one of {', '.join(TRIANGLE_NAMES)}")
     first, offset, generate = _TRIANGLES[name]
@@ -247,12 +244,6 @@ def _sequence(sequence_id: str, terms: int) -> tuple[Callable[[], Iterable[Row]]
     return _SEQUENCES[sequence_id]
 
 
-def generate_terms(sequence_id: str, terms: int) -> list[tuple[int, int]]:
-    """First `terms` (index, value) pairs of a supported sequence."""
-    rows, offset = _sequence(sequence_id, terms)
-    return _flat(rows(), terms, offset)
-
-
 # --- b-file parsing and fetching --------------------------------------------
 
 
@@ -291,7 +282,7 @@ def fixture_path(sequence_id: str) -> Path:
     return fixture_dir() / f"b{sequence_id[1:]}.txt"
 
 
-def fetch_bfile(sequence_id: str, online: bool = False, timeout: float = 10.0) -> BFile:
+def fetch_bfile(sequence_id: str, online: bool = False) -> BFile:
     """Load a b-file from the fixture directory, or from oeis.org if asked.
 
     A failed live fetch warns on stderr and falls back to the fixture.
@@ -301,7 +292,7 @@ def fetch_bfile(sequence_id: str, online: bool = False, timeout: float = 10.0) -
 
         url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
         try:
-            with urllib.request.urlopen(url, timeout=timeout) as resp:
+            with urllib.request.urlopen(url, timeout=_FETCH_TIMEOUT_S) as resp:
                 return parse_bfile(sequence_id, resp.read().decode())
         except Exception as exc:  # noqa: BLE001 - any network failure falls back
             print(

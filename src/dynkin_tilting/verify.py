@@ -332,7 +332,7 @@ def _eta_check(series: str, n: int, cat) -> Check:
     )
 
 
-def verify_reconcile(terms: dict[str, int] | None = None, online: bool = False) -> VerificationReport:
+def verify_reconcile(terms: dict[str, int] | None = None) -> VerificationReport:
     """Compare generated sequence prefixes against the shipped b-files."""
     if terms is None:
         terms = {
@@ -346,7 +346,7 @@ def verify_reconcile(terms: dict[str, int] | None = None, online: bool = False) 
         }
     checks = []
     for sid in sorted(terms):
-        res = oeis.reconcile(sid, terms[sid], online=online)
+        res = oeis.reconcile(sid, terms[sid])
         checks.append(
             Check(
                 "oeis.reconcile",

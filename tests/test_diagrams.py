@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin_tilting.diagrams import (
+    RANK_RANGE,
     DiagramError,
+    DiagramShape,
     DynkinType,
+    _cartan_matrix,
+    _check_finite_type,
+    _symmetrizer,
     all_orientations,
     build_cartan,
     canonical_shape,
@@ -219,11 +224,46 @@ def test_root_coordinates_stay_small():
 
 
 def test_shape_validation_rejects_non_dynkin_data():
-    from dynkin_tilting.diagrams import DiagramShape
-
     with pytest.raises(DiagramError):
         DiagramShape(2, ((1, 2, 2, 2),))  # valuation product 4: affine, not finite
     with pytest.raises(DiagramError):
         DiagramShape(3, ((1, 2, 1, 1), (2, 3, 1, 1), (1, 3, 1, 1)))  # cycle
     with pytest.raises(DiagramError):
         DiagramShape(2, ((1, 2, 1, 1), (1, 2, 1, 1)))  # duplicate edge
+
+
+def _finite_type_check(shape: DiagramShape) -> None:
+    cartan = _cartan_matrix(shape)
+    _check_finite_type(cartan, _symmetrizer(shape, cartan))
+
+
+def test_finite_type_check_accepts_canonical_types():
+    for series, (lo, hi) in RANK_RANGE.items():
+        for n in range(lo, min(hi or 12, 12) + 1):
+            _finite_type_check(canonical_shape(DynkinType(series, n)))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        DiagramShape(3, ((1, 2, 1, 2), (2, 3, 2, 1))),  # affine C2: determinant 0
+        DiagramShape(5, tuple((1, j, 1, 1) for j in range(2, 6))),  # affine D4 star: determinant 0
+        DiagramShape(3, ((1, 2, 1, 3), (2, 3, 1, 1))),  # affine G2: determinant 0
+        DiagramShape(6, tuple((1, j, 1, 1) for j in range(2, 7))),  # five-leaf star: indefinite
+    ],
+    ids=["affine-C2", "affine-D4", "affine-G2", "star-5"],
+)
+def test_finite_type_check_rejects_affine_and_indefinite_forests(shape):
+    # every shape here passes DiagramShape's own checks (a forest with
+    # valuation products 1, 2 or 3); only the pivots can refuse it
+    with pytest.raises(DiagramError, match="not of finite type"):
+        _finite_type_check(shape)
+
+
+def test_finite_type_check_rejects_bad_matrices():
+    with pytest.raises(DiagramError, match="not of finite type"):
+        _check_finite_type(((2, -3), (-3, 2)), (1, 1))  # determinant -5
+    with pytest.raises(DiagramError, match="not of finite type"):
+        _check_finite_type(((2, -2, 0), (-2, 2, 0), (0, 0, 2)), (1, 1, 1))  # zero pivot before the last
+    with pytest.raises(DiagramError, match="symmetrizer failed"):
+        _check_finite_type(((2, -1), (-2, 2)), (1, 1))

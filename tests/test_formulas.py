@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin_tilting import formulas as f
-from dynkin_tilting.diagrams import DynkinType
+from dynkin_tilting.diagrams import RANK_RANGE, DynkinType
 
 # the three series tables, rows 0..9 (D starts at 2), with row sums
 TRIANGLE_A = {
@@ -140,7 +140,11 @@ def test_exceptional_rows():
     assert f.a_row("E", 8) == (1, 8, 35, 112, 299, 728, 1771, 4784, 17342)
     assert f.a_row("G", 2) == (1, 2, 5)
     assert f.a_row("F", 4) == (1, 4, 10, 24, 66)
-    assert f.EXCEPTIONAL_ROWS["B3"] == (1, 3, 6, 10) == f.a_row("B", 3)
+    # a_s and a_total read the tables for series E, F and G only
+    labels = {
+        f"{series}{n}" for series in "EFG" for n in range(RANK_RANGE[series][0], RANK_RANGE[series][1] + 1)
+    }
+    assert set(f.EXCEPTIONAL_ROWS) == set(f.EXCEPTIONAL_TOTALS) == labels
 
 
 def convolve(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[int, ...]:
@@ -168,6 +172,11 @@ def test_inadmissible_arguments():
         f.a_s("A", 3, 4)
     with pytest.raises(ValueError):
         f.a_s("A", 3, -1)
+    # the sheared ballot triangle starts at row 0; at t = -1 the bound
+    # s <= (t + 2) // 2 alone would admit s = 0
+    for t, s in ((-1, 0), (-2, 0)):
+        with pytest.raises(ValueError, match="out of region"):
+            f.z_value("A", t, s)
 
 
 def _admitted(build, *args):
