@@ -72,7 +72,7 @@ def catalan_bracket(t: int, s: int) -> int:
         raise ValueError(f"({t},{s}) lies outside the ballot region t-2s+1 >= 0")
     if s == 0:
         return 1
-    return comb(t, s) - (comb(t, s - 1) if s - 1 <= t else 0)
+    return comb(t, s) - comb(t, s - 1)
 
 
 # --- exceptional rows -------------------------------------------------------

@@ -332,18 +332,22 @@ def _eta_check(series: str, n: int, cat) -> Check:
     )
 
 
+# prefix length verify_reconcile checks per sequence by default
+RECONCILE_TERMS = {
+    "A009766": 55,
+    "A059481": 55,
+    "A241188": 54,
+    "A008315": 40,
+    "A007318": 55,
+    "A029635": 40,
+    "A129869": 8,
+}
+
+
 def verify_reconcile(terms: dict[str, int] | None = None) -> VerificationReport:
     """Compare generated sequence prefixes against the shipped b-files."""
     if terms is None:
-        terms = {
-            "A009766": 55,
-            "A059481": 55,
-            "A241188": 54,
-            "A008315": 40,
-            "A007318": 55,
-            "A029635": 40,
-            "A129869": 8,
-        }
+        terms = RECONCILE_TERMS
     checks = []
     for sid in sorted(terms):
         res = oeis.reconcile(sid, terms[sid])

@@ -23,7 +23,7 @@ from dynkin_tilting.diagrams import DynkinType, build_cartan
 from dynkin_tilting.enumeration import classify_sincere, count_tables, enumerate_antichains
 from dynkin_tilting.homs import build_category
 from tests.test_formulas import TRIANGLE_A, TRIANGLE_B, TRIANGLE_D
-from tests.test_oeis import generate_terms
+from tests.test_oeis import RECONCILE_TERMS, generate_terms
 
 CRITERION_3_TYPES = (
     [("A", n) for n in range(1, 8)]
@@ -245,16 +245,8 @@ def test_criterion_09_integrality_to_2000():
 
 
 def test_criterion_10_oeis_reconciliation():
-    expected_terms = {
-        "A009766": 55,
-        "A059481": 55,
-        "A241188": 54,  # the full shipped prefix is checked below
-        "A008315": 40,
-        "A007318": 55,
-        "A029635": 40,
-        "A129869": 8,
-    }
-    for sid, terms in expected_terms.items():
+    # A241188's full shipped prefix is checked below
+    for sid, terms in RECONCILE_TERMS.items():
         res = oeis.reconcile(sid, terms)
         assert res.passed, (sid, res.detail)
     # A241188: the available prefix means every shipped term

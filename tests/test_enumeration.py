@@ -131,10 +131,10 @@ def test_listing_lines_match_format_set():
                 assert len(lines) == count_tables(cat, statistic).total
 
 
-def _walk_tally(cat):
+def _walk_tally(cat, statistic="tilting"):
     by_rank = Counter()
     by_size = Counter()
-    for members, supp in _walk(cat, "tilting"):
+    for members, supp in _walk(cat, statistic):
         by_rank[supp.bit_count()] += 1
         by_size[len(members)] += 1
     return tuple(by_rank[r] for r in range(cat.n + 1)), tuple(by_size[k] for k in range(cat.n + 1))
@@ -171,6 +171,41 @@ def test_no_ext_between_separated_supports():
                     assert not ext_nonzero(cat, x.key, y.key), (label, orientation, x.key, y.key)
 
 
+# every type of rank <= 5 in tier-1, rank 6 and 7 under --runslow; default
+# E6 and larger types are checked below
+@pytest.mark.parametrize(
+    "label", _labels(range(1, 6)) + [pytest.param(label, marks=pytest.mark.slow) for label in _labels(range(6, 8))]
+)
+def test_antichain_counts_match_walk_every_orientation(label):
+    for orientation in all_orientations(canonical_shape(DynkinType.parse(label))):
+        cat = _cat(label, orientation)
+        table = count_tables(cat, "antichain")
+        assert (table.by_support_rank, table.by_size) == _walk_tally(cat, "antichain"), (label, orientation)
+
+
+# the antichain walk visits one node per result, so it reaches A10, B10, D10
+# and E8 in tier-1 (at most about 0.6 s per type for both orientations)
+@pytest.mark.parametrize("label", ["E6", "E7", "E8", "A10", "B10", "D10"])
+def test_antichain_counts_match_walk_on_larger_types(label):
+    orientations = all_orientations(canonical_shape(DynkinType.parse(label)))
+    for orientation in ("default", random.Random(label).choice(orientations)):
+        cat = _cat(label, orientation)
+        table = count_tables(cat, "antichain")
+        assert (table.by_support_rank, table.by_size) == _walk_tally(cat, "antichain"), (label, orientation)
+
+
+def test_no_hom_between_disjoint_supports():
+    # the antichain product over support components rests on this: Hom
+    # vanishes both ways between modules whose supports are disjoint
+    for label in _labels(range(1, 6)):
+        for orientation in all_orientations(canonical_shape(DynkinType.parse(label))):
+            cat = _cat(label, orientation)
+            for x, y in itertools.combinations(cat.indecs, 2):
+                if not x.support & y.support:
+                    assert not hom_nonzero(cat, x.key, y.key), (label, orientation, x.key, y.key)
+                    assert not hom_nonzero(cat, y.key, x.key), (label, orientation, y.key, x.key)
+
+
 # E8 is of rank 8, so the tier-1 list already covers it
 @pytest.mark.parametrize(
     "label",
@@ -205,6 +240,19 @@ _ROWS = {
 def test_tilting_counts_above_walk_reach(label):
     series, n = label[0], int(label[1:])
     assert count_tables(_cat(label), "tilting").by_support_rank == tuple(_ROWS[series](n, s) for s in range(n + 1))
+
+
+def _narayana(n, k):
+    return comb(n, k) * comb(n, k - 1) // n
+
+
+def test_antichain_counts_above_walk_reach():
+    # A12 has 742,900 antichains; the count over support components takes
+    # about 0.05 s, the walk about 0.5 s.  By support-rank they follow the
+    # tilting row, by size the Narayana numbers
+    table = count_tables(_cat("A12"), "antichain")
+    assert table.by_support_rank == tuple(_ROWS["A"](12, s) for s in range(13))
+    assert table.by_size == tuple(_narayana(13, k + 1) for k in range(13))
 
 
 _VMHWM_CHILD = """
@@ -252,6 +300,14 @@ def test_tilting_memo_stays_small_on_e8():
     # counting it grows VmHWM by about 0.41 MB here, every level memoized by
     # about 0.85 MB, a memo kept across supports by 0.89 MB
     assert _vmhwm_growth_kb("enumerate", "E", "8", "--statistic", "tilting") < 1024
+
+
+@pytest.mark.parametrize("series, rank", [("B", "10"), ("E", "8")])
+def test_antichain_memo_stays_small(series, rank):
+    # counting grows VmHWM by about 0.42 MB on B10 and 0.29 MB on E8 here,
+    # with one memo per support (B10: at most 1,599 states); perfbench's
+    # enum-count allows 5% (0.8 MB) more peak RSS
+    assert _vmhwm_growth_kb("enumerate", series, rank, "--statistic", "antichain") < 1024
 
 
 def test_listing_is_written_line_by_line():

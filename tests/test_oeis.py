@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dynkin_tilting
-from dynkin_tilting import formulas, oeis
+from dynkin_tilting import formulas, oeis, verify
 from dynkin_tilting.cli import run
 from dynkin_tilting.oeis import (
     BFileError,
@@ -229,16 +229,22 @@ def test_d_fixture_matches_transcribed_rows():
     assert _values(fetch_bfile("A059481"))[: len(flat_b)] == flat_b
 
 
+# the prefix lengths the verify suites reconcile by default, written out here
+# independently of verify.RECONCILE_TERMS; tests/test_acceptance.py reads them too
+RECONCILE_TERMS = {
+    "A009766": 55,
+    "A059481": 55,
+    "A241188": 54,
+    "A008315": 40,
+    "A007318": 55,
+    "A029635": 40,
+    "A129869": 8,
+}
+
+
 def test_reconcile_all_fixtures():
-    for sid, terms in [
-        ("A009766", 55),
-        ("A059481", 55),
-        ("A241188", 54),
-        ("A008315", 40),
-        ("A007318", 55),
-        ("A029635", 40),
-        ("A129869", 8),
-    ]:
+    assert verify.RECONCILE_TERMS == RECONCILE_TERMS
+    for sid, terms in RECONCILE_TERMS.items():
         res = reconcile(sid, terms)
         assert res.passed, (sid, res.detail)
 
@@ -258,17 +264,6 @@ def test_missing_fixture(tmp_path, monkeypatch):
         fetch_bfile("A007318")
 
 
-def test_online_fetch_falls_back(monkeypatch, capsys):
-    import urllib.request
-
-    def time_out(url, timeout):
-        raise TimeoutError("timed out")
-
-    monkeypatch.setattr(urllib.request, "urlopen", time_out)
-    res = fetch_bfile("A129869", online=True)
-    assert res.entries[0] == (0, 1)
-
-
 def test_fixture_generator_reproduces_shipped_bfiles(tmp_path):
     # tools/gen_fixtures.py builds each b-file from its binomial definition,
     # without the package; the shipped fixtures must be exactly its output
@@ -284,11 +279,15 @@ def test_fixture_generator_reproduces_shipped_bfiles(tmp_path):
         assert path.read_bytes() == (shipped / path.name).read_bytes(), path.name
 
 
-def test_online_fetch_failure_warns_and_uses_fixture(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "error",
+    [pytest.param(TimeoutError("timed out"), id="timeout"), pytest.param(OSError("network unreachable"), id="unreachable")],
+)
+def test_online_fetch_failure_warns_and_uses_fixture(monkeypatch, capsys, error):
     import urllib.request
 
     def refuse(url, timeout):
-        raise OSError("network unreachable")
+        raise error
 
     monkeypatch.setattr(urllib.request, "urlopen", refuse)
     res = fetch_bfile("A129869", online=True)
