@@ -15,15 +15,17 @@ exceeds their remaining candidates, it visits 6.9 nodes per result on A8,
 orientations).  Listings pay that walk; counts walk no result.  A set of
 either statistic is one set per connected component of its support, so
 count_tables weighs each connected support once and combines the weights
-over vertex sets.  A tilting weight counts the tilting sets over the
-support, memoized on (candidates, members still needed) (B10: 55
-supports, about 17,000 calls and at most 5,056 memo states for 184,756
-sets).  An antichain weight counts the antichains inside the support,
-memoized on the candidate mask, less those on its proper subsets; its
-memo states per support top out at 1,044 on A10, 1,599 on B10, 754 on
-D10, 1,149 on E8 and 4,710 on A12, and in process (CPython 3.11, 2 vCPUs)
-the counts take about 0.009, 0.015, 0.008, 0.008 and 0.05 s, where the
-walk takes about 0.04, 0.11, 0.08, 0.02 and 0.54 s.
+over vertex sets.  One recursion weighs a support for both statistics: the
+compatible sets inside it, memoized on the candidate mask, as a size
+polynomial, less those on its proper subsets.  Antichains are read off by
+support-rank and by size; support-tilting sets are the Ext-rigid sets whose
+size equals their support-rank.  Memo states per support top out at 1,420
+(tilting) and 1,044 (antichain) on A10, 2,032 and 1,599 on B10, 1,784 and
+754 on D10, 3,195 and 1,149 on E8, and 6,700 and 4,710 on A12.  In process
+(CPython 3.11, 2 vCPUs) tilting counts take about 0.01, 0.013, 0.015-0.02,
+0.011 and 0.05-0.08 s, antichain counts about 0.005, 0.008, 0.006-0.01,
+0.004 and 0.043 s; the antichain walk takes about 0.04, 0.11, 0.08, 0.02
+and 0.54 s, the tilting walk 10-12 s on A12.
 Counting builds no IndecSet, and neither does listing_lines: it joins
 labels made once per indecomposable, so a listing costs the walk plus one
 join per result (E8: about 0.07 s of 0.08 s in the walk).
@@ -31,7 +33,8 @@ join per result (E8: about 0.07 s of 0.08 s in the walk).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Literal, NamedTuple
+from math import comb
+from typing import Iterator, Literal, NamedTuple
 
 from .diagrams import DiagramError
 from .homs import injective_by_socle, transpose
@@ -133,18 +136,6 @@ def enumerate_support_tilting(cat: ModCategory) -> Iterator[IndecSet]:
     return _indec_sets(cat, "tilting")
 
 
-# The rigid-subset count memoizes only the levels with at least this many
-# candidates; smaller subtrees are walked again.  Measured over A10, B10, D10
-# and E8 (CPython 3.11): at 4 counting takes about a third less time than at
-# 8, and the largest memos (B10: 5,056 states, E8: 4,980) grow VmHWM by about
-# 0.4 MB; memoizing every level doubles E8's growth.
-_MEMO_MIN_CANDIDATES = 4
-
-# count(inside, size, smaller) -> the statistic's sets with support exactly C,
-# for a connected support C of size vertices whose modules are the bits of
-# inside; smaller() is the row of the sets on proper subsets of C
-SupportCount = Callable[[int, int, Callable[[], list[int]]], int]
-
 # The recursions below are module-level functions that get their memo as an
 # argument, a fresh one per support.  A nested function that calls itself
 # sits in a reference cycle, so its memo outlives the count until the cycle
@@ -166,18 +157,52 @@ def _row(u: int, rows: dict[int, list[int]], by_lowest: list[list[tuple[int, int
     return got
 
 
-def _component_product(cat: ModCategory, count: SupportCount) -> list[int]:
-    """Sets by support-rank, as a product over support components.
+def _compatible_inside(allowed: int, comp: list[int], width: int, memo: dict[int, int]) -> int:
+    """The pairwise compatible sets inside allowed, empty one included, as a
+    packed size polynomial; memo holds the count for each mask the recursion
+    meets.
 
-    The statistic's sets with support S split into one set per connected
+    Each module y of allowed, highest first, adds the sets whose highest
+    member is y.  Its masks shrink from the top, so they stay short, and
+    with modules in (vertex, power) order it is faster than lowest first for
+    both statistics: A12 antichains take 16,598 calls against 34,028, A12
+    tilting counts about 0.09 s against 0.10 s.
+    """
+    x = 1 << width  # one set of size 1
+    acc = 1
+    while allowed:
+        y = allowed.bit_length() - 1
+        allowed ^= 1 << y
+        below = allowed & comp[y]
+        if not below:
+            acc += x
+        elif not below & (below - 1):
+            acc += x + (x << width)  # {y} and {y, z}
+        else:
+            got = memo.get(below)
+            if got is None:
+                got = memo[below] = _compatible_inside(below, comp, width, memo)
+            acc += got << width
+    return acc
+
+
+def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[int]:
+    """The compatible sets by support-rank, each a size polynomial packed in
+    one int (coefficient k in bits [k * width, (k + 1) * width)), as a
+    product over support components.
+
+    A compatible set with support S splits into one set per connected
     component C of S, each with support exactly C, and any such choice
     recombines: Hom needs intersecting supports, and Ext supports that are
     disjoint and not adjacent.  The connected supports are the distinct root
-    supports; count weighs each.  The rank row of a vertex set U, with v its
-    lowest vertex and N(C) the neighbours of C, is F(U) = F(U - v) + sum
-    over C with v in C inside U of count(C) x^|C| F(U - C - N(C)).  Supports
-    are weighed in increasing size, so F(C) found while weighing C lacks
-    only C's own term, which is then added in place.
+    supports.  The weight of C is the compatible sets with support exactly C:
+    those inside C less those on proper subsets of C (Moebius inversion over
+    supports, one term).  The rank row of a vertex set U, with v its lowest
+    vertex and N(C) the neighbours of C, is F(U) = F(U - v) + sum over C
+    with v in C inside U of weight(C) x^|C| F(U - C - N(C)).  Supports are
+    weighed in increasing size, so F(C) found while weighing C holds the
+    sets on proper subsets of C and lacks only C's own term, which is then
+    added in place.
     """
     vmask = _vertex_masks(cat)
     n = cat.n
@@ -201,111 +226,32 @@ def _component_product(cat: ModCategory, count: SupportCount) -> list[int]:
             else:
                 inside &= ~touching[i]
         size = c.bit_count()
-        weight = count(inside, size, lambda: _row(c, rows, by_lowest, n))
-        if c in rows:
-            rows[c][size] += weight
+        smaller = _row(c, rows, by_lowest, n)
+        weight = _compatible_inside(inside, comp, width, {}) - sum(smaller)
+        smaller[size] += weight
         by_lowest[(c & -c).bit_length() - 1].append((c, closure, weight, size))
     return _row((1 << n) - 1, rows, by_lowest, n)
 
 
-def _rigid(allowed: int, need: int, comp: list[int], memo: dict[int, int], need_bits: int) -> int:
-    """Pairwise compatible need-subsets of allowed, for need >= 2; memo is
-    keyed on (candidates, need) of the levels with enough candidates."""
-    acc = 0
-    left = allowed.bit_count()
-    while left >= need:
-        low = allowed & -allowed
-        allowed ^= low
-        left -= 1
-        below = allowed & comp[low.bit_length() - 1]
-        if need == 2:
-            acc += below.bit_count()
-            continue
-        candidates = below.bit_count()
-        if candidates < need - 1:
-            continue
-        if candidates < _MEMO_MIN_CANDIDATES:
-            acc += _rigid(below, need - 1, comp, memo, need_bits)
-            continue
-        key = (below << need_bits) | (need - 1)
-        count = memo.get(key)
-        if count is None:
-            count = memo[key] = _rigid(below, need - 1, comp, memo, need_bits)
-        acc += count
-    return acc
-
-
-def _tilting_count(cat: ModCategory) -> SupportCount:
-    """t(C): the tilting sets over a connected support C, i.e. the pairwise
-    compatible |C|-subsets of the modules supported in C (a rigid set of |C|
-    modules supported in C has support exactly C, by Bongartz's bound)."""
-    comp = _compat_masks(cat, "tilting")
-    need_bits = cat.n.bit_length()
-
-    def tilting(inside: int, size: int, smaller: Callable[[], list[int]]) -> int:
-        return _rigid(inside, size, comp, {}, need_bits) if size > 1 else inside.bit_count()
-
-    return tilting
-
-
-def _antichains_inside(allowed: int, comp: list[int], width: int, memo: dict[int, int]) -> int:
-    """The antichains inside allowed, empty one included, as a packed size
-    polynomial; memo holds the count for each mask the recursion meets.
-
-    Each module y of allowed, highest first, adds the antichains whose
-    highest member is y.  Highest first meets about half the masks that
-    lowest first does in (vertex, power) order (A12: 16,586 calls against
-    34,016), and its masks shrink from the top, so they stay short.
-    """
-    x = 1 << width  # one antichain of size 1
-    acc = 1
-    while allowed:
-        y = allowed.bit_length() - 1
-        allowed ^= 1 << y
-        below = allowed & comp[y]
-        if not below:
-            acc += x
-        elif not below & (below - 1):
-            acc += x + (x << width)  # {y} and {y, z}
-        else:
-            got = memo.get(below)
-            if got is None:
-                got = memo[below] = _antichains_inside(below, comp, width, memo)
-            acc += got << width
-    return acc
-
-
-def _antichain_count(cat: ModCategory, width: int) -> SupportCount:
-    """The antichains with support exactly C, as a size polynomial packed in
-    one int, coefficient k in bits [k * width, (k + 1) * width).
-
-    Every coefficient of a polynomial here, and of any sum or product the
-    combine forms, counts distinct sets of modules, so width = (number of
-    modules) + 1 bits never overflows and packed arithmetic is polynomial
-    arithmetic.  The antichains inside C less those whose support is a
-    proper subset of C leave those on C (Moebius inversion over supports,
-    one term).
-    """
-    comp = _compat_masks(cat, "antichain")
-    x = 1 << width  # a single vertex supports one module, its simple
-
-    def antichains(inside: int, size: int, smaller: Callable[[], list[int]]) -> int:
-        return _antichains_inside(inside, comp, width, {}) - sum(smaller()) if size > 1 else x
-
-    return antichains
-
-
 def count_tables(cat: ModCategory, kind: Statistic) -> CountTable:
-    """Tally one statistic by support-rank and by size, as a product over
-    support components.  A support-tilting set's size equals its
-    support-rank; antichains carry a size polynomial per support-rank."""
+    """Tally one statistic by support-rank and by size, from the compatible
+    sets under its masks (Hom for antichains, Ext for tilting).
+
+    An Ext-rigid set supported in a connected C has at most |C| members
+    (Bongartz), so the support-tilting sets of support-rank s are
+    coefficient s of row s.  Every coefficient k <= n counts distinct
+    k-subsets of the m modules, and no compatible set has more than n
+    members, so a width that holds sum over k <= n of C(m, k) holds every
+    field read.
+    """
     n = cat.n
+    m = len(cat.indecs)
+    width = sum(comb(m, k) for k in range(n + 1)).bit_length()
+    field = (1 << width) - 1
+    packed = _component_product(cat, _compat_masks(cat, kind), width)
     if kind == "tilting":
-        by_rank = by_size = _component_product(cat, _tilting_count(cat))
+        by_rank = by_size = [(packed[s] >> (s * width)) & field for s in range(n + 1)]
     else:
-        width = len(cat.indecs) + 1
-        field = (1 << width) - 1
-        packed = _component_product(cat, _antichain_count(cat, width))
         by_rank = []
         for poly in packed:
             by_rank.append(sum((poly >> (k * width)) & field for k in range(n + 1)))

@@ -14,6 +14,8 @@ import pytest
 import dynkin_tilting
 from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
 from dynkin_tilting.enumeration import (
+    _compat_masks,
+    _component_product,
     _walk,
     classify_sincere,
     count_tables,
@@ -233,13 +235,59 @@ _ROWS = {
 }
 
 
-# the walk takes 10-12 s on A12; the count over support components about 0.25 s
-@pytest.mark.parametrize(
-    "label", ["A12", pytest.param("B12", marks=pytest.mark.slow), pytest.param("D12", marks=pytest.mark.slow)]
-)
+# the walk takes 10-12 s on A12; the count over support components about
+# 0.05-0.08 s on A12, 0.08 s on B12, 0.13-0.15 s on D12 and 0.35-0.5 s on A14
+@pytest.mark.parametrize("label", ["A12", "B12", "D12", pytest.param("A14", marks=pytest.mark.slow)])
 def test_tilting_counts_above_walk_reach(label):
     series, n = label[0], int(label[1:])
     assert count_tables(_cat(label), "tilting").by_support_rank == tuple(_ROWS[series](n, s) for s in range(n + 1))
+
+
+def _face_numbers(cat):
+    """f_m = sum over (s, k) of r(s, k) C(n - s, m - k), with r(s, k) the
+    Ext-rigid sets of support-rank s and size k: a rigid set of support-rank
+    s together with any m - k of the n - s vertices outside its support (the
+    shifted projectives of a support tau-rigid pair) is a face of size m."""
+    n = cat.n
+    width = sum(comb(len(cat.indecs), k) for k in range(n + 1)).bit_length()
+    packed = _component_product(cat, _compat_masks(cat, "tilting"), width)
+    r = [[(packed[s] >> (k * width)) & ((1 << width) - 1) for k in range(n + 1)] for s in range(n + 1)]
+    f = [sum(r[s][k] * comb(n - s, j - k) for s in range(n + 1) for k in range(j + 1)) for j in range(n + 1)]
+    return r, f
+
+
+def _h_vector(f, n):
+    """Coefficients of sum over m of f_m x^m (1 - x)^(n - m)."""
+    h = [0] * (n + 1)
+    for m, fm in enumerate(f):
+        for i in range(n - m + 1):
+            h[m + i] += fm * comb(n - m, i) * (-1) ** i
+    return h
+
+
+_FACES = {
+    "A": lambda n, m: comb(n, m) * comb(n + m + 2, m) // (m + 1),
+    "B": lambda n, m: comb(n, m) * comb(n + m, m),
+    "C": lambda n, m: comb(n, m) * comb(n + m, m),
+}
+
+
+# every orientation of every type of rank <= 5, and default E6, E7 and E8:
+# the face numbers of the cluster complex check the entries of the rigid
+# table off its diagonal, which the tilting row never reads
+@pytest.mark.parametrize("label", _labels(range(1, 6)) + ["E6", "E7", "E8"])
+def test_rigid_table_gives_face_numbers(label):
+    dtype = DynkinType.parse(label)
+    orientations = all_orientations(canonical_shape(dtype)) if dtype.rank <= 5 else ["default"]
+    for orientation in orientations:
+        cat = _cat(label, orientation)
+        n = cat.n
+        r, f = _face_numbers(cat)
+        if dtype.series in _FACES:
+            assert f == [_FACES[dtype.series](n, j) for j in range(n + 1)], (label, orientation)
+        assert f[1] == len(cat.indecs) + n, (label, orientation)
+        assert tuple(_h_vector(f, n)) == count_tables(cat, "antichain").by_size, (label, orientation)
+        assert tuple(r[s][s] for s in range(n + 1)) == count_tables(cat, "tilting").by_support_rank, (label, orientation)
 
 
 def _narayana(n, k):
@@ -287,27 +335,17 @@ def _vmhwm_growth_kb(*args):
     return int(proc.stdout)
 
 
-def test_tilting_memo_stays_small():
-    # counting B10 grows VmHWM by about 0.40 MB here; a memo kept across
-    # supports instead of cleared after each reads 0.92 MB.  perfbench's
-    # enum-count allows 5% (0.8 MB) more peak RSS, so a count that reads
-    # above 1 MB breaks it
-    assert _vmhwm_growth_kb("enumerate", "B", "10", "--statistic", "tilting") < 1024
-
-
-def test_tilting_memo_stays_small_on_e8():
-    # E8 has the most indecomposables (120), so its memo keys are the widest:
-    # counting it grows VmHWM by about 0.41 MB here, every level memoized by
-    # about 0.85 MB, a memo kept across supports by 0.89 MB
-    assert _vmhwm_growth_kb("enumerate", "E", "8", "--statistic", "tilting") < 1024
-
-
-@pytest.mark.parametrize("series, rank", [("B", "10"), ("E", "8")])
-def test_antichain_memo_stays_small(series, rank):
-    # counting grows VmHWM by about 0.42 MB on B10 and 0.29 MB on E8 here,
-    # with one memo per support (B10: at most 1,599 states); perfbench's
-    # enum-count allows 5% (0.8 MB) more peak RSS
-    assert _vmhwm_growth_kb("enumerate", series, rank, "--statistic", "antichain") < 1024
+# counting keeps one memo per support; perfbench's enum-count allows 5%
+# (0.8 MB) more peak RSS, so a count that grows VmHWM by more than 1 MB
+# breaks it.  Measured growth (CPython 3.11): tilting 332 KB on B10, 304 KB
+# on D10 and 460 KB on E8 (its memo for the whole support of 120 modules
+# holds 3,195 states); antichain 296 KB on B10 and 256 KB on E8
+@pytest.mark.parametrize(
+    "statistic, series, rank",
+    [("tilting", "B", "10"), ("tilting", "D", "10"), ("tilting", "E", "8"), ("antichain", "B", "10"), ("antichain", "E", "8")],
+)
+def test_memo_stays_small(statistic, series, rank):
+    assert _vmhwm_growth_kb("enumerate", series, rank, "--statistic", statistic) < 1024
 
 
 def test_listing_is_written_line_by_line():
