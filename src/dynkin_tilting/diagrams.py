@@ -7,6 +7,13 @@ conventional shapes (B1 = A1, D2 = A1 + A1, D3 = A3, E3 = A2 + A1,
 E4 = A4, E5 = D5) before any computation, so downstream code never
 special-cases them.
 
+Root-lattice work runs on one sparse kernel built from the Cartan matrix's
+neighbour lists: a simple reflection s_i changes only coordinate i, from
+the coordinates of i's neighbours.  ``positive_roots`` closes the simple
+roots under the reflections that raise a coordinate, so it never holds a
+negative root.  ``simple_reflection`` keeps the dense definition as the
+tests' oracle.
+
 The B/C distinction: in type B the double-valued edge sits at the branch
 end with ``A[n][n-1] = -2`` (so the indecomposable projective at vertex n
 knits to dimension vector (1,...,1)); type C is the transposed matrix.
@@ -342,7 +349,11 @@ def sink_order(datum: CartanDatum) -> tuple[int, ...]:
 
 
 def simple_reflection(datum: CartanDatum, i: int, coords: Sequence[int]) -> Coords:
-    """Reflect a root-lattice vector at vertex i (an involution)."""
+    """Reflect a root-lattice vector at vertex i (an involution).
+
+    The dense definition, one full row of the Cartan matrix per step; the
+    tests keep it as the oracle for the sparse kernel below.
+    """
     row = datum.cartan[i - 1]
     s = 0
     for j, x in enumerate(coords):
@@ -352,31 +363,61 @@ def simple_reflection(datum: CartanDatum, i: int, coords: Sequence[int]) -> Coor
     return tuple(out)
 
 
+Kernel = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def reflection_kernel(datum: CartanDatum) -> Kernel:
+    """Every simple reflection in sparse form: the Cartan matrix's neighbour lists.
+
+    Entry i holds the pairs (j, -A[i][j]) over the neighbours j of vertex
+    i + 1, all indices 0-based.  The reflection at vertex i + 1 changes only
+    coordinate i, to -x_i + sum(c * x_j for j, c in entry i).
+    """
+    return tuple(tuple((j, -a) for j, a in enumerate(row) if a and j != i) for i, row in enumerate(datum.cartan))
+
+
+def reflect_in_place(kernel: Kernel, word: Iterable[int], x: list[int]) -> None:
+    """Apply the reflections at the 0-based vertices of ``word`` to x, first to last."""
+    for i in word:
+        s = -x[i]
+        for j, c in kernel[i]:
+            s += c * x[j]
+        x[i] = s
+
+
 def is_positive(coords: Sequence[int]) -> bool:
     """True for nonzero vectors with all coordinates >= 0."""
     return all(c >= 0 for c in coords) and any(c > 0 for c in coords)
 
 
 def positive_roots(datum: CartanDatum) -> frozenset[Coords]:
-    """Positive roots: closure of the simple roots under all reflections.
+    """Positive roots: closure of the simple roots under height-raising reflections.
 
-    A connected finite type of rank k has at most max(k², 120) positive
-    roots (k² for B and C, 120 for E8), so a closure that outgrows twice the
-    sum of that bound over the components means the matrix was not of
-    finite type, which build_cartan already excludes.
+    Every positive root other than a simple root alpha_i is s_i of a
+    positive root of smaller height, for some i.  So the closure follows only
+    the reflections that raise their coordinate and never leaves the
+    positive cone.  A connected finite type of rank k has at most
+    max(k², 120) positive roots (k² for B and C, 120 for E8), so a closure
+    that outgrows the sum of that bound over the components means the
+    matrix was not of finite type, which build_cartan already excludes.
     """
     n = datum.n
-    max_roots = 2 * sum(max(len(c) ** 2, 120) for c in datum.shape.components())
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen: set[Coords] = set(simples)
-    work = list(simples)
+    kernel = reflection_kernel(datum)
+    max_roots = sum(max(len(c) ** 2, 120) for c in datum.shape.components())
+    seen: set[Coords] = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+    work = list(seen)
     while work:
         x = work.pop()
-        for i in range(1, n + 1):
-            y = simple_reflection(datum, i, x)
-            if y not in seen:
-                seen.add(y)
-                work.append(y)
+        for i, neighbours in enumerate(kernel):
+            # s_i raises coordinate i exactly when sum(c * x_j) > 2 x_i
+            s = -2 * x[i]
+            for j, c in neighbours:
+                s += c * x[j]
+            if s > 0:
+                y = x[:i] + (x[i] + s,) + x[i + 1 :]
+                if y not in seen:
+                    seen.add(y)
+                    work.append(y)
         if len(seen) > max_roots:
             raise DiagramError("root closure does not terminate: not finite type")
-    return frozenset(x for x in seen if is_positive(x))
+    return frozenset(seen)

@@ -6,7 +6,11 @@ transformation (reflections applied in reversed sink order) tracks the
 inverse Auslander-Reiten translation on dimension vectors.  Iterating it
 from each projective until the vector leaves the positive cone yields the
 full list of indecomposables M(i, u), 0 <= u <= q(i), keyed by orbit
-coordinates.  Everything is verified against the positive-root closure.
+coordinates.  Projectives and orbits are computed in place on one list of
+coordinates with the sparse reflection kernel of ``diagrams``, each step
+touching only the reflected vertex and its neighbours.  The positive-root
+closure runs first: it refuses a datum not of finite type, bounds every
+orbit, and the finished grid is verified against it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import NamedTuple, Optional
 from .diagrams import (
     CartanDatum,
     Coords,
-    is_positive,
     positive_roots,
-    simple_reflection,
+    reflect_in_place,
+    reflection_kernel,
     sink_order,
 )
 
@@ -69,39 +73,42 @@ class ModCategory(NamedTuple):
 
 def tau_minus(datum: CartanDatum, order: tuple[int, ...], coords: Coords) -> Coords:
     """Inverse Coxeter transformation on the root lattice."""
-    x = coords
-    for v in reversed(order):
-        x = simple_reflection(datum, v, x)
-    return x
+    x = list(coords)
+    reflect_in_place(reflection_kernel(datum), [v - 1 for v in reversed(order)], x)
+    return tuple(x)
 
 
 def knit_category(datum: CartanDatum) -> ModCategory:
-    """Build the orbit grid M(i, u) and check it enumerates the positive roots."""
-    n = datum.n
-    order = sink_order(datum)
-    projective: dict[int, Coords] = {}
-    for k, v in enumerate(order):
-        vec: Coords = tuple(1 if j == v - 1 else 0 for j in range(n))
-        for w in reversed(order[:k]):
-            vec = simple_reflection(datum, w, vec)
-        projective[v] = vec
+    """Build the orbit grid M(i, u) and check it enumerates the positive roots.
 
+    The root closure runs first, so a datum not of finite type raises
+    DiagramError before any orbit is followed.
+    """
+    roots = positive_roots(datum)
+    n = datum.n
+    kernel = reflection_kernel(datum)
+    order = [v - 1 for v in sink_order(datum)]
+    coxeter = order[::-1]
     indecs: list[Indec] = []
     q = [0] * n
-    for i in range(1, n + 1):
-        x = projective[i]
-        if not is_positive(x):
-            raise AssertionError(f"projective at vertex {i} knitted outside the positive cone")
+    for k, v in enumerate(order):
+        x = [0] * n
+        x[v] = 1
+        reflect_in_place(kernel, coxeter[n - k :], x)
+        # reflections are invertible, so x is never zero and min(x) >= 0 means positive
+        if min(x) < 0:
+            raise AssertionError(f"projective at vertex {v + 1} knitted outside the positive cone")
         u = 0
-        while is_positive(x):
-            supp = frozenset(j + 1 for j, c in enumerate(x) if c != 0)
-            indecs.append(Indec(i, u, x, supp))
-            x = tau_minus(datum, order, x)
+        while min(x) >= 0:
+            if u == len(roots):
+                raise AssertionError(f"tau-minus orbit of vertex {v + 1} outgrows the {len(roots)} positive roots")
+            dim = tuple(x)
+            indecs.append(Indec(v + 1, u, dim, frozenset(j + 1 for j, c in enumerate(dim) if c)))
+            reflect_in_place(kernel, coxeter, x)
             u += 1
-        q[i - 1] = u - 1
+        q[v] = u - 1
 
     indecs.sort(key=lambda m: m.key)
-    roots = positive_roots(datum)
     dims = [m.dim for m in indecs]
     if len(dims) != len(set(dims)) or set(dims) != roots:
         raise AssertionError(

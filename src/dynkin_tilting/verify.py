@@ -92,12 +92,14 @@ def verify_type(series: str, n: int, orientations: Sequence | None = None) -> Ve
 
     A type with more than MAX_RESULTS result sets is refused before any
     category is built: A14, B12, C12 and D13 verify, A15, B13, C13 and D14
-    do not.
+    do not.  An empty list of orientations raises ValueError: it would
+    leave no check to fail.
     """
+    orientations = ["default"] if orientations is None else list(orientations)
+    if not orientations:
+        raise ValueError("verify_type needs at least one orientation")
     dtype = DynkinType(series, n)
     check_result_budget(dtype)
-    if orientations is None:
-        orientations = ["default"]
     checks: list[Check] = []
     expected_row = _fmt_counts(formulas.a_row(series, n), formulas.a_total(series, n))
     tables: list[tuple[str, CountTable]] = []

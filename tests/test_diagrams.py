@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dynkin_tilting.diagrams import (
     RANK_RANGE,
+    CartanDatum,
     DiagramError,
     DiagramShape,
     DynkinType,
@@ -211,9 +212,9 @@ def _naive_closure(datum):
 
 
 def test_closure_against_naive_oracle():
-    for label in ("A4", "B3", "C3", "D4", "G2", "F4", "E6"):
-        datum = build_cartan(DynkinType.parse(label))
-        assert positive_roots(datum) == frozenset(_naive_closure(datum))
+    for series, n in ALL_TYPES:
+        datum = build_cartan(DynkinType(series, n))
+        assert positive_roots(datum) == frozenset(_naive_closure(datum)), (series, n)
 
 
 def test_root_coordinates_stay_small():
@@ -243,7 +244,9 @@ def test_finite_type_check_accepts_canonical_types():
             _finite_type_check(canonical_shape(DynkinType(series, n)))
 
 
-@pytest.mark.parametrize(
+# every shape here passes DiagramShape's own checks (a forest with valuation
+# products 1, 2 or 3); only the finite-type check can refuse it
+NON_FINITE_SHAPES = pytest.mark.parametrize(
     "shape",
     [
         DiagramShape(3, ((1, 2, 1, 2), (2, 3, 2, 1))),  # affine C2: determinant 0
@@ -253,11 +256,26 @@ def test_finite_type_check_accepts_canonical_types():
     ],
     ids=["affine-C2", "affine-D4", "affine-G2", "star-5"],
 )
+
+
+def hand_built_datum(shape: DiagramShape) -> CartanDatum:
+    """A Cartan datum assembled without build_cartan's finite-type check."""
+    cartan = _cartan_matrix(shape)
+    return CartanDatum("hand-built", shape, default_orientation(shape), cartan, _symmetrizer(shape, cartan))
+
+
+@NON_FINITE_SHAPES
 def test_finite_type_check_rejects_affine_and_indefinite_forests(shape):
-    # every shape here passes DiagramShape's own checks (a forest with
-    # valuation products 1, 2 or 3); only the pivots can refuse it
     with pytest.raises(DiagramError, match="not of finite type"):
         _finite_type_check(shape)
+
+
+@NON_FINITE_SHAPES
+def test_root_closure_refuses_affine_and_indefinite_data(shape):
+    # the closure's own guard, behind build_cartan's check: infinitely many
+    # positive roots outgrow the bound
+    with pytest.raises(DiagramError, match="not finite type"):
+        positive_roots(hand_built_datum(shape))
 
 
 def test_finite_type_check_rejects_bad_matrices():

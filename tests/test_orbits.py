@@ -1,6 +1,8 @@
 """Orbit knitting: projectives, tau-minus orbits, and support grids."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynkin_tilting.diagrams import (
     DiagramError,
@@ -10,11 +12,21 @@ from dynkin_tilting.diagrams import (
     canonical_shape,
     is_positive,
     positive_roots,
+    simple_reflection,
     sink_order,
 )
 from dynkin_tilting.orbits import knit_category, tau_minus
+from tests.test_diagrams import ALL_TYPES, NON_FINITE_SHAPES, hand_built_datum
 
 SMALL_TYPES = ["A1", "A2", "A3", "A5", "B2", "B3", "B4", "C2", "C4", "D2", "D4", "D5", "E6", "F4", "G2"]
+
+# every orientation of every type up to rank 5, and the default E6, E7, E8
+KERNEL_DATA = [
+    build_cartan(DynkinType(series, n), orientation)
+    for series, n in ALL_TYPES
+    if n <= 5
+    for orientation in all_orientations(canonical_shape(DynkinType(series, n)))
+] + [build_cartan(DynkinType("E", n)) for n in (6, 7, 8)]
 
 
 def _cat(label, orientation="default"):
@@ -85,6 +97,25 @@ def test_bijection_with_positive_roots_all_orientations():
             dims = {m.dim for m in cat.indecs}
             assert dims == positive_roots(datum), (label, orientation)
             assert len(cat.indecs) == sum(q + 1 for q in cat.q)
+
+
+@given(st.sampled_from(KERNEL_DATA), st.data())
+@settings(max_examples=300, deadline=None)
+def test_tau_minus_matches_dense_reflections(datum, data):
+    # the sparse kernel against simple_reflection's dense rows, in reversed sink order
+    order = sink_order(datum)
+    coords = tuple(data.draw(st.lists(st.integers(-10, 10), min_size=datum.n, max_size=datum.n)))
+    expected = coords
+    for v in reversed(order):
+        expected = simple_reflection(datum, v, expected)
+    assert tau_minus(datum, order, coords) == expected
+
+
+@NON_FINITE_SHAPES
+def test_knitting_refuses_affine_and_indefinite_data(shape):
+    # tau-minus never leaves the positive cone here: the root closure must refuse first
+    with pytest.raises(DiagramError, match="not finite type"):
+        knit_category(hand_built_datum(shape))
 
 
 def test_orbit_endpoints_are_tight():

@@ -42,6 +42,14 @@ def test_verify_type_rejects_big_ranks(monkeypatch):
     assert "--max-results" not in str(refused.value)
 
 
+@pytest.mark.parametrize("orientations", [[], iter(())], ids=["list", "iterator"])
+def test_verify_type_refuses_no_orientations(monkeypatch, orientations):
+    # no orientation means no check, and "all 0 checks passed" proves nothing
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    with pytest.raises(ValueError, match="at least one orientation"):
+        verify_type("A", 3, orientations)
+
+
 def test_bc_equality_rejects_big_ranks(monkeypatch):
     monkeypatch.setattr(verify, "build_category", _refuse_to_build)
     with pytest.raises(ValueError, match="B13 has 10400600 result sets, above the limit of 10000000"):
