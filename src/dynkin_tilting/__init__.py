@@ -14,7 +14,6 @@ from .diagrams import (
 )
 from .enumeration import (
     CountTable,
-    IndecSet,
     classify_sincere,
     count_tables,
     enumerate_antichains,
@@ -36,7 +35,6 @@ __all__ = [
     "DiagramShape",
     "DynkinType",
     "Indec",
-    "IndecSet",
     "ModCategory",
     "VerificationReport",
     "a_row",

@@ -26,14 +26,17 @@ size equals their support-rank.  Memo states per support top out at 1,420
 0.011 and 0.05-0.08 s, antichain counts about 0.005, 0.008, 0.006-0.01,
 0.004 and 0.043 s; the antichain walk takes about 0.04, 0.11, 0.08, 0.02
 and 0.54 s, the tilting walk 10-12 s on A12.
-Counting builds no IndecSet, and neither does listing_lines: it joins
-labels made once per indecomposable, so a listing costs the walk plus one
-join per result (E8: about 0.07 s of 0.08 s in the walk).
+A set is a (members, support) pair: sorted indices into cat.indecs and the
+union of their supports as a vertex bitmask, the format of Indec.support.
+listing_lines joins labels made once per indecomposable, so a listing costs
+the walk plus one join per result (E8: about 0.07 s of 0.08 s in the walk).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
+from operator import or_
 from typing import Iterator, Literal, NamedTuple
 
 from .diagrams import DiagramError
@@ -41,13 +44,7 @@ from .homs import injective_by_socle, transpose
 from .orbits import Indec, ModCategory
 
 Statistic = Literal["antichain", "tilting"]
-
-
-class IndecSet(NamedTuple):
-    """A set of indecomposables, stored as sorted indices into cat.indecs."""
-
-    members: tuple[int, ...]
-    support: frozenset[int]
+Pair = tuple[tuple[int, ...], int]  # (members, support mask): see the module docstring
 
 
 class CountTable(NamedTuple):
@@ -77,17 +74,7 @@ def _compat_masks(cat: ModCategory, statistic: Statistic) -> list[int]:
     return masks
 
 
-def _vertex_masks(cat: ModCategory) -> list[int]:
-    out = []
-    for ind in cat.indecs:
-        v = 0
-        for j in ind.support:
-            v |= 1 << (j - 1)
-        out.append(v)
-    return out
-
-
-def _walk(cat: ModCategory, statistic: Statistic) -> Iterator[tuple[tuple[int, ...], int]]:
+def _walk(cat: ModCategory, statistic: Statistic) -> Iterator[Pair]:
     """Every set the statistic counts, as (members, support bitmask), in lex order.
 
     Depth-first without recursion.  The walk holds the open level it is
@@ -99,7 +86,7 @@ def _walk(cat: ModCategory, statistic: Statistic) -> Iterator[tuple[tuple[int, .
     no tilting set and is cut.
     """
     comp = _compat_masks(cat, statistic)
-    vmask = _vertex_masks(cat)
+    vmask = [ind.support for ind in cat.indecs]
     tilting = statistic == "tilting"
     yield (), 0
     stack = [((1 << len(cat.indecs)) - 1, 0, ())]
@@ -121,19 +108,14 @@ def _walk(cat: ModCategory, statistic: Statistic) -> Iterator[tuple[tuple[int, .
                 rest, base, path = allowed, supp, members
 
 
-def _indec_sets(cat: ModCategory, statistic: Statistic) -> Iterator[IndecSet]:
-    for members, supp in _walk(cat, statistic):
-        yield IndecSet(members, frozenset(j + 1 for j in range(cat.n) if (supp >> j) & 1))
-
-
-def enumerate_antichains(cat: ModCategory) -> Iterator[IndecSet]:
+def enumerate_antichains(cat: ModCategory) -> Iterator[Pair]:
     """All pairwise Hom-orthogonal sets, empty set included, in lex order."""
-    return _indec_sets(cat, "antichain")
+    return _walk(cat, "antichain")
 
 
-def enumerate_support_tilting(cat: ModCategory) -> Iterator[IndecSet]:
+def enumerate_support_tilting(cat: ModCategory) -> Iterator[Pair]:
     """All Ext-rigid sets whose cardinality equals their support-rank, in lex order."""
-    return _indec_sets(cat, "tilting")
+    return _walk(cat, "tilting")
 
 
 # The recursions below are module-level functions that get their memo as an
@@ -142,15 +124,15 @@ def enumerate_support_tilting(cat: ModCategory) -> Iterator[IndecSet]:
 # collector runs.
 
 
-def _row(u: int, rows: dict[int, list[int]], by_lowest: list[list[tuple[int, int, int, int]]], n: int) -> list[int]:
+def _row(u: int, rows: dict[int, list[int]], by_lowest: list[list[tuple[int, int, int]]], n: int) -> list[int]:
     """F(U) of _component_product, memoized in rows."""
     got = rows.get(u)
     if got is None:
         low = u & -u
         got = _row(u ^ low, rows, by_lowest, n).copy()
-        for c, closure, weight, size in by_lowest[low.bit_length() - 1]:
+        for c, weight, size in by_lowest[low.bit_length() - 1]:
             if not c & ~u:
-                rest = _row(u & ~closure, rows, by_lowest, n)
+                rest = _row(u & ~c, rows, by_lowest, n)
                 for j in range(n + 1 - size):
                     got[j + size] += rest[j] * weight
         rows[u] = got
@@ -191,23 +173,20 @@ def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[in
     one int (coefficient k in bits [k * width, (k + 1) * width)), as a
     product over support components.
 
-    A compatible set with support S splits into one set per connected
-    component C of S, each with support exactly C, and any such choice
-    recombines: Hom needs intersecting supports, and Ext supports that are
-    disjoint and not adjacent.  The connected supports are the distinct root
-    supports.  The weight of C is the compatible sets with support exactly C:
-    those inside C less those on proper subsets of C (Moebius inversion over
-    supports, one term).  The rank row of a vertex set U, with v its lowest
-    vertex and N(C) the neighbours of C, is F(U) = F(U - v) + sum over C
-    with v in C inside U of weight(C) x^|C| F(U - C - N(C)).  Supports are
-    weighed in increasing size, so F(C) found while weighing C holds the
-    sets on proper subsets of C and lacks only C's own term, which is then
-    added in place.
+    The connected supports are the distinct root supports.  The rank row of
+    a vertex set U, with v its lowest vertex, is F(U) = F(U - v) + sum over
+    connected C with v in C inside U of weight(C) x^|C| F(U - C), a sum over
+    the tilings of parts of U by disjoint connected pieces, adjacent or not.
+    The weight of C is whatever makes F(C) equal every compatible set inside
+    C, not the sets with support exactly C.  Supports are weighed in
+    increasing size, so F(C) found while weighing C lacks only C's own term,
+    which is then added in place.  F is then exact on a disconnected U too:
+    each piece lies in one component of U, so F(U) is the product over the
+    components, and so is the count, since Hom needs intersecting supports
+    and Ext supports that are disjoint and not adjacent.
     """
-    vmask = _vertex_masks(cat)
+    vmask = [ind.support for ind in cat.indecs]
     n = cat.n
-    # vertex i and its neighbours: the non-zero entries of Cartan row i
-    near = [sum(1 << j for j, a in enumerate(row) if a) for row in cat.datum.cartan]
     # the modules whose support holds vertex i
     touching = [0] * n
     for y, v in enumerate(vmask):
@@ -215,21 +194,18 @@ def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[in
             if (v >> i) & 1:
                 touching[i] |= 1 << y
     everything = (1 << len(vmask)) - 1
-    by_lowest: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    by_lowest: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     rows = {0: [1] + [0] * n}
     for c in sorted(set(vmask), key=int.bit_count):
         inside = everything
-        closure = 0
         for i in range(n):
-            if (c >> i) & 1:
-                closure |= near[i]
-            else:
+            if not (c >> i) & 1:
                 inside &= ~touching[i]
         size = c.bit_count()
         smaller = _row(c, rows, by_lowest, n)
         weight = _compatible_inside(inside, comp, width, {}) - sum(smaller)
         smaller[size] += weight
-        by_lowest[(c & -c).bit_length() - 1].append((c, closure, weight, size))
+        by_lowest[(c & -c).bit_length() - 1].append((c, weight, size))
     return _row((1 << n) - 1, rows, by_lowest, n)
 
 
@@ -287,7 +263,7 @@ def classify_sincere(cat: ModCategory) -> SincereSplit:
         raise DiagramError("sincere classification needs a connected diagram")
     n = cat.n
     full = (1 << n) - 1
-    sincere_vertex = {k: ind.vertex for k, ind in enumerate(cat.indecs) if len(ind.support) == n}
+    sincere_vertex = {k: ind.vertex for k, ind in enumerate(cat.indecs) if ind.support == full}
     u_count = 0
     v_count = 0
     per_vertex = [0] * (n + 1)
@@ -306,63 +282,76 @@ def classify_sincere(cat: ModCategory) -> SincereSplit:
 
 
 def _is_antichain(cat: ModCategory, members: tuple[int, ...]) -> bool:
+    # row x holds Hom(x, y) for every y, so the members' own rows cover both directions
     assert cat.hom is not None
-    for a, x in enumerate(members):
-        for y in members[a + 1 :]:
-            if (cat.hom[x] >> y) & 1 or (cat.hom[y] >> x) & 1:
-                return False
-    return True
+    mask = sum(1 << x for x in members)
+    return not any(cat.hom[x] & mask & ~(1 << x) for x in members)
 
 
-def eta_map(cat: ModCategory, ac: IndecSet) -> IndecSet:
+def _support_of(cat: ModCategory, members: tuple[int, ...]) -> int:
+    return reduce(or_, (cat.indecs[k].support for k in members), 0)
+
+
+def _check_antichain(cat: ModCategory, ac: Pair) -> None:
+    """ValueError unless the members are strictly increasing indices into
+    cat.indecs that form an antichain, and the support is their union."""
+    members, support = ac
+    if tuple(members) != tuple(sorted(set(members) & set(range(len(cat.indecs))))):
+        raise ValueError("members must be strictly increasing indices into cat.indecs")
+    union = _support_of(cat, members)
+    if support != union:
+        raise ValueError(f"support {support:#b} is not the members' support {union:#b}")
+    if not _is_antichain(cat, members):
+        raise ValueError("input is not an antichain")
+
+
+def eta_map(cat: ModCategory, ac: Pair) -> Pair:
     """Strip the (unique) injective member from a sincere antichain.
 
     Returns the antichain unchanged when it has no injective member; the
     result never contains an injective.  Inverse: eta_inverse.
     """
-    n = cat.n
-    if ac.support != frozenset(range(1, n + 1)):
+    _check_antichain(cat, ac)
+    members, support = ac
+    if support != (1 << cat.n) - 1:
         raise ValueError("eta is defined on sincere antichains only")
-    if not _is_antichain(cat, ac.members):
-        raise ValueError("input is not an antichain")
     injectives = set(cat.injective_slice())
-    inj_members = [k for k in ac.members if k in injectives]
+    inj_members = [k for k in members if k in injectives]
     if len(inj_members) > 1:
         raise AssertionError("sincere antichain with two injectives; conventions broken")
     if not inj_members:
         return ac
-    members = tuple(k for k in ac.members if k != inj_members[0])
-    supp = frozenset().union(*(cat.indecs[k].support for k in members)) if members else frozenset()
-    return IndecSet(members, supp)
+    members = tuple(k for k in members if k != inj_members[0])
+    return members, _support_of(cat, members)
 
 
-def eta_inverse(cat: ModCategory, ac: IndecSet) -> IndecSet:
+def eta_inverse(cat: ModCategory, ac: Pair) -> Pair:
     """Re-insert the injective whose socle sits at the smallest missing vertex."""
+    _check_antichain(cat, ac)
+    members, support = ac
     injectives = set(cat.injective_slice())
-    if any(k in injectives for k in ac.members):
+    if any(k in injectives for k in members):
         raise ValueError("input already contains an injective")
-    n = cat.n
-    full = frozenset(range(1, n + 1))
-    if ac.support == full:
+    missing = ((1 << cat.n) - 1) & ~support
+    if not missing:
         return ac
-    i = min(full - ac.support)
+    i = (missing & -missing).bit_length()  # the smallest missing vertex
     extra = injective_by_socle(cat)[i]
-    members = tuple(sorted(ac.members + (extra,)))
+    members = tuple(sorted(members + (extra,)))
     if not _is_antichain(cat, members):
         raise AssertionError(f"adding the injective at vertex {i} broke the antichain")
-    supp = frozenset().union(*(cat.indecs[k].support for k in members))
-    return IndecSet(members, supp)
+    return members, support | cat.indecs[extra].support
 
 
 def _label(ind: Indec) -> str:
     return f"{ind.vertex},{ind.power}"
 
 
-def format_set(cat: ModCategory, s: IndecSet) -> str:
+def format_set(cat: ModCategory, members: tuple[int, ...]) -> str:
     """One set per line: '-' for the empty set, else space-joined 'i,u' pairs."""
-    if not s.members:
+    if not members:
         return "-"
-    return " ".join(_label(cat.indecs[k]) for k in s.members)
+    return " ".join(_label(cat.indecs[k]) for k in members)
 
 
 def listing_lines(cat: ModCategory, statistic: Statistic) -> Iterator[str]:

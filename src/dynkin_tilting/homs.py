@@ -21,7 +21,7 @@ def hom_nonzero(cat: ModCategory, x: Key, y: Key) -> bool:
     i, u = x
     j, v = y
     cat.indec(i, u), cat.indec(j, v)  # KeyError for an unknown key
-    return u <= v and i in cat.indec(j, v - u).support
+    return u <= v and cat.indec(j, v - u).dim[i - 1] != 0
 
 
 def ext_nonzero(cat: ModCategory, x: Key, y: Key) -> bool:
@@ -53,15 +53,16 @@ def build_matrices(cat: ModCategory) -> ModCategory:
     power below u, where V_u clears it.  The Ext row of M(i, u >= 1) is the
     Hom column of M(i, u - 1), the position just before it.
     """
-    holds = [0] * (cat.n + 1)  # S_i
+    holds = [0] * cat.n  # S_i at i - 1
     at_least = [0] * (max(cat.q) + 1)  # V_u
     for k, ind in enumerate(cat.indecs):
         bit = 1 << k
-        for i in ind.support:
-            holds[i] |= bit
+        for i in range(cat.n):
+            if (ind.support >> i) & 1:
+                holds[i] |= bit
         for u in range(ind.power + 1):
             at_least[u] |= bit
-    hom = tuple((holds[ind.vertex] << ind.power) & at_least[ind.power] for ind in cat.indecs)
+    hom = tuple((holds[ind.vertex - 1] << ind.power) & at_least[ind.power] for ind in cat.indecs)
     cols = transpose(hom)
     ext = tuple(cols[k - 1] if ind.power else 0 for k, ind in enumerate(cat.indecs))
     return cat._replace(hom=hom, ext=ext)

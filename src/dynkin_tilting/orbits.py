@@ -29,12 +29,12 @@ from .diagrams import (
 
 
 class Indec(NamedTuple):
-    """One indecomposable module M(vertex, power) with its dimension vector."""
+    """One indecomposable M(vertex, power): its dimension vector and support mask (bit i - 1 for vertex i)."""
 
     vertex: int
     power: int
     dim: Coords
-    support: frozenset[int]
+    support: int
 
     @property
     def key(self) -> tuple[int, int]:
@@ -103,7 +103,7 @@ def knit_category(datum: CartanDatum) -> ModCategory:
             if u == len(roots):
                 raise AssertionError(f"tau-minus orbit of vertex {v + 1} outgrows the {len(roots)} positive roots")
             dim = tuple(x)
-            indecs.append(Indec(v + 1, u, dim, frozenset(j + 1 for j, c in enumerate(dim) if c)))
+            indecs.append(Indec(v + 1, u, dim, sum(1 << j for j, c in enumerate(dim) if c)))
             reflect_in_place(kernel, coxeter, x)
             u += 1
         q[v] = u - 1

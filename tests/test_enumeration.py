@@ -34,6 +34,11 @@ def _cat(label, orientation="default"):
     return build_category(build_cartan(DynkinType.parse(label), orientation))
 
 
+def _dim_support(m):
+    """The support mask of an indecomposable, read from its dimension vector."""
+    return sum(1 << j for j, c in enumerate(m.dim) if c)
+
+
 def _brute_antichains(cat):
     """Independent oracle: filter all subsets by pairwise Hom-orthogonality."""
     keys = [m.key for m in cat.indecs]
@@ -60,8 +65,10 @@ def _brute_tilting(cat):
                 for a, b in itertools.combinations(combo, 2)
             )
             if rigid:
-                supp = set().union(*(cat.indecs[k].support for k in combo)) if combo else set()
-                if len(combo) == len(supp):
+                supp = 0
+                for k in combo:
+                    supp |= _dim_support(cat.indecs[k])
+                if len(combo) == supp.bit_count():
                     out.append(combo)
     return out
 
@@ -70,25 +77,27 @@ def _recursive_walk(cat, statistic):
     """Reference oracle: the unpruned recursive walker that preceded the
     explicit-stack one.  It visits every compatible set in lex order and keeps,
     for tilting, those whose size equals their support-rank; returns the
-    (members, support) pairs in visiting order."""
+    (members, support mask) pairs in visiting order, with supports read from
+    the dimension vectors."""
     rel = cat.hom if statistic == "antichain" else cat.ext
     m = len(cat.indecs)
+    vmask = [_dim_support(ind) for ind in cat.indecs]
     comp = [
         sum(1 << y for y in range(m) if y != x and not (rel[x] >> y) & 1 and not (rel[y] >> x) & 1) for x in range(m)
     ]
     out = []
 
     def rec(members, allowed, support):
-        if statistic == "antichain" or len(members) == len(support):
+        if statistic == "antichain" or len(members) == support.bit_count():
             out.append((members, support))
         rest = allowed
         while rest:
             low = rest & -rest
             y = low.bit_length() - 1
             rest ^= low
-            rec(members + (y,), allowed & comp[y] & -(low << 1), support | cat.indecs[y].support)
+            rec(members + (y,), allowed & comp[y] & -(low << 1), support | vmask[y])
 
-    rec((), (1 << m) - 1, frozenset())
+    rec((), (1 << m) - 1, 0)
     return out
 
 
@@ -112,13 +121,24 @@ def test_walker_matches_recursive_oracle(statistic, stream):
     for label, orientation in _oracle_cases():
         cat = _cat(label, orientation)
         want = _recursive_walk(cat, statistic)
-        assert [(s.members, s.support) for s in stream(cat)] == want, (label, orientation)
-        by_rank = Counter(len(support) for _, support in want)
+        assert list(stream(cat)) == want, (label, orientation)
+        by_rank = Counter(support.bit_count() for _, support in want)
         by_size = Counter(len(members) for members, _ in want)
         table = count_tables(cat, statistic)
         assert table.by_support_rank == tuple(by_rank[r] for r in range(cat.n + 1)), (label, orientation)
         assert table.by_size == tuple(by_size[k] for k in range(cat.n + 1)), (label, orientation)
         assert table.total == len(want)
+
+
+@pytest.mark.parametrize("stream", [enumerate_antichains, enumerate_support_tilting])
+def test_pair_support_is_union_of_member_supports(stream):
+    for label, orientation in _oracle_cases():
+        cat = _cat(label, orientation)
+        for members, support in stream(cat):
+            union = 0
+            for k in members:
+                union |= cat.indecs[k].support
+            assert support == union, (label, orientation, members)
 
 
 def test_listing_lines_match_format_set():
@@ -128,7 +148,11 @@ def test_listing_lines_match_format_set():
             cat = _cat(label, orientation)
             for statistic, stream in streams.items():
                 lines = list(listing_lines(cat, statistic))
-                assert lines == [format_set(cat, s) + "\n" for s in stream(cat)], (label, orientation, statistic)
+                assert lines == [format_set(cat, members) + "\n" for members, _ in stream(cat)], (
+                    label,
+                    orientation,
+                    statistic,
+                )
                 assert lines[0] == "-\n"
                 assert len(lines) == count_tables(cat, statistic).total
 
@@ -164,12 +188,16 @@ def test_no_ext_between_separated_supports():
     for label in _labels(range(1, 6)):
         for orientation in all_orientations(canonical_shape(DynkinType.parse(label))):
             cat = _cat(label, orientation)
-            near = {i: {i} for i in range(1, cat.n + 1)}
+            near = [1 << i for i in range(cat.n)]  # vertex i + 1 and its neighbours
             for i, j, _, _ in cat.datum.shape.edges:
-                near[i].add(j)
-                near[j].add(i)
+                near[i - 1] |= 1 << (j - 1)
+                near[j - 1] |= 1 << (i - 1)
             for x, y in itertools.permutations(cat.indecs, 2):
-                if not set().union(*(near[i] for i in x.support)) & y.support:
+                reach = 0
+                for i in range(cat.n):
+                    if (x.support >> i) & 1:
+                        reach |= near[i]
+                if not reach & y.support:
                     assert not ext_nonzero(cat, x.key, y.key), (label, orientation, x.key, y.key)
 
 
@@ -356,9 +384,9 @@ def test_listing_is_written_line_by_line():
 
 def test_a2_antichains_by_hand():
     cat = _cat("A2")
-    got = [s.members for s in enumerate_antichains(cat)]
+    got = list(enumerate_antichains(cat))
     # indices: 0 = S1, 1 = S2, 2 = P2; the five antichains, lexicographic
-    assert got == [(), (0,), (0, 1), (1,), (2,)]
+    assert got == [((), 0), ((0,), 0b01), ((0, 1), 0b11), ((1,), 0b10), ((2,), 0b11)]
     table = count_tables(cat, "antichain")
     assert table.by_support_rank == (1, 2, 2)
     assert table.by_size == (1, 3, 1)
@@ -367,9 +395,9 @@ def test_a2_antichains_by_hand():
 
 def test_a2_support_tilting_by_hand():
     cat = _cat("A2")
-    got = [s.members for s in enumerate_support_tilting(cat)]
+    got = list(enumerate_support_tilting(cat))
     # {}, {S1}, {P1,P2}, {S2}, {S2,P2}
-    assert got == [(), (0,), (0, 2), (1,), (1, 2)]
+    assert got == [((), 0), ((0,), 0b01), ((0, 2), 0b11), ((1,), 0b10), ((1, 2), 0b11)]
     table = count_tables(cat, "tilting")
     assert table.by_support_rank == (1, 2, 2)
     assert table.total == 5
@@ -378,12 +406,8 @@ def test_a2_support_tilting_by_hand():
 def test_streams_match_brute_force():
     for label in ["A1", "A3", "B2", "B3", "C3", "D4", "G2", "D2", "E3"]:
         cat = _cat(label)
-        assert sorted(s.members for s in enumerate_antichains(cat)) == sorted(
-            _brute_antichains(cat)
-        ), label
-        assert sorted(s.members for s in enumerate_support_tilting(cat)) == sorted(
-            _brute_tilting(cat)
-        ), label
+        assert sorted(members for members, _ in enumerate_antichains(cat)) == sorted(_brute_antichains(cat)), label
+        assert sorted(members for members, _ in enumerate_support_tilting(cat)) == sorted(_brute_tilting(cat)), label
 
 
 def test_counts_match_formulas_small():
@@ -435,33 +459,56 @@ def test_count_tables_requires_matrices():
 
 
 def test_eta_rejects_non_antichain():
-    from dynkin_tilting.enumeration import IndecSet
-
     cat = _cat("A2")
     # {S1, P2} is sincere but Hom(S1, P2) != 0
-    bogus = IndecSet((0, 2), frozenset({1, 2}))
     with pytest.raises(ValueError, match="not an antichain"):
-        eta_map(cat, bogus)
+        eta_map(cat, ((0, 2), 0b11))
+
+
+def test_eta_inverse_rejects_non_antichain():
+    cat = _cat("A3")
+    injectives = set(cat.injective_slice())
+    x, y = next(
+        (x, y)
+        for x, y in itertools.combinations(range(len(cat.indecs)), 2)
+        if x not in injectives and y not in injectives and (cat.hom[x] >> y) & 1
+    )
+    with pytest.raises(ValueError, match="not an antichain"):
+        eta_inverse(cat, ((x, y), cat.indecs[x].support | cat.indecs[y].support))
+
+
+@pytest.mark.parametrize("eta", [eta_map, eta_inverse])
+def test_eta_rejects_support_contradicting_members(eta):
+    cat = _cat("A2")
+    # S1 is supported on vertex 1 alone; claiming {1, 2} would pass it off
+    # as sincere, claiming nothing as missing both vertices
+    for wrong in (0b11, 0):
+        with pytest.raises(ValueError, match="is not the members' support"):
+            eta(cat, ((0,), wrong))
+
+
+@pytest.mark.parametrize("members", [(1, 0), (0, 0), (3,), (-1,)])
+def test_eta_rejects_members_that_are_not_sorted_indices(members):
+    cat = _cat("A2")
+    for eta in (eta_map, eta_inverse):
+        with pytest.raises(ValueError, match="strictly increasing indices"):
+            eta(cat, (members, 0b11))
 
 
 def test_maximality_inside_support():
     # a support-tilting set cannot be extended within its own support
     for label in ["A3", "A4", "A5", "B3", "B4", "C3", "D4", "D5", "G2"]:
         cat = _cat(label)
-        for s in enumerate_support_tilting(cat):
-            inside = [
-                k
-                for k, m in enumerate(cat.indecs)
-                if k not in s.members and m.support <= s.support
-            ]
+        for members, support in enumerate_support_tilting(cat):
+            inside = [k for k, m in enumerate(cat.indecs) if k not in members and not m.support & ~support]
             for k in inside:
-                extended = s.members + (k,)
+                extended = members + (k,)
                 rigid = all(
                     not ext_nonzero(cat, cat.indecs[a].key, cat.indecs[b].key)
                     and not ext_nonzero(cat, cat.indecs[b].key, cat.indecs[a].key)
                     for a, b in itertools.combinations(extended, 2)
                 )
-                assert not rigid, (label, s.members, k)
+                assert not rigid, (label, members, k)
 
 
 def test_counts_empty_set_once():
@@ -486,17 +533,16 @@ def test_classify_sincere_b4_per_vertex():
 
 def test_eta_roundtrip_b2():
     cat = _cat("B2")
-    full = frozenset({1, 2})
-    sincere = [s for s in enumerate_antichains(cat) if s.support == full]
+    sincere = [s for s in enumerate_antichains(cat) if s[1] == 0b11]
     assert len(sincere) == 3
     injectives = set(cat.injective_slice())
     images = []
     for s in sincere:
         down = eta_map(cat, s)
-        assert not any(k in injectives for k in down.members)
-        assert eta_inverse(cat, down).members == s.members
-        images.append(down.members)
-    no_inj = [s.members for s in enumerate_antichains(cat) if not any(k in injectives for k in s.members)]
+        assert not any(k in injectives for k in down[0])
+        assert eta_inverse(cat, down) == s
+        images.append(down)
+    no_inj = [s for s in enumerate_antichains(cat) if not any(k in injectives for k in s[0])]
     assert sorted(images) == sorted(no_inj)
 
 
@@ -509,16 +555,15 @@ def test_eta_requires_sincere_antichain():
 
 def test_eta_drops_support_when_stripping():
     cat = _cat("B2")
-    full = frozenset({1, 2})
     injectives = set(cat.injective_slice())
-    for s in enumerate_antichains(cat):
-        if s.support == full and any(k in injectives for k in s.members):
-            assert eta_map(cat, s).support != full
+    for members, support in enumerate_antichains(cat):
+        if support == 0b11 and any(k in injectives for k in members):
+            assert eta_map(cat, (members, support))[1] != 0b11
 
 
 def test_format_set():
     cat = _cat("A2")
-    sets = list(enumerate_antichains(cat))
+    sets = [members for members, _ in enumerate_antichains(cat)]
     assert format_set(cat, sets[0]) == "-"
     assert format_set(cat, sets[2]) == "1,0 1,1"
 
@@ -526,6 +571,4 @@ def test_format_set():
 def test_listing_deterministic():
     cat1 = _cat("D4")
     cat2 = _cat("D4")
-    assert [s.members for s in enumerate_antichains(cat1)] == [
-        s.members for s in enumerate_antichains(cat2)
-    ]
+    assert list(enumerate_antichains(cat1)) == list(enumerate_antichains(cat2))

@@ -37,7 +37,7 @@ def sincere_indecomposables(cat):
     """All indecomposables with full support (connected diagrams only)."""
     if not cat.datum.is_connected():
         raise DiagramError("sincere indecomposables are defined for connected diagrams")
-    return [m for m in cat.indecs if len(m.support) == cat.n]
+    return [m for m in cat.indecs if m.support == (1 << cat.n) - 1]
 
 
 def dump_category(cat):
@@ -45,12 +45,13 @@ def dump_category(cat):
 
         i u | d_1 ... d_n | s_1 ... s_k
 
-    with the dimension vector and the sorted support.  Used by golden tests.
+    with the dimension vector and the vertices of the support mask, in
+    increasing order.  Used by golden tests.
     """
     lines = []
     for m in cat.indecs:
         dims = " ".join(str(c) for c in m.dim)
-        supp = " ".join(str(v) for v in sorted(m.support))
+        supp = " ".join(str(v) for v in range(1, cat.n + 1) if (m.support >> (v - 1)) & 1)
         lines.append(f"{m.vertex} {m.power} | {dims} | {supp}")
     return "\n".join(lines) + "\n"
 
@@ -74,10 +75,22 @@ def test_a2_knitting_by_hand():
 
 def test_support_examples():
     cat = _cat("A2")
-    assert cat.indec(2, 0).support == {1, 2}
-    assert cat.indec(1, 0).support == {1}
+    assert cat.indec(2, 0).support == 0b11
+    assert cat.indec(1, 0).support == 0b01
+    assert cat.indec(1, 1).support == 0b10
     b2 = _cat("B2")
-    assert any(b2.indec(2, u).support == {1, 2} for u in range(b2.q[1] + 1))
+    assert any(b2.indec(2, u).support == 0b11 for u in range(b2.q[1] + 1))
+
+
+def test_support_is_the_mask_of_nonzero_dimensions():
+    # bit j of the support is set exactly when coordinate j of dim is nonzero
+    for series, n in ALL_TYPES:
+        dtype = DynkinType(series, n)
+        orientations = all_orientations(canonical_shape(dtype)) if n <= 5 else ["default"]
+        for orientation in orientations:
+            cat = knit_category(build_cartan(dtype, orientation))
+            for m in cat.indecs:
+                assert m.support == sum(1 << j for j, c in enumerate(m.dim) if c), (series, n, orientation, m.key)
 
 
 def test_bn_orbits_are_square():

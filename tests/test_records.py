@@ -7,7 +7,7 @@ import pytest
 
 from dynkin_tilting import build_category
 from dynkin_tilting.diagrams import CartanDatum, DiagramError, DiagramShape, DynkinType, build_cartan
-from dynkin_tilting.enumeration import CountTable, IndecSet, SincereSplit
+from dynkin_tilting.enumeration import CountTable, SincereSplit
 from dynkin_tilting.oeis import BFile, ReconcileResult, TriangleDoc
 from dynkin_tilting.orbits import Indec, ModCategory, knit_category
 from dynkin_tilting.verify import Check, VerificationReport
@@ -22,9 +22,8 @@ _RECORDS = [
     (DynkinType, ("B", 3)),
     (DiagramShape, (2, ((1, 2, 1, 1),))),
     (CartanDatum, (_A2.label, _A2.shape, _A2.orientation, _A2.cartan, _A2.symmetrizer)),
-    (Indec, (1, 0, (1, 0), frozenset({1}))),
+    (Indec, (1, 0, (1, 0), 0b01)),
     (ModCategory, (_A2, _A2_CAT.indecs, _A2_CAT.q, (1, 3, 4), (0, 0, 1))),
-    (IndecSet, ((0, 2), frozenset({1, 2}))),
     (CountTable, ("A2", 2, (1, 2, 2), (1, 3, 1), 5)),
     (SincereSplit, (1, 2, (0, 1, 0))),
     (Check, _CHECK_ARGS),

@@ -56,6 +56,24 @@ def test_bc_equality_rejects_big_ranks(monkeypatch):
         verify_bc_equality(13)
 
 
+# a bound or a table that leaves no check would render "# all 0 checks passed"
+@pytest.mark.parametrize(
+    "suite, arg, match",
+    [
+        (verify_bc_equality, 1, "below 2"),
+        (verify_bc_equality, -3, "below 2"),
+        (verify_sincere_structure, 1, "below 2"),
+        (verify_sincere_structure, 0, "below 2"),
+        (verify.verify_reconcile, {}, "at least one sequence"),
+    ],
+    ids=["bc-1", "bc-minus-3", "sincere-1", "sincere-0", "reconcile-empty"],
+)
+def test_suites_refuse_to_pass_vacuously(monkeypatch, suite, arg, match):
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    with pytest.raises(ValueError, match=match):
+        suite(arg)
+
+
 @pytest.mark.parametrize(
     "series, n",
     [("A", 9), ("A", 10), pytest.param("B", 12, marks=pytest.mark.slow), pytest.param("D", 12, marks=pytest.mark.slow)],
