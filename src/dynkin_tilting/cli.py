@@ -100,9 +100,13 @@ def _count_row(counts: Sequence[int], total: int) -> str:
     return " ".join(str(c) for c in counts) + f" | total {total}"
 
 
-def _cmd_table(args) -> int:
+def _require_rank(args) -> None:
     if args.n > oeis.MAX_ROWS:
-        raise ValueError(f"table rank {args.n} is above the limit of {oeis.MAX_ROWS}")
+        raise ValueError(f"{args.command} rank {args.n} is above the limit of {oeis.MAX_ROWS}")
+
+
+def _cmd_table(args) -> int:
+    _require_rank(args)
     print(_count_row(formulas.a_row(args.series, args.n), formulas.a_total(args.series, args.n)))
     return 0
 
@@ -113,6 +117,7 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _require_rank(args)
     dtype = DynkinType(args.series, args.n)
     try:
         verify.check_result_budget(dtype, args.max_results)

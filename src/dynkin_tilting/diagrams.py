@@ -11,8 +11,9 @@ Root-lattice work runs on one sparse kernel built from the Cartan matrix's
 neighbour lists: a simple reflection s_i changes only coordinate i, from
 the coordinates of i's neighbours.  ``positive_roots`` closes the simple
 roots under the reflections that raise a coordinate, so it never holds a
-negative root.  ``simple_reflection`` keeps the dense definition as the
-tests' oracle.
+negative root; it is the only finite-type test, for every datum, and
+``knit_category`` runs it first.  ``simple_reflection`` keeps the dense
+definition as the tests' oracle.
 
 The B/C distinction: in type B the double-valued edge sits at the branch
 end with ``A[n][n-1] = -2`` (so the indecomposable projective at vertex n
@@ -257,30 +258,6 @@ def _symmetrizer(shape: DiagramShape, cartan: tuple[Coords, ...]) -> tuple[int, 
     return tuple(x // g for x in ints)
 
 
-def _check_finite_type(cartan: tuple[Coords, ...], symmetrizer: tuple[int, ...]) -> None:
-    """Raise unless the symmetrized matrix is symmetric positive definite.
-
-    Sylvester's criterion: every leading principal minor is positive.  In one
-    fraction-free (Bareiss) elimination pass without row swaps the k-th pivot
-    is the k-th leading minor, so the pass stops at the first pivot <= 0.
-    """
-    n = len(cartan)
-    m = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != m[j][i]:
-                raise DiagramError("symmetrizer failed: d_i*A_ij != d_j*A_ji")
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot <= 0:
-            raise DiagramError("Cartan matrix is not of finite type")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-
-
 OrientationSpec = Union[str, Iterable[Arrow]]
 
 
@@ -289,7 +266,8 @@ def build_cartan(dtype: DynkinType, orientation_spec: OrientationSpec = "default
 
     ``orientation_spec`` is either the string ``"default"`` (all arrows point
     towards vertex 1, branches into the chain) or an explicit set of arrows
-    ``(src, dst)`` covering each diagram edge exactly once.
+    ``(src, dst)`` covering each diagram edge exactly once.  The shape is a
+    forest, so every such orientation is acyclic.
     """
     shape = canonical_shape(dtype)
     if isinstance(orientation_spec, str):
@@ -311,11 +289,7 @@ def build_cartan(dtype: DynkinType, orientation_spec: OrientationSpec = "default
             )
         orientation = tuple(sorted(first.values()))
     cartan = _cartan_matrix(shape)
-    symmetrizer = _symmetrizer(shape, cartan)
-    _check_finite_type(cartan, symmetrizer)
-    datum = CartanDatum(dtype.label, shape, orientation, cartan, symmetrizer)
-    sink_order(datum)  # raises if cyclic; forests always pass
-    return datum
+    return CartanDatum(dtype.label, shape, orientation, cartan, _symmetrizer(shape, cartan))
 
 
 def sink_order(datum: CartanDatum) -> tuple[int, ...]:
@@ -399,7 +373,7 @@ def positive_roots(datum: CartanDatum) -> frozenset[Coords]:
     positive cone.  A connected finite type of rank k has at most
     max(k², 120) positive roots (k² for B and C, 120 for E8), so a closure
     that outgrows the sum of that bound over the components means the
-    matrix was not of finite type, which build_cartan already excludes.
+    matrix is not of finite type.  This is the only finite-type test.
     """
     n = datum.n
     kernel = reflection_kernel(datum)

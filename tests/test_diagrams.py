@@ -13,7 +13,6 @@ from dynkin_tilting.diagrams import (
     DiagramShape,
     DynkinType,
     _cartan_matrix,
-    _check_finite_type,
     _symmetrizer,
     all_orientations,
     build_cartan,
@@ -233,6 +232,31 @@ def test_shape_validation_rejects_non_dynkin_data():
         DiagramShape(2, ((1, 2, 1, 1), (1, 2, 1, 1)))  # duplicate edge
 
 
+def _check_finite_type(cartan: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]) -> None:
+    """The tests' oracle for finite type: raise unless the symmetrized matrix
+    is symmetric positive definite.
+
+    Sylvester's criterion: every leading principal minor is positive.  In one
+    fraction-free (Bareiss) elimination pass without row swaps the k-th pivot
+    is the k-th leading minor, so the pass stops at the first pivot <= 0.
+    """
+    n = len(cartan)
+    m = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if m[i][j] != m[j][i]:
+                raise DiagramError("symmetrizer failed: d_i*A_ij != d_j*A_ji")
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            raise DiagramError("Cartan matrix is not of finite type")
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
+
+
 def _finite_type_check(shape: DiagramShape) -> None:
     cartan = _cartan_matrix(shape)
     _check_finite_type(cartan, _symmetrizer(shape, cartan))
@@ -245,7 +269,7 @@ def test_finite_type_check_accepts_canonical_types():
 
 
 # every shape here passes DiagramShape's own checks (a forest with valuation
-# products 1, 2 or 3); only the finite-type check can refuse it
+# products 1, 2 or 3); only the root closure, or the oracle above, refuses it
 NON_FINITE_SHAPES = pytest.mark.parametrize(
     "shape",
     [
@@ -259,7 +283,7 @@ NON_FINITE_SHAPES = pytest.mark.parametrize(
 
 
 def hand_built_datum(shape: DiagramShape) -> CartanDatum:
-    """A Cartan datum assembled without build_cartan's finite-type check."""
+    """A Cartan datum assembled from any shape, not only a canonical one."""
     cartan = _cartan_matrix(shape)
     return CartanDatum("hand-built", shape, default_orientation(shape), cartan, _symmetrizer(shape, cartan))
 
@@ -272,8 +296,8 @@ def test_finite_type_check_rejects_affine_and_indefinite_forests(shape):
 
 @NON_FINITE_SHAPES
 def test_root_closure_refuses_affine_and_indefinite_data(shape):
-    # the closure's own guard, behind build_cartan's check: infinitely many
-    # positive roots outgrow the bound
+    # the only finite-type test in the package: infinitely many positive
+    # roots outgrow the closure's bound
     with pytest.raises(DiagramError, match="not finite type"):
         positive_roots(hand_built_datum(shape))
 

@@ -365,9 +365,9 @@ def _vmhwm_growth_kb(*args):
 
 # counting keeps one memo per support; perfbench's enum-count allows 5%
 # (0.8 MB) more peak RSS, so a count that grows VmHWM by more than 1 MB
-# breaks it.  Measured growth (CPython 3.11): tilting 332 KB on B10, 304 KB
-# on D10 and 460 KB on E8 (its memo for the whole support of 120 modules
-# holds 3,195 states); antichain 296 KB on B10 and 256 KB on E8
+# breaks it.  Measured growth (CPython 3.11): tilting 352 KB on B10, 332 KB
+# on D10 and 488-520 KB on E8 (its memo for the whole support of 120 modules
+# holds 3,210 states); antichain 316 KB on B10 and 176 KB on E8
 @pytest.mark.parametrize(
     "statistic, series, rank",
     [("tilting", "B", "10"), ("tilting", "D", "10"), ("tilting", "E", "8"), ("antichain", "B", "10"), ("antichain", "E", "8")],
@@ -401,6 +401,16 @@ def test_a2_support_tilting_by_hand():
     table = count_tables(cat, "tilting")
     assert table.by_support_rank == (1, 2, 2)
     assert table.total == 5
+
+
+@pytest.mark.parametrize("statistic", ["antichains", "Tilting", ""])
+def test_unknown_statistic_is_refused(statistic):
+    # any other string used to read the Ext masks without the tilting read-out
+    cat = _cat("A3")
+    with pytest.raises(ValueError, match="unknown statistic"):
+        count_tables(cat, statistic)
+    with pytest.raises(ValueError, match="unknown statistic"):
+        next(listing_lines(cat, statistic))
 
 
 def test_streams_match_brute_force():

@@ -56,6 +56,20 @@ def test_bc_equality_rejects_big_ranks(monkeypatch):
         verify_bc_equality(13)
 
 
+def _refuse_to_forecast(*_):
+    raise AssertionError("a rank above the limit reached the result forecast")
+
+
+def test_library_callers_refuse_ranks_above_the_row_cap(monkeypatch):
+    # the forecast of A 10**6 is an integer of about 600,000 digits
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    monkeypatch.setattr(formulas, "a_total", _refuse_to_forecast)
+    with pytest.raises(ValueError, match=r"^A1000000 has rank 1000000, above the rank limit of 1000$"):
+        verify_type("A", 10**6)
+    with pytest.raises(ValueError, match=r"^B9000 has rank 9000, above the rank limit of 1000$"):
+        verify_bc_equality(9000)
+
+
 # a bound or a table that leaves no check would render "# all 0 checks passed"
 @pytest.mark.parametrize(
     "suite, arg, match",
@@ -430,6 +444,27 @@ def test_cli_enumerate_refuses_before_building(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == (
         "error: A20 has 24466267020 result sets, above the limit of 10000000; raise it with --max-results"
+    )
+
+
+@pytest.mark.parametrize("rank", ["1001", "7200"])
+def test_cli_enumerate_refuses_ranks_above_the_row_cap(capsys, monkeypatch, rank):
+    # A7200's forecast used to end in Python's limit on integer string
+    # conversion; no option raises this limit, so none is named
+    monkeypatch.setattr(formulas, "a_total", _refuse_to_forecast)
+    assert run(["enumerate", "A", rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: enumerate rank {rank} is above the limit of 1000"
+
+
+def test_cli_enumerate_rank_1000_reaches_the_forecast(capsys):
+    assert run(["enumerate", "A", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: A1000 has {formulas.a_total('A', 1000)} result sets, above the limit of 10000000; "
+        "raise it with --max-results"
     )
 
 
