@@ -11,8 +11,9 @@ Listings walk: one lexicographic backtracking walk over the indecomposables
 in (vertex, power) order, which for tilting also visits Ext-rigid sets that
 are not results.  Counts walk no set: a set of either statistic is one set
 per connected component of its support, so count_tables weighs each
-connected support once, with one recursion for both statistics, and
-combines the per-support weights over vertex sets.
+connected support once, with one recursion for both statistics and one
+memo shared by every support of a count, and combines the per-support
+weights over vertex sets.
 A set is a (members, support) pair: sorted indices into cat.indecs and the
 union of their supports as a vertex bitmask, the format of Indec.support.
 listing_lines joins labels made once per indecomposable, so a listing costs
@@ -27,7 +28,7 @@ from operator import or_
 from typing import Iterator, Literal, NamedTuple
 
 from .diagrams import DiagramError
-from .homs import injective_by_socle, transpose
+from .homs import ext_columns, hom_columns, injective_by_socle
 from .orbits import Indec, ModCategory
 
 Statistic = Literal["antichain", "tilting"]
@@ -47,18 +48,25 @@ class CountTable(NamedTuple):
         return " ".join(str(c) for c in self.by_support_rank)
 
 
+def _require_matrices(cat: ModCategory) -> None:
+    if cat.hom is None or cat.ext is None:
+        raise ValueError("category matrices not built; call homs.build_matrices first")
+
+
 def _compat_masks(cat: ModCategory, statistic: Statistic) -> list[int]:
     """Bit y of mask x: x != y and neither Hom (antichain) nor Ext (tilting)
     runs between them in either direction, i.e. the complement of row x,
     column x and x itself."""
     if statistic not in ("antichain", "tilting"):
         raise ValueError(f"unknown statistic {statistic!r}; expected 'antichain' or 'tilting'")
-    if cat.hom is None or cat.ext is None:
-        raise ValueError("category matrices not built; call homs.build_matrices first")
-    rel = cat.hom if statistic == "antichain" else cat.ext
-    full = (1 << len(rel)) - 1
+    _require_matrices(cat)
+    full = (1 << len(cat.indecs)) - 1
+    if statistic == "antichain":
+        rows, cols = cat.hom, hom_columns(cat)
+    else:
+        rows, cols = cat.ext, ext_columns(cat)
     masks = []  # a loop, not a comprehension: that would add a call to perfbench's per-layer call counts
-    for x, (row, col) in enumerate(zip(rel, transpose(rel))):
+    for x, (row, col) in enumerate(zip(rows, cols)):
         masks.append(full & ~(row | col | 1 << x))
     return masks
 
@@ -108,9 +116,9 @@ def enumerate_support_tilting(cat: ModCategory) -> Iterator[Pair]:
 
 
 # The recursions below are module-level functions that get their memo as an
-# argument, a fresh one per support.  A nested function that calls itself
-# sits in a reference cycle, so its memo outlives the count until the cycle
-# collector runs.
+# argument, one per count, dropped when the count returns.  A nested
+# function that calls itself sits in a reference cycle, so its memo outlives
+# the count until the cycle collector runs.
 
 
 def _row(u: int, rows: dict[int, list[int]], by_lowest: list[list[tuple[int, int, int]]], n: int) -> list[int]:
@@ -131,15 +139,17 @@ def _row(u: int, rows: dict[int, list[int]], by_lowest: list[list[tuple[int, int
 def _compatible_inside(allowed: int, comp: list[int], width: int, memo: dict[int, int]) -> int:
     """The pairwise compatible sets inside allowed, empty one included, as a
     packed size polynomial; memo holds the count for each mask the recursion
-    meets.
+    meets.  The count depends on the mask alone (comp and width are fixed
+    for a count), so one memo serves every support of a count.
 
     Each module y of allowed, highest first, adds the sets whose highest
-    member is y.  Its masks shrink from the top, so they stay short, and
+    member is y: the counts below each y are summed, then shifted up one
+    size at once.  Its masks shrink from the top, so they stay short, and
     with modules in (vertex, power) order it is faster than lowest first for
-    both statistics: A12 antichains take 16,992 calls against 35,133, A12
-    tilting counts about 0.06 s against 0.10 s (CPython 3.11, 2 vCPUs).
+    both statistics: A12 antichains take 7,201 calls against 12,610, A12
+    tilting counts about 0.03 s against 0.14 s (CPython 3.11, 2 vCPUs).
     """
-    acc = 1
+    acc = 0
     while allowed:
         y = allowed.bit_length() - 1
         allowed ^= 1 << y
@@ -147,8 +157,8 @@ def _compatible_inside(allowed: int, comp: list[int], width: int, memo: dict[int
         got = memo.get(below)
         if got is None:
             got = memo[below] = _compatible_inside(below, comp, width, memo)
-        acc += got << width
-    return acc
+        acc += got
+    return 1 + (acc << width)
 
 
 def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[int]:
@@ -166,7 +176,10 @@ def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[in
     which is then added in place.  F is then exact on a disconnected U too:
     each piece lies in one component of U, so F(U) is the product over the
     components, and so is the count, since Hom needs intersecting supports
-    and Ext supports that are disjoint and not adjacent.
+    and Ext supports that are disjoint and not adjacent.  The modules inside
+    a support include those inside each smaller one, so masks recur across
+    supports; one memo kept for the whole count weighs each mask once (A10
+    tilting: 1,476 recursion calls against 4,806 with a memo per support).
     """
     vmask = [ind.support for ind in cat.indecs]
     n = cat.n
@@ -175,6 +188,7 @@ def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[in
     everything = (1 << len(vmask)) - 1
     by_lowest: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     rows = {0: [1] + [0] * n}
+    memo: dict[int, int] = {}
     for c in sorted(set(vmask), key=int.bit_count):
         inside = everything
         for i in range(n):
@@ -182,7 +196,10 @@ def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[in
                 inside &= ~touching[i]
         size = c.bit_count()
         smaller = _row(c, rows, by_lowest, n)
-        weight = _compatible_inside(inside, comp, width, {}) - sum(smaller)
+        got = memo.get(inside)
+        if got is None:
+            got = memo[inside] = _compatible_inside(inside, comp, width, memo)
+        weight = got - sum(smaller)
         smaller[size] += weight
         by_lowest[(c & -c).bit_length() - 1].append((c, weight, size))
     return _row((1 << n) - 1, rows, by_lowest, n)
@@ -262,7 +279,7 @@ def classify_sincere(cat: ModCategory) -> SincereSplit:
 
 def _is_antichain(cat: ModCategory, members: tuple[int, ...]) -> bool:
     # row x holds Hom(x, y) for every y, so the members' own rows cover both directions
-    assert cat.hom is not None
+    _require_matrices(cat)
     mask = sum(1 << x for x in members)
     return not any(cat.hom[x] & mask & ~(1 << x) for x in members)
 

@@ -9,8 +9,6 @@ never extends and otherwise Ext(M(i,u), Y) matches Hom(Y, M(i,u-1)).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .orbits import ModCategory, knit_category
 
 Key = tuple[int, int]
@@ -31,16 +29,49 @@ def ext_nonzero(cat: ModCategory, x: Key, y: Key) -> bool:
     return u > 0 and hom_nonzero(cat, y, (i, u - 1))
 
 
-def transpose(rows: Sequence[int]) -> list[int]:
-    """Columns of a square bit-matrix (row x, bit y), one pass over its set bits."""
-    cols = [0] * len(rows)
-    for x, row in enumerate(rows):
-        bit = 1 << x
-        while row:
-            low = row & -row
-            row ^= low
-            cols[low.bit_length() - 1] |= bit
+def _projectives(cat: ModCategory) -> list[int]:
+    """The bit of the projective M(i, 0), the first position of orbit i, at i - 1."""
+    return [1 << (end - qi) for end, qi in zip(cat.injective_slice(), cat.q)]
+
+
+def hom_columns(cat: ModCategory) -> list[int]:
+    """Column y of the Hom matrix (bit x: Hom(M_x, M_y) != 0), by recurrence along each orbit.
+
+    Hom(M(i, u), M(j, v)) != 0 means u <= v and i supports M(j, v - u).  For
+    u = 0 these are P(supp M(j, v)), the projectives at the vertices of the
+    support; for u >= 1 they are the members M(i, u - 1) of the column of
+    M(j, v - 1), each shifted one position along its orbit.  So the column
+    of M(j, v) is P(supp M(j, v)) | (column of M(j, v - 1)) << 1.  No bit is
+    shifted past the end of its orbit: that bit would be an injective with
+    a nonzero map to M(j, v - 1).  Over a hereditary algebra the image of
+    that map is injective, so it would split off the indecomposable
+    M(j, v - 1), which is not injective.
+    """
+    n = cat.n
+    firsts = _projectives(cat)
+    cols = []
+    col = 0
+    for ind in cat.indecs:
+        top = 0  # P(supp M)
+        for i in range(n):
+            if (ind.support >> i) & 1:
+                top |= firsts[i]
+        col = top | (col << 1) if ind.power else top
+        cols.append(col)
     return cols
+
+
+def ext_columns(cat: ModCategory) -> list[int]:
+    """Column y of the Ext matrix (bit x: Ext^1(M_x, M_y) != 0).
+
+    Ext(M(i, u), y) != 0 iff u >= 1 and Hom(y, M(i, u - 1)) != 0, so the
+    column of y is its Hom row shifted one position along each orbit,
+    (hom[y] << 1) & V_1 with V_1 the modules of power >= 1: V_1 clears
+    each injective of the row, which the shift carries onto the next
+    orbit's projective or past the last orbit.
+    """
+    lifted = ((1 << len(cat.indecs)) - 1) & ~sum(_projectives(cat))
+    return [(row << 1) & lifted for row in cat.hom]
 
 
 def build_matrices(cat: ModCategory) -> ModCategory:
@@ -51,7 +82,8 @@ def build_matrices(cat: ModCategory) -> ModCategory:
     holds i and V_u those of power >= u, the Hom row of M(i, u) is
     (S_i << u) & V_u: a bit shifted past the end of its orbit lands at a
     power below u, where V_u clears it.  The Ext row of M(i, u >= 1) is the
-    Hom column of M(i, u - 1), the position just before it.
+    Hom column of M(i, u - 1), the position just before it, from
+    hom_columns' recurrence; no bit-matrix is transposed.
     """
     holds = [0] * cat.n  # S_i at i - 1
     at_least = [0] * (max(cat.q) + 1)  # V_u
@@ -63,7 +95,7 @@ def build_matrices(cat: ModCategory) -> ModCategory:
         for u in range(ind.power + 1):
             at_least[u] |= bit
     hom = tuple((holds[ind.vertex - 1] << ind.power) & at_least[ind.power] for ind in cat.indecs)
-    cols = transpose(hom)
+    cols = hom_columns(cat)
     ext = tuple(cols[k - 1] if ind.power else 0 for k, ind in enumerate(cat.indecs))
     return cat._replace(hom=hom, ext=ext)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import dynkin_tilting
+from dynkin_tilting import enumeration
 from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
 from dynkin_tilting.enumeration import (
     _compat_masks,
@@ -363,14 +364,47 @@ def _vmhwm_growth_kb(*args):
     return int(proc.stdout)
 
 
-# counting keeps one memo per support; perfbench's enum-count allows 5%
-# (0.8 MB) more peak RSS, so a count that grows VmHWM by more than 1 MB
-# breaks it.  Measured growth (CPython 3.11): tilting 352 KB on B10, 332 KB
-# on D10 and 488-520 KB on E8 (its memo for the whole support of 120 modules
-# holds 3,210 states); antichain 316 KB on B10 and 176 KB on E8
+# the recursion calls per count, on default orientations: one memo shared
+# by every support of a count.  With a fresh memo per support they were
+# 4,806 (tilting) and 3,801 (antichain) on A10, 5,535 and 2,290 on E8
+@pytest.mark.parametrize(
+    "statistic, label, bound",
+    [("tilting", "A10", 1476), ("antichain", "A10", 1592), ("tilting", "E8", 4216), ("antichain", "E8", 1326)],
+)
+def test_count_work_is_bounded(monkeypatch, statistic, label, bound):
+    inner = enumeration._compatible_inside
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return inner(*args)
+
+    cat = _cat(label)
+    monkeypatch.setattr(enumeration, "_compatible_inside", counted)
+    table = count_tables(cat, statistic)
+    assert table.total == {"A10": 58786, "E8": 25080}[label]
+    assert 0 < calls <= bound
+
+
+# a count keeps one memo, shared by its supports and dropped when it
+# returns; perfbench's enum-count allows 5% (0.8 MB) more peak RSS, so a
+# count that grows VmHWM by more than 1 MB breaks it.  Measured growth
+# (CPython 3.11.7, 2 vCPUs, five runs each): tilting 136-140 KB on A10,
+# 312-316 KB on B10, 432-436 KB on D10 and 412-416 KB on E8; antichain
+# 168-172 KB on A10, 240 KB on B10, 140-144 KB on D10 and 144 KB on E8
 @pytest.mark.parametrize(
     "statistic, series, rank",
-    [("tilting", "B", "10"), ("tilting", "D", "10"), ("tilting", "E", "8"), ("antichain", "B", "10"), ("antichain", "E", "8")],
+    [
+        ("tilting", "A", "10"),
+        ("tilting", "B", "10"),
+        ("tilting", "D", "10"),
+        ("tilting", "E", "8"),
+        ("antichain", "A", "10"),
+        ("antichain", "B", "10"),
+        ("antichain", "D", "10"),
+        ("antichain", "E", "8"),
+    ],
 )
 def test_memo_stays_small(statistic, series, rank):
     assert _vmhwm_growth_kb("enumerate", series, rank, "--statistic", statistic) < 1024
@@ -466,6 +500,16 @@ def test_count_tables_requires_matrices():
     bare = knit_category(build_cartan(DynkinType("A", 2)))
     with pytest.raises(ValueError, match="matrices not built"):
         count_tables(bare, "antichain")
+
+
+@pytest.mark.parametrize("eta", [eta_map, eta_inverse])
+def test_eta_requires_matrices(eta):
+    # the same refusal as count_tables, also under python -O, which strips asserts
+    from dynkin_tilting.orbits import knit_category
+
+    bare = knit_category(build_cartan(DynkinType("A", 2)))
+    with pytest.raises(ValueError, match="matrices not built; call homs.build_matrices first"):
+        eta(bare, ((0,), 0b01))
 
 
 def test_eta_rejects_non_antichain():
