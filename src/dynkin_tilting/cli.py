@@ -13,11 +13,11 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Sequence
+from typing import Sequence, get_args
 
 from . import formulas, oeis, verify
-from .diagrams import DiagramError, DynkinType, build_cartan
-from .enumeration import count_tables, listing_lines
+from .diagrams import SERIES, DiagramError, DynkinType, build_cartan
+from .enumeration import Statistic, count_row, count_tables, listing_lines
 from .homs import build_category
 
 def _parse_orientation(spec: str):
@@ -52,19 +52,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table", help="print one row of closed-form counts")
-    p.add_argument("series", choices=list("ABCDEFG"))
+    p.add_argument("series", choices=SERIES)
     p.add_argument("n", type=int)
 
     p = sub.add_parser("triangle", help="emit a triangle (pretty, csv, or b-file)")
     p.add_argument("name", choices=list(oeis.TRIANGLE_NAMES))
     p.add_argument("--rows", type=int, default=10)
-    p.add_argument("--format", dest="fmt", choices=("pretty", "csv", "bfile"), default="pretty")
+    p.add_argument("--format", dest="fmt", choices=oeis.FORMATS, default="pretty")
 
     p = sub.add_parser("enumerate", help="enumerate one algebra and print count tables")
-    p.add_argument("series", choices=list("ABCDEFG"))
+    p.add_argument("series", choices=SERIES)
     p.add_argument("n", type=int)
     p.add_argument("--orientation", default="default", help="'default' or arrows like '2>1,3>2'")
-    p.add_argument("--statistic", choices=("antichain", "tilting"), default="tilting")
+    p.add_argument("--statistic", choices=get_args(Statistic), default="tilting")
     p.add_argument("--list", action="store_true", dest="listing", help="list every set")
     p.add_argument(
         "--max-results",
@@ -75,9 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite and print the report")
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--quick", action="store_const", const="quick", dest="level")
-    g.add_argument("--full", action="store_const", const="full", dest="level")
-    g.add_argument("--slow", action="store_const", const="slow", dest="level")
+    for level in verify.SUITES:
+        g.add_argument(f"--{level}", action="store_const", const=level, dest="level")
     p.set_defaults(level="full")
     p.add_argument(
         "--max-n",
@@ -95,11 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _count_row(counts: Sequence[int], total: int) -> str:
-    """'c0 c1 ... cn | total N', the row `table` and `enumerate` print."""
-    return " ".join(str(c) for c in counts) + f" | total {total}"
-
-
 def _require_rank(args) -> None:
     if args.n > oeis.MAX_ROWS:
         raise ValueError(f"{args.command} rank {args.n} is above the limit of {oeis.MAX_ROWS}")
@@ -107,7 +101,7 @@ def _require_rank(args) -> None:
 
 def _cmd_table(args) -> int:
     _require_rank(args)
-    print(_count_row(formulas.a_row(args.series, args.n), formulas.a_total(args.series, args.n)))
+    print(count_row(formulas.a_row(args.series, args.n), f"total {formulas.a_total(args.series, args.n)}"))
     return 0
 
 
@@ -129,14 +123,14 @@ def _cmd_enumerate(args) -> int:
         sys.stdout.writelines(listing_lines(cat, args.statistic))
         return 0
     table = count_tables(cat, args.statistic)
-    print("by-support-rank: " + _count_row(table.by_support_rank, table.total))
+    print("by-support-rank: " + count_row(table.by_support_rank, f"total {table.total}"))
     if args.statistic == "antichain":
-        print("by-size:         " + _count_row(table.by_size, table.total))
+        print("by-size:         " + count_row(table.by_size, f"total {table.total}"))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    max_n = args.max_n if args.max_n is not None else verify.SUITE_MAX_N[args.level]
+    max_n = args.max_n if args.max_n is not None else verify.SUITES[args.level].max_n
     # open --out before the suite runs, so a bad path fails before any output
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
         report = verify.run_suite(args.level, max_n=max_n)

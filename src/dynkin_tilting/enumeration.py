@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import reduce
 from math import comb
 from operator import or_
-from typing import Iterator, Literal, NamedTuple
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .diagrams import DiagramError
 from .homs import ext_columns, hom_columns, injective_by_socle
@@ -44,8 +44,13 @@ class CountTable(NamedTuple):
     by_size: tuple[int, ...]
     total: int
 
-    def rank_row(self) -> str:
-        return " ".join(str(c) for c in self.by_support_rank)
+
+def count_row(counts: Iterable[int], total: object = None) -> str:
+    """The counts space-joined, then " | " and the total if one is given:
+    `table` and `enumerate` print 'c0 ... cn | total N', a verify report
+    'c0 ... cn | N', and the orientation check the counts alone."""
+    row = " ".join(map(str, counts))
+    return row if total is None else f"{row} | {total}"
 
 
 def _require_matrices(cat: ModCategory) -> None:

@@ -138,14 +138,26 @@ def _lucas_rows() -> Iterator[Row]:
     return chain([(2,)], _z_rows((1, 2)))
 
 
-# name -> (first row index, b-file index of the first cell, row generator)
-_TRIANGLES: dict[str, tuple[int, int, Callable[[], Iterator[Row]]]] = {
-    "A": (0, 0, _a_rows),
-    "B": (0, 0, _b_rows),
-    "D": (2, 1, _d_rows),
-    "sheared-catalan": (0, 0, _sheared_ballot_rows),
-    "pascal": (0, 0, _pascal_rows),
-    "lucas": (0, 0, _lucas_rows),
+class _Triangle(NamedTuple):
+    """A row generator and the conventions of its triangle; a sequence that
+    is no triangle of its own reads only the generator and the offset."""
+
+    rows: Callable[[], Iterable[Row]]
+    first_row: int = 0  # index of the first generated row
+    offset: int = 0  # b-file index of the first cell
+    first_shown: int = 0  # first row `pretty` prints; the rows before it are open dots
+    sums: bool = False  # `pretty` adds the row-sum column
+    corner: int | None = None  # OEIS value of the open (0,0) corner, noted in b-files and reconcile
+
+
+_TRIANGLES = {
+    "A": _Triangle(_a_rows, sums=True),
+    "B": _Triangle(_b_rows, sums=True),
+    "D": _Triangle(_d_rows, first_row=2, offset=1, first_shown=2, sums=True),
+    "sheared-catalan": _Triangle(_sheared_ballot_rows),
+    "pascal": _Triangle(_pascal_rows),
+    # lucas's corner value 2 is OEIS-only, so `pretty` shows it as a dot
+    "lucas": _Triangle(_lucas_rows, first_shown=1, corner=2),
 }
 
 TRIANGLE_NAMES = tuple(_TRIANGLES)
@@ -157,9 +169,9 @@ def triangle_doc(name: str, rows: int) -> TriangleDoc:
         raise ValueError(f"row count must be within 1..{MAX_ROWS}")
     if name not in _TRIANGLES:
         raise ValueError(f"unknown triangle {name!r}; choose one of {', '.join(TRIANGLE_NAMES)}")
-    first, offset, generate = _TRIANGLES[name]
-    data = tuple(islice(generate(), rows))
-    return TriangleDoc(name, first, data, tuple(map(sum, data)), offset)
+    triangle = _TRIANGLES[name]
+    data = tuple(islice(triangle.rows(), rows))
+    return TriangleDoc(name, triangle.first_row, data, tuple(map(sum, data)), triangle.offset)
 
 
 def triangle_lines(name: str, rows: int, fmt: str) -> Iterator[str]:
@@ -180,16 +192,14 @@ def _pretty_lines(doc: TriangleDoc) -> Iterator[str]:
     # every cell and sum is a nonnegative integer, so the widest is the largest
     width = len(str(max(map(max, doc.rows))))
     sum_width = len(str(max(doc.sums)))
-    with_sums = doc.name in ("A", "B", "D")
-    # rows before the first printed one are open dots: D's rows 0 and 1, and
-    # lucas's corner, whose value 2 is OEIS-only
-    skip = 1 if doc.name == "lucas" else 0
-    first = doc.first_row + skip
+    triangle = _TRIANGLES[doc.name]
+    first = triangle.first_shown
+    skip = first - doc.first_row
     for n in range(first):
         yield f"{n:>3}  " + " ".join(["·".rjust(width)] * (n + 1)) + "\n"
     for n, row, total in zip(count(first), doc.rows[skip:], doc.sums[skip:]):
         body = " ".join(str(v).rjust(width) for v in row)
-        tail = f"  | {str(total).rjust(sum_width)}" if with_sums else ""
+        tail = f"  | {str(total).rjust(sum_width)}" if triangle.sums else ""
         yield f"{n:>3}  {body}{tail}\n"
 
 
@@ -200,8 +210,9 @@ def _csv_lines(doc: TriangleDoc) -> Iterator[str]:
 
 def _bfile_lines(doc: TriangleDoc) -> Iterator[str]:
     yield f"# {doc.name} triangle read by rows, first row {doc.first_row}\n"
-    if doc.name == "lucas":
-        yield "# corner (0,0) uses the OEIS convention value 2\n"
+    corner = _TRIANGLES[doc.name].corner
+    if corner is not None:
+        yield f"# corner (0,0) uses the OEIS convention value {corner}\n"
     idx = doc.offset
     for row in doc.rows:
         # a whole row per string: one write per cell costs more than formatting
@@ -210,6 +221,8 @@ def _bfile_lines(doc: TriangleDoc) -> Iterator[str]:
 
 
 _RENDERERS = {"pretty": _pretty_lines, "csv": _csv_lines, "bfile": _bfile_lines}
+
+FORMATS = tuple(_RENDERERS)
 
 
 # --- sequence generators for reconciliation ---------------------------------
@@ -220,23 +233,23 @@ def _flat(rows: Iterable[Row], terms: int, offset: int) -> list[tuple[int, int]]
     return list(enumerate(islice(chain.from_iterable(rows), terms), offset))
 
 
-# sequence id -> (row generator, index of the first term)
-_SEQUENCES: dict[str, tuple[Callable[[], Iterable[Row]], int]] = {
-    "A009766": (_a_rows, 0),
-    "A059481": (_b_rows, 0),
-    "A241188": (_d_rows, 1),
+# sequence id -> its rows: the five triangles read by rows, and two more
+_SEQUENCES = {
+    "A009766": _TRIANGLES["A"],
+    "A059481": _TRIANGLES["B"],
+    "A241188": _TRIANGLES["D"],
     # OEIS rows T(n,k) = C(n,k) - C(n,k-1), 0 <= k <= n//2: the sheared
     # triangle's row t = n-1, preceded by a lone 1
-    "A008315": (lambda: chain([(1,)], _sheared_ballot_rows()), 0),
-    "A007318": (_pascal_rows, 0),
-    "A029635": (_lucas_rows, 0),
-    "A129869": (lambda: (row[-1:] for row in _d_rows()), 0),
+    "A008315": _Triangle(lambda: chain([(1,)], _sheared_ballot_rows())),
+    "A007318": _TRIANGLES["pascal"],
+    "A029635": _TRIANGLES["lucas"],
+    "A129869": _Triangle(lambda: (row[-1:] for row in _d_rows())),
 }
 
 SEQUENCE_IDS = tuple(sorted(_SEQUENCES))
 
 
-def _sequence(sequence_id: str, terms: int) -> tuple[Callable[[], Iterable[Row]], int]:
+def _sequence(sequence_id: str, terms: int) -> _Triangle:
     if sequence_id not in _SEQUENCES:
         raise ValueError(f"unsupported sequence {sequence_id!r}; known: {', '.join(SEQUENCE_IDS)}")
     if terms < 1:
@@ -319,14 +332,14 @@ def reconcile(sequence_id: str, terms: int, online: bool = False) -> ReconcileRe
 
     The b-file is loaded first, so no more terms are generated than it holds.
     """
-    rows, offset = _sequence(sequence_id, terms)
+    sequence = _sequence(sequence_id, terms)
     bfile = fetch_bfile(sequence_id, online=online)
     if len(bfile.entries) < terms:
         return ReconcileResult(
             sequence_id, terms, False, f"b-file has only {len(bfile.entries)} terms"
         )
-    generated = _flat(rows(), terms, offset)
-    note = " (corner convention 2)" if sequence_id == "A029635" else ""
+    generated = _flat(sequence.rows(), terms, sequence.offset)
+    note = "" if sequence.corner is None else f" (corner convention {sequence.corner})"
     for (gi, gv), (ri, rv) in zip(generated, bfile.entries):
         if (gi, gv) != (ri, rv):
             return ReconcileResult(

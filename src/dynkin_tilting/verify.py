@@ -1,8 +1,8 @@
 """Cross-checks between enumeration, closed forms, and OEIS fixtures.
 
 A report is an ordered list of checks, each carrying expected vs actual
-strings and a pass flag; failures never abort a run.  Reports render as one
-line per check:
+strings; a check passes exactly when the two are equal, and failures never
+abort a run.  Reports render as one line per check:
 
     <id>\t<subject>\t<expected>\t<actual>\t<PASS|FAIL>
 
@@ -17,7 +17,15 @@ from typing import NamedTuple, Sequence
 
 from . import formulas, oeis
 from .diagrams import DynkinType, all_orientations, build_cartan, canonical_shape
-from .enumeration import CountTable, classify_sincere, count_tables, enumerate_antichains, eta_inverse, eta_map
+from .enumeration import (
+    CountTable,
+    classify_sincere,
+    count_row,
+    count_tables,
+    enumerate_antichains,
+    eta_inverse,
+    eta_map,
+)
 from .homs import build_category
 
 ORIENTATION_SAMPLE_SEED = 271828
@@ -31,7 +39,10 @@ class Check(NamedTuple):
     subject: str
     expected: str
     actual: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.expected == self.actual
 
 
 class VerificationReport(NamedTuple):
@@ -59,12 +70,12 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _fmt_counts(counts: Sequence[int], total: int) -> str:
-    return " ".join(str(c) for c in counts) + f" | {total}"
-
-
 def _check(check_id: str, subject: str, expected: object, actual: object) -> Check:
-    return Check(check_id, subject, str(expected), str(actual), str(expected) == str(actual))
+    return Check(check_id, subject, str(expected), str(actual))
+
+
+def _row(table: CountTable) -> str:
+    return count_row(table.by_support_rank, table.total)
 
 
 def _orientation_label(orientation) -> str:
@@ -104,35 +115,27 @@ def verify_type(series: str, n: int, orientations: Sequence | None = None) -> Ve
     dtype = DynkinType(series, n)
     check_result_budget(dtype)
     checks: list[Check] = []
-    expected_row = _fmt_counts(formulas.a_row(series, n), formulas.a_total(series, n))
-    tables: list[tuple[str, CountTable]] = []
+    expected_row = count_row(formulas.a_row(series, n), formulas.a_total(series, n))
+    tables: list[CountTable] = []
     for spec in orientations:
         cat = build_category(build_cartan(dtype, spec))
         label = spec if isinstance(spec, str) else _orientation_label(spec)
         tilt = count_tables(cat, "tilting")
         anti = count_tables(cat, "antichain")
         subject = f"{dtype.label} orientation={label}"
-        checks.append(
-            _check("enum.tilting.rank", subject, expected_row, _fmt_counts(tilt.by_support_rank, tilt.total))
-        )
-        checks.append(
-            _check(
-                "enum.antichain.rank",
-                subject,
-                _fmt_counts(tilt.by_support_rank, tilt.total),
-                _fmt_counts(anti.by_support_rank, anti.total),
-            )
-        )
-        tables.append((label, tilt))
+        checks.append(_check("enum.tilting.rank", subject, expected_row, _row(tilt)))
+        checks.append(_check("enum.antichain.rank", subject, _row(tilt), _row(anti)))
+        tables.append(tilt)
     if len(tables) > 1:
-        base_label, base = tables[0]
-        agree = all(t.by_support_rank == base.by_support_rank for _, t in tables)
+        base = tables[0]
+        agree = all(t.by_support_rank == base.by_support_rank for t in tables)
+        expected = f"all equal to {count_row(base.by_support_rank)}"
         checks.append(
             _check(
                 "enum.orientation.invariance",
                 f"{dtype.label} over {len(tables)} orientations",
-                f"all equal to {base.rank_row()}",
-                f"all equal to {base.rank_row()}" if agree else "orientation tables differ",
+                expected,
+                expected if agree else "orientation tables differ",
             )
         )
     return VerificationReport(tuple(checks))
@@ -163,14 +166,7 @@ def verify_bc_equality(n_max: int) -> VerificationReport:
     for n in range(2, n_max + 1):
         b = count_tables(build_category(build_cartan(DynkinType("B", n))), "tilting")
         c = count_tables(build_category(build_cartan(DynkinType("C", n))), "tilting")
-        checks.append(
-            _check(
-                "enum.bc.equal",
-                f"B{n} vs C{n}",
-                _fmt_counts(b.by_support_rank, b.total),
-                _fmt_counts(c.by_support_rank, c.total),
-            )
-        )
+        checks.append(_check("enum.bc.equal", f"B{n} vs C{n}", _row(b), _row(c)))
     return VerificationReport(tuple(checks))
 
 
@@ -195,8 +191,7 @@ def _family(check_id: str, subject: str, instances) -> Check:
     """Aggregate a family of boolean identity instances into one check."""
     failures = [args for args, ok in instances if not ok]
     expected = "all instances hold"
-    actual = expected if not failures else f"failed at {failures[:5]}"
-    return Check(check_id, subject, expected, actual, not failures)
+    return _check(check_id, subject, expected, f"failed at {failures[:5]}" if failures else expected)
 
 
 def verify_identities(max_n: int) -> VerificationReport:
@@ -292,14 +287,7 @@ def verify_sincere_structure(n_max: int) -> VerificationReport:
             for i in range(1, n + 1)
         )
         checks.append(_check("sincere.per-vertex", f"B{n}", per_expected, split.per_vertex))
-        checks.append(
-            _check(
-                "sincere.total",
-                f"B{n}",
-                formulas.a_s("B", n, n),
-                split.total,
-            )
-        )
+        checks.append(_check("sincere.total", f"B{n}", formulas.a_s("B", n, n), split.total))
         checks.append(_eta_check("B", n, cat))
     for n in range(2, n_max + 2):
         cat = build_category(build_cartan(DynkinType("A", n)))
@@ -362,60 +350,41 @@ def verify_reconcile(terms: dict[str, int] | None = None) -> VerificationReport:
     checks = []
     for sid in sorted(terms):
         res = oeis.reconcile(sid, terms[sid])
-        checks.append(
-            Check(
-                "oeis.reconcile",
-                f"{sid} terms={res.terms}",
-                "prefix agrees",
-                res.detail if not res.passed else "prefix agrees",
-                res.passed,
-            )
-        )
+        actual = "prefix agrees" if res.passed else res.detail
+        checks.append(_check("oeis.reconcile", f"{sid} terms={res.terms}", "prefix agrees", actual))
     return VerificationReport(tuple(checks))
 
 
 # --- suites ------------------------------------------------------------------
 
-# identity-suite bound of each suite when no max_n is given
-SUITE_MAX_N = {"quick": 30, "full": 50, "slow": 50}
-SUITE_NAMES = tuple(SUITE_MAX_N)
+
+class Suite(NamedTuple):
+    max_n: int  # identity-suite bound when no max_n is given
+    types: str  # labels of the types verified at their default orientation, in report order
+    bc_max: int  # rank bound of the B/C-equality and sincere-structure checks
 
 
-def _suite_types(level: str) -> list[tuple[str, int]]:
-    quick = (
-        [("A", n) for n in range(1, 6)]
-        + [("B", n) for n in range(2, 5)]
-        + [("C", n) for n in range(2, 5)]
-        + [("D", n) for n in (4, 5)]
-        + [("F", 4), ("G", 2)]
-    )
-    if level == "quick":
-        return quick
-    full = (
-        [("A", n) for n in range(1, 8)]
-        + [("B", n) for n in range(2, 6)]
-        + [("C", n) for n in range(2, 6)]
-        + [("D", n) for n in (4, 5, 6)]
-        + [("E", 6), ("F", 4), ("G", 2)]
-    )
-    if level == "full":
-        return full
-    return full + [("E", 7), ("E", 8)]
+_FULL_TYPES = "A1 A2 A3 A4 A5 A6 A7 B2 B3 B4 B5 C2 C3 C4 C5 D4 D5 D6 E6 F4 G2"
+SUITES = {
+    "quick": Suite(30, "A1 A2 A3 A4 A5 B2 B3 B4 C2 C3 C4 D4 D5 F4 G2", 4),
+    "full": Suite(50, _FULL_TYPES, 5),
+    "slow": Suite(50, _FULL_TYPES + " E7 E8", 5),
+}
 
 
 def run_suite(level: str = "full", max_n: int | None = None) -> VerificationReport:
     """Assemble and run one verification suite, one check after another."""
-    if level not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {level!r}; choose from {', '.join(SUITE_NAMES)}")
+    if level not in SUITES:
+        raise ValueError(f"unknown suite {level!r}; choose from {', '.join(SUITES)}")
+    suite = SUITES[level]
     if max_n is None:
-        max_n = SUITE_MAX_N[level]
+        max_n = suite.max_n
     _require_identity_bound(max_n)
-    sincere_max = bc_max = 4 if level == "quick" else 5
-    parts = [verify_type(series, n) for series, n in _suite_types(level)]
+    parts = [verify_type(*DynkinType.parse(label)) for label in suite.types.split()]
     parts.append(verify_type("A", 4, orientation_sweep("A", 4)))
     parts.append(verify_type("D", 4, orientation_sweep("D", 4)))
-    parts.append(verify_bc_equality(bc_max))
-    parts.append(verify_sincere_structure(sincere_max))
+    parts.append(verify_bc_equality(suite.bc_max))
+    parts.append(verify_sincere_structure(suite.bc_max))
     parts.append(verify_identities(max_n))
     parts.append(verify_reconcile())
     return VerificationReport(tuple(c for part in parts for c in part.checks))

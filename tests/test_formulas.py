@@ -335,6 +335,24 @@ def test_shear_relations():
                 assert f.shear_check("D", n, s)
 
 
+@pytest.mark.parametrize(
+    "name, cell, check, args",
+    [
+        ("a_s", ("A", 5, 3), f.hook_check, ("A", 5, 3)),  # a_s(n)
+        ("a_s", ("B", 3, 2), f.hook_check, ("B", 4, 2)),  # a_s(n-1)
+        ("a_s", ("D", 6, 3), f.hook_check, ("D", 6, 4)),  # a_{s-1}(n)
+        ("a_s", ("A", 4, 2), f.shear_check, ("A", 4, 2)),
+        ("z_value", ("B", 5, 2), f.shear_check, ("B", 4, 2)),
+    ],
+)
+def test_identity_checks_see_one_wrong_cell(monkeypatch, name, cell, check, args):
+    # the checks look their terms up on the module, so one wrong cell shows
+    assert check(*args)
+    original = getattr(f, name)
+    monkeypatch.setattr(f, name, lambda *a: original(*a) + (a == cell))
+    assert not check(*args)
+
+
 def test_lucas_vs_d_deviation():
     for n in range(2, 40):
         assert f.lucas_vs_d_deviation_check(n)

@@ -25,8 +25,8 @@ from dynkin_tilting.oeis import (
 
 def generate_terms(sequence_id, terms):
     """First `terms` (index, value) pairs of a supported sequence."""
-    rows, offset = oeis._sequence(sequence_id, terms)
-    return oeis._flat(rows(), terms, offset)
+    sequence = oeis._sequence(sequence_id, terms)
+    return oeis._flat(sequence.rows(), terms, sequence.offset)
 
 
 def _values(bfile):

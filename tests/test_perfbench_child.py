@@ -4,7 +4,8 @@ perfbench/child.py wraps package functions by name (SpanTracer) and counts
 calls into enumeration.py (CallCounter); a refactor that renames or reshapes
 what they wrap would only show up in a traced benchmark run.  This runs one
 small command in each mode and checks that stdout is untouched and the
-per-layer counts are reported.
+per-layer counts are reported, and checks under span tracing the commands
+that reach the wrapped triangle and verify functions.
 """
 
 import json
@@ -13,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dynkin_tilting
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -20,10 +23,10 @@ COMMAND = ["cli", "enumerate", "A", "3", "--statistic", "antichain"]
 MARKER = "@perfbench "
 
 
-def _run(mode):
+def _run(mode, command=COMMAND):
     env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, str(CHILD), mode, *COMMAND], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, str(CHILD), mode, *command], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, (mode, proc.stderr)
     last = proc.stderr.splitlines()[-1]
@@ -42,3 +45,18 @@ def test_child_runs_in_every_trace_mode():
     assert spans["self_s"]["homs.build_matrices"] > 0
     assert calls["counts"]["enumeration.antichain.calls"] > 0
     assert calls["counts"]["enumeration.antichain.sets"] == 14
+
+
+@pytest.mark.parametrize(
+    "command, layer",
+    [
+        (["cli", "triangle", "D", "--rows", "4"], "oeis.triangle_doc"),
+        (["cli", "verify", "--quick"], "verify"),
+    ],
+    ids=["triangle", "verify"],
+)
+def test_spans_leave_stdout_alone(command, layer):
+    plain, _ = _run("plain", command)
+    traced, spans = _run("spans", command)
+    assert traced == plain
+    assert layer in spans["self_s"]

@@ -14,7 +14,7 @@ from dynkin_tilting.verify import Check, VerificationReport
 
 _A2 = build_cartan(DynkinType("A", 2))
 _A2_CAT = knit_category(_A2)
-_CHECK_ARGS = ("type", "A2", "1 2 2 | 5", "1 2 2 | 5", True)
+_CHECK_ARGS = ("type", "A2", "1 2 2 | 5", "1 2 2 | 5")
 _CHECK = Check(*_CHECK_ARGS)
 
 # one argument tuple per class, in constructor order

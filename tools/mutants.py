@@ -1,0 +1,271 @@
+"""Run a list of one-line mutants of the package; each must fail its tests.
+
+Every mutant replaces one line of a file under src/dynkin_tilting/ (matched
+with its indentation stripped, and required to occur exactly once) in a
+copy of the repository made in a temporary directory, then runs the named
+tests there.  A mutant is killed when pytest reports failing tests (exit
+code 1); an exit for any other reason, such as a collection error or no
+test selected, counts as surviving, so a broken mutant cannot pass as
+killed.  Each set of tests first runs once on the unchanged copy and must
+pass there, so a test that fails anyway kills nothing.  Standard library
+and pytest only.
+
+    python tools/mutants.py          # each mutant against its own tests
+    python tools/mutants.py --tier1  # each mutant against the whole suite
+
+Exits 0 when every mutant run is killed, 1 when one survives, 2 when a
+mutant's line is not found exactly once or its tests fail unchanged.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "tools", "pyproject.toml")
+TIER1 = ("--continue-on-collection-errors",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/dynkin_tilting
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest arguments that must fail
+
+
+_FAULTS = "tests/test_verify_faults.py"
+_COUNTS = "tests/test_enumeration.py"
+
+MUTANTS = (
+    # --- report checks that once printed PASS whatever their actual side read
+    Mutant(
+        "check-passes",
+        "verify.py",
+        "return self.expected == self.actual",
+        "return True",
+        (_FAULTS,),
+    ),
+    Mutant(
+        "check-ignores-actual",
+        "verify.py",
+        "return Check(check_id, subject, str(expected), str(actual))",
+        "return Check(check_id, subject, str(expected), str(expected))",
+        (_FAULTS,),
+    ),
+    Mutant(
+        "tilting-rank-self",
+        "verify.py",
+        'checks.append(_check("enum.tilting.rank", subject, expected_row, _row(tilt)))',
+        'checks.append(_check("enum.tilting.rank", subject, expected_row, expected_row))',
+        (_FAULTS,),
+    ),
+    Mutant(
+        "antichain-rank-self",
+        "verify.py",
+        'checks.append(_check("enum.antichain.rank", subject, _row(tilt), _row(anti)))',
+        'checks.append(_check("enum.antichain.rank", subject, _row(tilt), _row(tilt)))',
+        (_FAULTS,),
+    ),
+    Mutant(
+        "orientations-agree",
+        "verify.py",
+        "agree = all(t.by_support_rank == base.by_support_rank for t in tables)",
+        "agree = True",
+        (_FAULTS,),
+    ),
+    Mutant(
+        "bc-equal",
+        "verify.py",
+        'checks.append(_check("enum.bc.equal", f"B{n} vs C{n}", _row(b), _row(c)))',
+        'checks.append(_check("enum.bc.equal", f"B{n} vs C{n}", _row(b), _row(b)))',
+        (_FAULTS,),
+    ),
+    Mutant(
+        "sincere-u-self",
+        "verify.py",
+        'checks.append(_check("sincere.u", f"B{n}", u_expected, split.u_count))',
+        'checks.append(_check("sincere.u", f"B{n}", u_expected, u_expected))',
+        (_FAULTS,),
+    ),
+    Mutant(
+        "eta-bijective",
+        "verify.py",
+        "bijective = ok and sorted(images) == sorted(no_injective)",
+        "bijective = True",
+        (_FAULTS,),
+    ),
+    Mutant(
+        "hook-true",
+        "formulas.py",
+        "return a_s(series, n, s) == _a_or_zero(series, n - 1, s) + a_s(series, n, s - 1)",
+        "return True",
+        ("tests/test_formulas.py", "-k", "one_wrong_cell"),
+    ),
+    Mutant(
+        "shear-ab-true",
+        "formulas.py",
+        "return a_s(series, n, s) == z_value(series, n + s - 1, s)",
+        "return True",
+        ("tests/test_formulas.py", "-k", "one_wrong_cell"),
+    ),
+    # --- report checks that tier-1 already failed on
+    Mutant(
+        "report-passes",
+        "verify.py",
+        "return all(c.passed for c in self.checks)",
+        "return True",
+        (_FAULTS, "tests/test_verify_cli.py"),
+    ),
+    Mutant(
+        "family-ignores-failures",
+        "verify.py",
+        "failures = [args for args, ok in instances if not ok]",
+        "failures = []",
+        ("tests/test_verify_cli.py", "-k", "failing_identity or stale_partial_sums"),
+    ),
+    Mutant(
+        "summation-true",
+        "formulas.py",
+        "return _row_sums(series, n)[s] == a_s(series, n + 1, s)",
+        "return True",
+        ("tests/test_verify_cli.py", "-k", "stale_partial_sums"),
+    ),
+    Mutant(
+        "reconcile-passes",
+        "verify.py",
+        'actual = "prefix agrees" if res.passed else res.detail',
+        'actual = "prefix agrees"',
+        (_FAULTS, "tests/test_verify_cli.py", "-k", "fixture or failing_check"),
+    ),
+    Mutant(
+        "eta-top-missing-vertex",
+        "enumeration.py",
+        "i = (missing & -missing).bit_length()  # the smallest missing vertex",
+        "i = missing.bit_length()",
+        (_COUNTS, "-k", "eta"),
+    ),
+    Mutant(
+        "budget-at-limit",
+        "verify.py",
+        "if forecast > limit:",
+        "if forecast >= limit:",
+        ("tests/test_verify_cli.py", "-k", "max_results"),
+    ),
+    Mutant(
+        "sweep-samples-nine",
+        "verify.py",
+        "return rng.sample(orientations, 10)",
+        "return rng.sample(orientations, 9)",
+        ("tests/test_verify_cli.py", "-k", "sweep_sample"),
+    ),
+    # --- the count side
+    Mutant(
+        "ext-one-direction",
+        "enumeration.py",
+        "rows, cols = cat.ext, ext_columns(cat)",
+        "rows, cols = cat.ext, cat.ext",
+        (_COUNTS,),
+    ),
+    Mutant(
+        "moebius-cut",
+        "enumeration.py",
+        "weight = got - sum(smaller)",
+        "weight = got",
+        (_COUNTS,),
+    ),
+    Mutant(
+        "ext-columns-keep-injectives",
+        "homs.py",
+        "return [(row << 1) & lifted for row in cat.hom]",
+        "return [row << 1 for row in cat.hom]",
+        ("tests/test_homs.py",),
+    ),
+    Mutant(
+        "support-from-injective",
+        "enumeration.py",
+        "touching = [cat.hom[end - qi] for end, qi in zip(cat.injective_slice(), cat.q)]",
+        "touching = [cat.hom[end] for end, qi in zip(cat.injective_slice(), cat.q)]",
+        (_COUNTS,),
+    ),
+    Mutant(
+        "tilting-diagonal-low",
+        "enumeration.py",
+        "by_rank = by_size = [(packed[s] >> (s * width)) & field for s in range(n + 1)]",
+        "by_rank = by_size = [(packed[s] >> ((s - 1) * width)) & field for s in range(n + 1)]",
+        (_COUNTS,),
+    ),
+    Mutant(
+        "width-two-bits-short",
+        "enumeration.py",
+        "width = sum(comb(m, k) for k in range(n + 1)).bit_length()",
+        "width = sum(comb(m, k) for k in range(n + 1)).bit_length() - 2",
+        (_COUNTS,),
+    ),
+)
+
+
+def _hits(lines: list[str], old: str) -> list[int]:
+    return [i for i, line in enumerate(lines) if line.strip() == old]
+
+
+def _mutate(path: Path, old: str, new: str) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    (i,) = _hits(lines, old)
+    lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + new + "\n"
+    path.write_text("".join(lines))
+
+
+def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
+    """The pytest exit code of `tests` on a copy, with the mutant applied if one is given."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, work / name, ignore=ignore)
+            else:
+                shutil.copy2(source, work / name)
+        if mutant is not None:
+            _mutate(work / "src" / "dynkin_tilting" / mutant.path, mutant.old, mutant.new)
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        done = subprocess.run(command, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return done.returncode
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Check that every listed mutant fails its tests.")
+    parser.add_argument("--tier1", action="store_true", help="run the whole test suite on each mutant")
+    args = parser.parse_args(argv)
+    for mutant in MUTANTS:
+        hits = len(_hits((ROOT / "src" / "dynkin_tilting" / mutant.path).read_text().splitlines(), mutant.old))
+        if hits != 1:
+            print(f"stale mutant {mutant.name}: {hits} lines of {mutant.path} read {mutant.old!r}")
+            return 2
+    for tests in dict.fromkeys(TIER1 if args.tier1 else m.tests for m in MUTANTS):
+        code = run_tests(tests)
+        if code != 0:
+            print(f"unchanged copy fails (pytest exit {code}): {' '.join(tests)}")
+            return 2
+    survivors = []
+    for mutant in MUTANTS:
+        code = run_tests(TIER1 if args.tier1 else mutant.tests, mutant)
+        verdict = "killed" if code == 1 else f"SURVIVED (pytest exit {code})"
+        print(f"{verdict}  {mutant.name}", flush=True)
+        if code != 1:
+            survivors.append(mutant.name)
+    print(f"# {len(survivors)} of {len(MUTANTS)} mutants survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
