@@ -8,24 +8,27 @@ The two statistics differ only in a per-element compatibility bitmask:
     the support algebra).
 
 Listings walk: one lexicographic backtracking walk over the indecomposables
-in (vertex, power) order, which for tilting also visits Ext-rigid sets that
-are not results.  Counts walk no set: a set of either statistic is one set
-per connected component of its support, so count_tables weighs each
-connected support once, with one recursion for both statistics and one
-memo shared by every support of a count, and combines the per-support
-weights over vertex sets.
+in (vertex, power) order.  For tilting it also visits Ext-rigid sets that
+are not results; it cuts a branch, and ends a level's loop, once too few
+candidates are left to close the rank deficit |supp T| - |T| (see _walk).
+Counts walk no set: a set of either statistic is one set per connected
+component of its support, so count_tables weighs each connected support
+once, with one recursion for both statistics and one memo shared by every
+support of a count, and combines the per-support weights over vertex sets.
 A set is a (members, support) pair: sorted indices into cat.indecs and the
 union of their supports as a vertex bitmask, the format of Indec.support.
-listing_lines joins labels made once per indecomposable, so a listing costs
-the walk plus one join per result.
+listing_lines grows each line label by label along the walk's path, so a
+listing costs the walk plus one string concatenation per node that yields or
+descends.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from math import comb
-from operator import or_
-from typing import Iterable, Iterator, Literal, NamedTuple
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .diagrams import DiagramError
 from .homs import ext_columns, hom_columns, injective_by_socle
@@ -76,38 +79,54 @@ def _compat_masks(cat: ModCategory, statistic: Statistic) -> list[int]:
     return masks
 
 
-def _walk(cat: ModCategory, statistic: Statistic) -> Iterator[Pair]:
-    """Every set the statistic counts, as (members, support bitmask), in lex order.
+def _walk(
+    cat: ModCategory, statistic: Statistic, root: Sequence = (), steps: list | None = None, ends: list | None = None
+) -> Iterator[tuple[Sequence, int]]:
+    """Every set the statistic counts, as (path, support bitmask), in lex order.
 
     Depth-first without recursion.  The walk holds the open level it is
-    extending (untried candidates, support, members) and a stack of the open
-    levels above it; descending pushes the current level only if it still
-    has candidates.  A set is support-tilting when its rank deficit
-    |supp T| - |T| is 0; each added member raises |T| by one and |supp T| by
-    at least zero, so a branch with fewer candidates than its deficit holds
-    no tilting set and is cut.
+    extending (untried candidates, support, path, size of its children,
+    deficit) and a stack of the open levels above it; descending pushes the
+    current level only if it still has candidates.  A set T is
+    support-tilting when its rank deficit d = |supp T| - |T| is 0; each
+    added member raises |T| by one and |supp T| by at least zero, so a
+    child of T has deficit at least d - 1, and a branch with fewer
+    candidates than its deficit holds no tilting set and is cut.  A level
+    of deficit d >= 2 also stops once fewer than d of its candidates
+    remain: each later child has deficit at least d - 1 >= 1, so it is no
+    result, and its candidates are those left after it, at most d - 2, so
+    it is cut.  (At d = 1 the stop would need an empty candidate set, which
+    already ends the loop.)
+
+    The path of the empty set is root; a node that descends extends its
+    parent's path by steps[y], and a result closes it with ends[y].  Both
+    default to the 1-tuple (y,), so the path is the sorted member indices.
+    Paths are built only for nodes that yield or descend.
     """
     comp = _compat_masks(cat, statistic)
     vmask = [ind.support for ind in cat.indecs]
     tilting = statistic == "tilting"
-    yield (), 0
-    stack = [((1 << len(cat.indecs)) - 1, 0, ())]
+    if steps is None:
+        steps = ends = [(y,) for y in range(len(vmask))]
+    yield root, 0
+    stack = [((1 << len(vmask)) - 1, 0, root, 1, 0)]
     while stack:
-        rest, base, path = stack.pop()
+        rest, base, path, size, need = stack.pop()
         while rest:
+            if need > 1 and rest.bit_count() < need:
+                break
             low = rest & -rest
             rest ^= low
             y = low.bit_length() - 1
-            members = path + (y,)
-            supp = base | vmask[y]
-            deficit = supp.bit_count() - len(members) if tilting else 0
-            if not deficit:
-                yield members, supp
             allowed = rest & comp[y]
+            supp = base | vmask[y]
+            deficit = supp.bit_count() - size if tilting else 0
+            if not deficit:
+                yield path + ends[y], supp
             if allowed and allowed.bit_count() >= deficit:
                 if rest:
-                    stack.append((rest, base, path))
-                rest, base, path = allowed, supp, members
+                    stack.append((rest, base, path, size, need))
+                rest, base, path, size, need = allowed, supp, path + steps[y], size + 1, deficit
 
 
 def enumerate_antichains(cat: ModCategory) -> Iterator[Pair]:
@@ -357,7 +376,9 @@ def format_set(cat: ModCategory, members: tuple[int, ...]) -> str:
 
 def listing_lines(cat: ModCategory, statistic: Statistic) -> Iterator[str]:
     """Every set the statistic counts as a newline-terminated format_set line,
-    in lex order, one string per set, straight from the walk."""
+    in lex order, one string per set, straight from the walk: a line is
+    grown label by label along the walk's path, with no join per set."""
     labels = [_label(ind) for ind in cat.indecs]
-    for members, _ in _walk(cat, statistic):
-        yield " ".join([labels[k] for k in members]) + "\n" if members else "-\n"
+    walk = _walk(cat, statistic, "", [f"{label} " for label in labels], [f"{label}\n" for label in labels])
+    next(walk)  # the empty set, whose path is ""; raises here on an unknown statistic
+    return chain(("-\n",), map(itemgetter(0), walk))

@@ -434,6 +434,26 @@ def test_cli_enumerate_listing_bytes(capsys, args, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# the four listings of perfbench's enum-list workload at the default
+# orientation, as the workload spells them (it checks line counts only),
+# pinned before the walk stopped levels early; the line count is checked
+# first, so a failure tells sets missing or added from bytes changed
+_BENCHMARK_LISTINGS = [
+    ("E 8 --statistic tilting", "4e0be3a5f1b1e20f52a8933e54602392e1804ef3d8fb0ffbc00ec2bee1d3d679", 25080),
+    ("A 10 --statistic antichain", "1d856a80dde3ec7a8423523fcfeb0857c5dd15a9d9750f8c6c31d86fecc48433", 58786),
+    ("D 8 --statistic tilting", "0f94128eab39b381ce486f07ffc32a930a2de883ee38275281095ed3acb3546f", 9438),
+    ("B 7 --statistic tilting", "6126434e8265b39e7d2492d04e01812d4a63b63aaa7c16b28e7e6e1abba58a43", 3432),
+]
+
+
+@pytest.mark.parametrize("args, digest, lines", _BENCHMARK_LISTINGS)
+def test_cli_enumerate_benchmark_listings(capsys, args, digest, lines):
+    assert run(["enumerate", *args.split(), "--list"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cli_enumerate_refuses_before_building(capsys, monkeypatch):
     def build_category(*_):
         raise AssertionError("a refused enumeration built its category")

@@ -166,6 +166,14 @@ MUTANTS = (
         "return rng.sample(orientations, 9)",
         ("tests/test_verify_cli.py", "-k", "sweep_sample"),
     ),
+    # --- the listing walk
+    Mutant(
+        "walk-stop-one-early",
+        "enumeration.py",
+        "if need > 1 and rest.bit_count() < need:",
+        "if need > 1 and rest.bit_count() <= need:",
+        (_COUNTS, "-k", "walker or listing"),
+    ),
     # --- the count side
     Mutant(
         "ext-one-direction",
