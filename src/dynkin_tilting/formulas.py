@@ -19,6 +19,19 @@ Series tables (a_s = count at support-rank s, a = row total):
   D_n:  a_s = [n+s-2 over s] for s<n,   a_n = [2n-2 over n-2],  a = [2n-1 over n-1]
   E/F/G: fixed exceptional rows below.
 
+Identity regions, as least n (t for the z triangles) per series and the
+range of s; series E ends at its last rank, 8:
+
+  hook_check                   A1 B2 D3 E4   1 <= s <= n - 0/1/2/3
+  modified_hook_check          D3 E4
+  summation_check              A1 B1 D2      1 <= s <= n - 1
+  total_split_check, diagonal_checks          A1 B1 D2
+  comparison_check, b_decomposition_check, lucas_vs_d_deviation_check   n >= 2
+  z_recursion_check            A1 B1 D2      1 <= s <= (t+1)//2, t, t
+  hockey_stick_check           A1 B1 D2      1 <= s <= t//2, t-1, t-2
+  z_boundary_check             A0 B0 D1
+  shear_check                  A1 B1 D2      0 <= s <= n, n, n-1; n+s >= 3
+
 Admissible ranks are those of ``diagrams.RANK_RANGE`` plus the empty types
 A_0 and B_0, whose row is (1,); the enumeration side has no rank-0 diagram.
 Degenerate-rank conventions shared with the enumeration side: B_1 = A_1;
@@ -31,7 +44,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb
+from math import comb, inf
+from typing import Iterator
 
 from .diagrams import RANK_RANGE
 
@@ -153,7 +167,48 @@ def a_row(series: str, n: int) -> tuple[int, ...]:
 
 # --- identities -------------------------------------------------------------
 
-HOOK_BOUNDS = {"A": (1, 0), "B": (2, 1), "D": (3, 2), "E": (4, 3)}  # (min n, c)
+# The identity regions of the module docstring, admitted by each check's guard
+# and run by verify.verify_identities: per series (None for a check of n alone)
+# the least n, or (least n, least s, c, d, corner) for a check that takes s,
+# admitting least s <= s <= (n - c) // d and n + s >= corner.
+_REGIONS = {
+    "hook_check": {"A": (1, 1, 0, 1, 0), "B": (2, 1, 1, 1, 0), "D": (3, 1, 2, 1, 0), "E": (4, 1, 3, 1, 0)},
+    "modified_hook_check": {"D": 3, "E": 4},
+    "summation_check": {"A": (1, 1, 1, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 1, 1, 0)},
+    "total_split_check": {"A": 1, "B": 1, "D": 2},
+    "comparison_check": {None: 2},
+    "diagonal_checks": {"A": 1, "B": 1, "D": 2},
+    "b_decomposition_check": {None: 2},
+    "lucas_vs_d_deviation_check": {None: 2},
+    "z_recursion_check": {"A": (1, 1, -1, 2, 0), "B": (1, 1, 0, 1, 0), "D": (2, 1, 0, 1, 0)},
+    "hockey_stick_check": {"A": (1, 1, 0, 2, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)},
+    "z_boundary_check": {"A": 0, "B": 0, "D": 1},
+    # n + s >= 3 drops (D, 2, 0): the Lucas triangle has no row t = 0
+    "shear_check": {"A": (1, 0, 0, 1, 0), "B": (1, 0, 0, 1, 0), "D": (2, 0, 1, 1, 3)},
+}
+_NOWHERE = (inf,) * 5  # the region of a series a check does not cover
+
+
+def _outside(name: str, *args) -> ValueError:
+    return ValueError(f"{name}{args} lies outside the check's argument region")
+
+
+def _last(series: str | None, max_n: int) -> int:
+    """The largest n of a suite run to max_n: the last rank of a series with one."""
+    return (series and RANK_RANGE[series][1]) or max_n
+
+
+def _instances(name: str, series: str | None, max_n: int) -> Iterator[tuple]:
+    """The region of check `name` up to max_n, of one series if given, in series, n, s order."""
+    for key, row in _REGIONS[name].items():
+        if series in (None, key):
+            if isinstance(row, int):
+                yield from ((n,) if key is None else (key, n) for n in range(row, _last(key, max_n) + 1))
+            else:
+                least, lo, c, d, corner = row
+                for n in range(least, _last(key, max_n) + 1):
+                    for s in range(max(lo, corner - n), (n - c) // d + 1):
+                        yield key, n, s
 
 
 def _a_or_zero(series: str, n: int, s: int) -> int:
@@ -162,12 +217,10 @@ def _a_or_zero(series: str, n: int, s: int) -> int:
 
 
 def hook_check(series: str, n: int, s: int) -> bool:
-    """a_s(n) = a_s(n-1) + a_{s-1}(n) on the staircase region s <= n - c."""
-    if series not in HOOK_BOUNDS:
-        raise ValueError(f"hook recursion covers series A, B, D, E, not {series!r}")
-    m, c = HOOK_BOUNDS[series]
-    if n < m or not 1 <= s <= n - c:
-        raise ValueError(f"hook arguments out of range: series {series}, n={n}, s={s}")
+    """a_s(n) = a_s(n-1) + a_{s-1}(n) on the staircase 1 <= s <= n - c, c = 0, 1, 2, 3 for A, B, D, E."""
+    least, lo, c, d, corner = _REGIONS["hook_check"].get(series, _NOWHERE)
+    if not (n >= least and lo <= s and d * s <= n - c and n + s >= corner):
+        raise _outside("hook_check", series, n, s)
     return a_s(series, n, s) == _a_or_zero(series, n - 1, s) + a_s(series, n, s - 1)
 
 
@@ -178,20 +231,16 @@ def modified_hook_check(series: str, n: int) -> bool:
     E: a_{n-2}(E_n) = a_{n-2}(E_{n-1}) + a_{n-3}(E_n) + a_{n-3}(A_{n-3});
     and the closed consequence a_{n-1}(D_n) = [2n-3 over n-1].
     """
+    if n < _REGIONS["modified_hook_check"].get(series, inf):
+        raise _outside("modified_hook_check", series, n)
     if series == "D":
-        if n < 3:
-            raise ValueError("D-series modified hook needs n >= 3")
         ok = a_s("D", n, n - 1) == (
             a_s("D", n - 1, n - 1) + a_s("D", n, n - 2) + a_s("A", n - 2, n - 2)
         )
         return ok and a_s("D", n, n - 1) == bailey(2 * n - 3, n - 1)
-    if series == "E":
-        if not 4 <= n <= 8:
-            raise ValueError("E-series modified hook needs 4 <= n <= 8")
-        return a_s("E", n, n - 2) == (
-            a_s("E", n - 1, n - 2) + a_s("E", n, n - 3) + a_s("A", n - 3, n - 3)
-        )
-    raise ValueError(f"modified hook covers series D and E, not {series!r}")
+    return a_s("E", n, n - 2) == (
+        a_s("E", n - 1, n - 2) + a_s("E", n, n - 3) + a_s("A", n - 3, n - 3)
+    )
 
 
 # Partial sums shared by consecutive identity instances: row sums here and
@@ -208,28 +257,23 @@ def _row_sums(series: str, n: int) -> tuple[int, ...]:
 
 def summation_check(series: str, n: int, s: int) -> bool:
     """sum_{i<=s} a_i(n) = a_s(n+1) for series A, B, D and 1 <= s <= n-1."""
-    if series not in ("A", "B", "D"):
-        raise ValueError(f"summation covers series A, B, D, not {series!r}")
-    if series == "D" and n < 2:
-        raise ValueError("D-series summation needs n >= 2")
-    if not 1 <= s <= n - 1:
-        raise ValueError(f"summation needs 1 <= s <= n-1, got s={s}, n={n}")
+    least, lo, c, d, corner = _REGIONS["summation_check"].get(series, _NOWHERE)
+    if not (n >= least and lo <= s and d * s <= n - c and n + s >= corner):
+        raise _outside("summation_check", series, n, s)
     return _row_sums(series, n)[s] == a_s(series, n + 1, s)
 
 
 def total_split_check(series: str, n: int) -> bool:
     """a(n) = a_n(n) + a_{n-1}(n+1) for series A, B (n >= 1) and D (n >= 2)."""
-    if series not in ("A", "B", "D"):
-        raise ValueError(f"total split covers series A, B, D, not {series!r}")
-    if n < (2 if series == "D" else 1):
-        raise ValueError(f"total split out of range: series {series}, n={n}")
+    if n < _REGIONS["total_split_check"].get(series, inf):
+        raise _outside("total_split_check", series, n)
     return a_total(series, n) == a_s(series, n, n) + a_s(series, n + 1, n - 1)
 
 
 def comparison_check(n: int) -> bool:
     """[2n-2 over n] - a_n(D_n) = a_{n-1}(A_{n-1}) = C(2n-2, n-1)/n."""
-    if n < 2:
-        raise ValueError("comparison needs n >= 2")
+    if n < _REGIONS["comparison_check"][None]:
+        raise _outside("comparison_check", n)
     gap = bailey(2 * n - 2, n) - a_s("D", n, n)
     catalan = a_s("A", n - 1, n - 1)
     num = binom(2 * n - 2, n - 1)
@@ -243,19 +287,13 @@ def diagonal_checks(series: str, n: int) -> bool:
     B: a(B_n) = a_n(B_{n+1})     and a_n(B_n) = a_{n-1}(B_{n+1});
     D: a(D_n) = a_{n-1}(D_{n+2}) and a_n(D_n) = a_{n-2}(D_{n+2}).
     """
+    if n < _REGIONS["diagonal_checks"].get(series, inf):
+        raise _outside("diagonal_checks", series, n)
     if series == "A":
-        if n < 1:
-            raise ValueError("A-series diagonals need n >= 1")
         return a_total("A", n) == a_s("A", n + 1, n + 1) and a_s("A", n, n) == a_s("A", n, n - 1)
     if series == "B":
-        if n < 1:
-            raise ValueError("B-series diagonals need n >= 1")
         return a_total("B", n) == a_s("B", n + 1, n) and a_s("B", n, n) == a_s("B", n + 1, n - 1)
-    if series == "D":
-        if n < 2:
-            raise ValueError("D-series diagonals need n >= 2")
-        return a_total("D", n) == a_s("D", n + 2, n - 1) and a_s("D", n, n) == a_s("D", n + 2, n - 2)
-    raise ValueError(f"diagonal identities cover series A, B, D, not {series!r}")
+    return a_total("D", n) == a_s("D", n + 2, n - 1) and a_s("D", n, n) == a_s("D", n + 2, n - 2)
 
 
 def b_decomposition_check(n: int) -> bool:
@@ -265,8 +303,8 @@ def b_decomposition_check(n: int) -> bool:
     v = u - a_{n-1}(A_{n-1}) = C(2n-2, n-2),  u + v = C(2n-1, n-1) = a_n(B_n),
     and  a_{n-1}(B_n) = a_{n-2}(B_{n+1}) + a_{n-1}(A_{n-1}).
     """
-    if n < 2:
-        raise ValueError("decomposition needs n >= 2")
+    if n < _REGIONS["b_decomposition_check"][None]:
+        raise _outside("b_decomposition_check", n)
     u = sum(a_s("A", i - 1, i - 1) * a_s("B", n - i, n - i) for i in range(1, n + 1))
     v = u - a_s("A", n - 1, n - 1)
     ok = (
@@ -280,8 +318,8 @@ def b_decomposition_check(n: int) -> bool:
 
 def lucas_vs_d_deviation_check(n: int) -> bool:
     """C(2n-2, n-2) = C(2n-2, n) yet [2n-2 over n-2] != [2n-2 over n]."""
-    if n < 2:
-        raise ValueError("deviation check needs n >= 2")
+    if n < _REGIONS["lucas_vs_d_deviation_check"][None]:
+        raise _outside("lucas_vs_d_deviation_check", n)
     return binom(2 * n - 2, n - 2) == binom(2 * n - 2, n) and bailey(
         2 * n - 2, n - 2
     ) != bailey(2 * n - 2, n)
@@ -310,17 +348,9 @@ def z_value(series: str, t: int, s: int) -> int:
 
 def z_recursion_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = z_{s-1}(t-1) + z_s(t-1) inside each triangle."""
-    if series == "A":
-        if not (t >= 1 and 1 <= s <= (t + 1) // 2):
-            raise ValueError(f"recursion region violated: t={t}, s={s}")
-    elif series == "B":
-        if not (t >= 1 and 1 <= s <= t):
-            raise ValueError(f"recursion region violated: t={t}, s={s}")
-    elif series == "D":
-        if not (t >= 2 and 1 <= s <= t):
-            raise ValueError(f"recursion region violated: t={t}, s={s}")
-    else:
-        raise ValueError(f"z triangles exist for series A, B, D, not {series!r}")
+    least, lo, c, d, corner = _REGIONS["z_recursion_check"].get(series, _NOWHERE)
+    if not (t >= least and lo <= s and d * s <= t - c and t + s >= corner):
+        raise _outside("z_recursion_check", series, t, s)
     return z_value(series, t, s) == z_value(series, t - 1, s - 1) + z_value(series, t - 1, s)
 
 
@@ -362,31 +392,21 @@ def _reset_partial_sums() -> None:
 
 def hockey_stick_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = sum_{i=0..s} z_i(t-s+i-1), the telescoped recursion."""
-    if series == "A":
-        if not (1 <= s and 2 * s <= t):
-            raise ValueError(f"hockey stick region violated: t={t}, s={s}")
-    elif series == "B":
-        if not (1 <= s <= t - 1):
-            raise ValueError(f"hockey stick region violated: t={t}, s={s}")
-    elif series == "D":
-        if not (1 <= s <= t - 2):
-            raise ValueError(f"hockey stick region violated: t={t}, s={s}")
-    else:
-        raise ValueError(f"z triangles exist for series A, B, D, not {series!r}")
+    least, lo, c, d, corner = _REGIONS["hockey_stick_check"].get(series, _NOWHERE)
+    if not (t >= least and lo <= s and d * s <= t - c and t + s >= corner):
+        raise _outside("hockey_stick_check", series, t, s)
     return z_value(series, t, s) == _diagonal_sums(series, t)[t - s - 1]
 
 
 def z_boundary_check(series: str, t: int) -> bool:
     """Initial conditions: Pascal 1/1, Lucas 1/2, sheared ballot 1 and a zero."""
+    if t < _REGIONS["z_boundary_check"].get(series, inf):
+        raise _outside("z_boundary_check", series, t)
     if series == "B":
         return z_value("B", t, 0) == 1 and z_value("B", t, t) == 1
     if series == "D":
-        if t < 1:
-            raise ValueError("Lucas rows start at t = 1")
         return z_value("D", t, 0) == 1 and z_value("D", t, t) == 2
-    if series == "A":
-        return z_value("A", t, 0) == 1 and z_value("A", 2 * t, t + 1) == 0
-    raise ValueError(f"z triangles exist for series A, B, D, not {series!r}")
+    return z_value("A", t, 0) == 1 and z_value("A", 2 * t, t + 1) == 0
 
 
 def shear_check(series: str, n: int, s: int) -> bool:
@@ -395,12 +415,9 @@ def shear_check(series: str, n: int, s: int) -> bool:
     A and B shear with t = n+s-1; the sub-diagonal part of D shears from the
     Lucas triangle with t = n+s-2 (its main diagonal deviates and is excluded).
     """
-    if series in ("A", "B"):
-        if not (n >= 1 and 0 <= s <= n):
-            raise ValueError(f"shear region violated: n={n}, s={s}")
-        return a_s(series, n, s) == z_value(series, n + s - 1, s)
+    least, lo, c, d, corner = _REGIONS["shear_check"].get(series, _NOWHERE)
+    if not (n >= least and lo <= s and d * s <= n - c and n + s >= corner):
+        raise _outside("shear_check", series, n, s)
     if series == "D":
-        if not (n >= 2 and 0 <= s <= n - 1 and (n, s) != (2, 0)):
-            raise ValueError(f"shear region violated: n={n}, s={s}")
         return a_s("D", n, s) == z_value("D", n + s - 2, s)
-    raise ValueError(f"shearing covers series A, B, D, not {series!r}")
+    return a_s(series, n, s) == z_value(series, n + s - 1, s)

@@ -170,12 +170,36 @@ def verify_bc_equality(n_max: int) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-# smallest identity-suite bound at which every family has an instance
-# (id.hook.D and id.modified-hook.D start at n = 3)
-IDENTITY_MIN_N = 3
-# largest identity-suite bound: the suite takes about 0.16 s at 80 and 0.5 s
+# one report line per family: check id, the variable its subject bounds, the
+# check on formulas and the series it runs (None: every series of its region)
+_IDENTITY_FAMILIES = (
+    ("id.hook.A", "n", "hook_check", "A"),
+    ("id.hook.B", "n", "hook_check", "B"),
+    ("id.hook.D", "n", "hook_check", "D"),
+    ("id.hook.E", "n", "hook_check", "E"),
+    ("id.modified-hook.D", "n", "modified_hook_check", "D"),
+    ("id.modified-hook.E", "n", "modified_hook_check", "E"),
+    ("id.summation", "n", "summation_check", None),
+    ("id.total-split", "n", "total_split_check", None),
+    ("id.comparison", "n", "comparison_check", None),
+    ("id.diagonals", "n", "diagonal_checks", None),
+    ("id.b-decomposition", "n", "b_decomposition_check", None),
+    ("id.lucas-deviation", "n", "lucas_vs_d_deviation_check", None),
+    ("id.z-recursion", "t", "z_recursion_check", None),
+    ("id.hockey-stick", "t", "hockey_stick_check", None),
+    ("id.z-boundary", "t", "z_boundary_check", None),
+    ("id.shear", "n", "shear_check", None),
+)
+
+# largest identity-suite bound: the suite takes about 0.1 s at 80 and 0.35 s
 # at 120 (CPython 3.11, 2 vCPUs), and its time grows about as max_n cubed
 IDENTITY_MAX_N = 120
+# smallest identity-suite bound at which every family has an instance
+IDENTITY_MIN_N = next(
+    m
+    for m in range(IDENTITY_MAX_N + 1)
+    if all(next(formulas._instances(name, series, m), None) for _, _, name, series in _IDENTITY_FAMILIES)
+)
 
 
 def _require_identity_bound(max_n: int) -> None:
@@ -187,84 +211,43 @@ def _require_identity_bound(max_n: int) -> None:
         raise ValueError(f"identity-suite bound {max_n} is above the limit of {IDENTITY_MAX_N}")
 
 
-def _family(check_id: str, subject: str, instances) -> Check:
-    """Aggregate a family of boolean identity instances into one check."""
-    failures = [args for args, ok in instances if not ok]
+def _family(check_id: str, subject: str, check, instances) -> Check:
+    """Aggregate a family of identity instances, each an argument tuple of check, into one check."""
+    failures = [args for args in instances if not check(*args)]
     expected = "all instances hold"
     return _check(check_id, subject, expected, f"failed at {failures[:5]}" if failures else expected)
 
 
 def verify_identities(max_n: int) -> VerificationReport:
-    """Run every closed-form identity over all admissible arguments <= max_n.
+    """Run every closed-form identity over its argument region up to max_n.
 
     max_n must be at least IDENTITY_MIN_N, so that no family is empty, and
     at most IDENTITY_MAX_N, so that the suite ends within seconds.
 
-    One row per family: (check id, subject, check function, argument tuples).
-    The table is built per call, so the check functions are looked up on
-    ``formulas`` at call time and wrappers installed there see every call;
-    the argument generators are lazy, so each family is evaluated in turn.
+    The regions are those of formulas, as least n (t for the z triangles)
+    per series and the range of s:
+
+      hook                     A1 B2 D3 E4 (to 8)   1 <= s <= n - 0/1/2/3
+      modified hook            D3 E4 (to 8)
+      summation                A1 B1 D2             1 <= s <= n - 1
+      total split, diagonals   A1 B1 D2
+      comparison, B decomposition, Lucas deviation  n >= 2
+      z recursion              A1 B1 D2             1 <= s <= (t+1)//2, t, t
+      hockey stick             A1 B1 D2             1 <= s <= t//2, t-1, t-2
+      z boundary               A0 B0 D1
+      shear                    A1 B1 D2             0 <= s <= n, n, n-1; n+s >= 3
+
+    A family runs series by series, then by n, then by s.  Each check is
+    looked up on ``formulas`` when its family runs, so wrappers see every call.
     """
     _require_identity_bound(max_n)
     # sums cached by an earlier call may come from other a_s or z_value
     formulas._reset_partial_sums()
-    abd = ("A", "B", "D")
-    ranks = [(series, n) for series in abd for n in range((2 if series == "D" else 1), max_n + 1)]
-    by_n, by_t = f"n<={max_n}", f"t<={max_n}"
-    table = (
-        ("id.hook.A", by_n, formulas.hook_check, (("A", n, s) for n in range(1, max_n + 1) for s in range(1, n + 1))),
-        ("id.hook.B", by_n, formulas.hook_check, (("B", n, s) for n in range(2, max_n + 1) for s in range(1, n))),
-        ("id.hook.D", by_n, formulas.hook_check, (("D", n, s) for n in range(3, max_n + 1) for s in range(1, n - 1))),
-        ("id.hook.E", "n<=8", formulas.hook_check, (("E", n, s) for n in range(4, 9) for s in range(1, n - 2))),
-        ("id.modified-hook.D", by_n, formulas.modified_hook_check, (("D", n) for n in range(3, max_n + 1))),
-        ("id.modified-hook.E", "n<=8", formulas.modified_hook_check, (("E", n) for n in range(4, 9))),
-        ("id.summation", by_n, formulas.summation_check, ((series, n, s) for series, n in ranks for s in range(1, n))),
-        ("id.total-split", by_n, formulas.total_split_check, iter(ranks)),
-        ("id.comparison", by_n, formulas.comparison_check, ((n,) for n in range(2, max_n + 1))),
-        ("id.diagonals", by_n, formulas.diagonal_checks, iter(ranks)),
-        ("id.b-decomposition", by_n, formulas.b_decomposition_check, ((n,) for n in range(2, max_n + 1))),
-        ("id.lucas-deviation", by_n, formulas.lucas_vs_d_deviation_check, ((n,) for n in range(2, max_n + 1))),
-        (
-            "id.z-recursion",
-            by_t,
-            formulas.z_recursion_check,
-            ((series, t, s) for series, t in ranks for s in range(1, ((t + 1) // 2 if series == "A" else t) + 1)),
-        ),
-        (
-            "id.hockey-stick",
-            by_t,
-            formulas.hockey_stick_check,
-            (
-                (series, t, s)
-                for series in abd
-                for t in range(2, max_n + 1)
-                for s in range(1, {"A": t // 2, "B": t - 1, "D": t - 2}[series] + 1)
-            ),
-        ),
-        (
-            "id.z-boundary",
-            by_t,
-            formulas.z_boundary_check,
-            ((series, t) for series in abd for t in range((1 if series == "D" else 0), max_n + 1)),
-        ),
-        (
-            "id.shear",
-            by_n,
-            formulas.shear_check,
-            (
-                (series, n, s)
-                for series, n in ranks
-                for s in range(n if series == "D" else n + 1)
-                if (series, n, s) != ("D", 2, 0)
-            ),
-        ),
-    )
-    return VerificationReport(
-        tuple(
-            _family(check_id, subject, ((args, check(*args)) for args in domain))
-            for check_id, subject, check, domain in table
-        )
-    )
+    checks = []
+    for check_id, var, name, series in _IDENTITY_FAMILIES:
+        instances = formulas._instances(name, series, max_n)
+        checks.append(_family(check_id, f"{var}<={formulas._last(series, max_n)}", getattr(formulas, name), instances))
+    return VerificationReport(tuple(checks))
 
 
 def verify_sincere_structure(n_max: int) -> VerificationReport:

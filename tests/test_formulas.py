@@ -1,5 +1,6 @@
 """Closed forms against the published tables, plus integrality properties."""
 
+import hashlib
 import sys
 import types
 from fractions import Fraction
@@ -193,6 +194,48 @@ def test_rank_domain_matches_diagrams_plus_empty_types():
             diagram_ok = _admitted(DynkinType, series, n)
             assert _admitted(f.a_total, series, n) == (diagram_ok or (series, n) in {("A", 0), ("B", 0)}), (series, n)
     assert f.a_row("A", 0) == f.a_row("B", 0) == (1,)
+
+
+def _region_grid(arity):
+    """Arguments around every identity region: series A..G (none for the
+    checks of n alone), -2 <= n <= 40 and -2 <= s <= n + 2."""
+    for series in "ABCDEFG" if arity > 1 else [None]:
+        for n in range(-2, 41):
+            head = (n,) if series is None else (series, n)
+            if arity == 3:
+                yield from (head + (s,) for s in range(-2, n + 3))
+            else:
+                yield head
+
+
+# check name, arity, then the count and the sha256 of repr(list) of the
+# grid arguments the check admits, in grid order
+_REGION_PINS = [
+    ("hook_check", 3, 2356, "32e32746ca09391e08b0d1cdaac6c927c4f743d4613e949851f50259f2e8d386"),
+    ("modified_hook_check", 2, 43, "31c20e58acd69464b6d5541d7a8c3984428b6bbc0fe132e3320c0b05987ead2e"),
+    ("summation_check", 3, 2340, "805555c634a8731e9e1581a5fdd732a034c060b04a6e9e3606029876b01767c9"),
+    ("total_split_check", 2, 119, "fa04abdfd380e989ceb2c5a3d3e115976ed1b20c804f39db8abfbfb31b1c9618"),
+    ("diagonal_checks", 2, 119, "fa04abdfd380e989ceb2c5a3d3e115976ed1b20c804f39db8abfbfb31b1c9618"),
+    ("comparison_check", 1, 39, "e1787251a672769618aa12b41191060d106efb818ee92e0556dc5c87f5644565"),
+    ("b_decomposition_check", 1, 39, "e1787251a672769618aa12b41191060d106efb818ee92e0556dc5c87f5644565"),
+    ("lucas_vs_d_deviation_check", 1, 39, "e1787251a672769618aa12b41191060d106efb818ee92e0556dc5c87f5644565"),
+    ("z_recursion_check", 3, 2059, "85eb110c2bbf11fe248bdb3f4dbe933e1a22785c6e7dce089dc529c4735f6633"),
+    ("hockey_stick_check", 3, 1921, "4c8df1cb84a6435b8c833f85674b78f120e184484a915395da81492ca536ad83"),
+    ("z_boundary_check", 2, 122, "9c5867cd3db9852c2c67fe5aa77bf35ec6f6f31ffeb4e65095fe3466128ce9c2"),
+    ("shear_check", 3, 2538, "12a8b3237adeb13876a767aa518d1c58cddab34bdfa1e4ddc92c34c162ce2b4e"),
+]
+
+
+@pytest.mark.parametrize("name, arity, count, digest", _REGION_PINS, ids=[pin[0] for pin in _REGION_PINS])
+def test_identity_check_regions(name, arity, count, digest):
+    # each check raises ValueError exactly outside its argument region
+    check = getattr(f, name)
+    try:
+        admitted = [args for args in _region_grid(arity) if _admitted(check, *args)]
+    finally:
+        f._reset_partial_sums()
+    assert len(admitted) == count
+    assert hashlib.sha256(repr(admitted).encode()).hexdigest() == digest
 
 
 def test_hook_examples():

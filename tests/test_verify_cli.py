@@ -185,6 +185,40 @@ def test_identity_argument_domains(monkeypatch):
     assert set(_count_identity_calls(monkeypatch, verify.IDENTITY_MIN_N)) == families
 
 
+@pytest.mark.parametrize(
+    "max_n, calls, digest",
+    [
+        (10, 844, "f4319daf52fcf78ea7c4b6a03a4d9cbd1a94dcc8c3c5ade4aedc1d5cc87cf8e8"),
+        (30, 6704, "f697c85a7e62eb87ab885a5e89c114081f1a11502ff80cedf09d7690e808cee8"),
+    ],
+    ids=["max_n-10", "max_n-30"],
+)
+def test_identity_suite_call_order(monkeypatch, max_n, calls, digest):
+    # every (check name, arguments) call in order: the failure text and the
+    # partial-sum caches depend on it
+    made = []
+
+    def recording(name, fn):
+        def wrapper(*args):
+            made.append((name, args))
+            return fn(*args)
+
+        return wrapper
+
+    for name in _FAMILY_OF:
+        monkeypatch.setattr(formulas, name, recording(name, getattr(formulas, name)))
+    assert verify_identities(max_n).passed
+    assert len(made) == calls
+    assert hashlib.sha256(repr(made).encode()).hexdigest() == digest
+
+
+def test_identity_min_n_comes_from_the_regions():
+    # id.hook.D and id.modified-hook.D start at n = 3; README and the CLI
+    # help state the bound
+    assert verify.IDENTITY_MIN_N == 3
+    assert not list(formulas._instances("hook_check", "D", 2))
+
+
 def test_identity_bound_below_minimum_rejected(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("run_suite enumerated before checking max_n")

@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "tools", "pyproject.toml")
-TIER1 = ("--continue-on-collection-errors",)
+# the mutant-list test reads the unchanged tree, so it would kill every mutant
+TIER1 = ("--continue-on-collection-errors", "--ignore=tests/test_mutant_list.py")
 
 
 class Mutant(NamedTuple):
@@ -116,6 +117,14 @@ MUTANTS = (
         "return True",
         ("tests/test_formulas.py", "-k", "one_wrong_cell"),
     ),
+    # --- identity regions
+    Mutant(
+        "hockey-stick-a-to-t",
+        "formulas.py",
+        '"hockey_stick_check": {"A": (1, 1, 0, 2, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)},',
+        '"hockey_stick_check": {"A": (1, 1, 0, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)},',
+        ("tests/test_verify_cli.py", "-k", "identity"),
+    ),
     # --- report checks that tier-1 already failed on
     Mutant(
         "report-passes",
@@ -127,7 +136,7 @@ MUTANTS = (
     Mutant(
         "family-ignores-failures",
         "verify.py",
-        "failures = [args for args, ok in instances if not ok]",
+        "failures = [args for args in instances if not check(*args)]",
         "failures = []",
         ("tests/test_verify_cli.py", "-k", "failing_identity or stale_partial_sums"),
     ),
