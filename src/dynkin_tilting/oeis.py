@@ -14,8 +14,9 @@ z-recursion z_s(t) = z_{s-1}(t-1) + z_s(t-1) for the Pascal, Lucas and
 sheared ballot triangles.  The few cells outside the recursions' regions
 (the B main diagonal, the last two cells of each D row) take O(1) exact
 integer steps per row.  The closed forms in ``formulas`` are the test
-oracle for every generated row.  ``triangle_lines`` gives the text one row
-at a time, and the CLI writes each row as it comes.
+oracle for every generated row.  ``triangle_lines`` generates each row as
+it writes it and holds none; pretty output generates the rows twice, first
+for the column widths.
 
 b-file format: ASCII lines "<index> <value>", '#' comments and blank lines
 ignored, indices increasing by 1 from the sequence offset.  Offline fixture
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import os
 import sys
+from functools import reduce
 from itertools import accumulate, chain, count, islice
 from operator import add
 from pathlib import Path
@@ -57,7 +59,7 @@ class BFileError(ValueError):
 
 
 class TriangleDoc(NamedTuple):
-    """A rendered triangle: rows plus row sums, read row by row."""
+    """A triangle held whole: rows plus row sums (the CLI streams rows instead)."""
 
     name: str
     first_row: int
@@ -163,13 +165,17 @@ _TRIANGLES = {
 TRIANGLE_NAMES = tuple(_TRIANGLES)
 
 
-def triangle_doc(name: str, rows: int) -> TriangleDoc:
-    """Build a TriangleDoc with `rows` rows of the named triangle."""
+def _triangle(name: str, rows: int) -> _Triangle:
     if rows < 1 or rows > MAX_ROWS:
         raise ValueError(f"row count must be within 1..{MAX_ROWS}")
     if name not in _TRIANGLES:
         raise ValueError(f"unknown triangle {name!r}; choose one of {', '.join(TRIANGLE_NAMES)}")
-    triangle = _TRIANGLES[name]
+    return _TRIANGLES[name]
+
+
+def triangle_doc(name: str, rows: int) -> TriangleDoc:
+    """Build a TriangleDoc with `rows` rows of the named triangle."""
+    triangle = _triangle(name, rows)
     data = tuple(islice(triangle.rows(), rows))
     return TriangleDoc(name, triangle.first_row, data, tuple(map(sum, data)), triangle.offset)
 
@@ -177,10 +183,13 @@ def triangle_doc(name: str, rows: int) -> TriangleDoc:
 def triangle_lines(name: str, rows: int, fmt: str) -> Iterator[str]:
     """A triangle as pretty text, CSV, or a b-file, one string per row after
     any header lines; a plain function, so bad arguments raise ValueError
-    before the first line."""
+    before the first line.  The rows are generated as they are written, and
+    pretty output generates them twice: once for the column widths, once
+    to write them."""
     if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}; choose pretty, csv, or bfile")
-    return _RENDERERS[fmt](triangle_doc(name, rows))
+    triangle = _triangle(name, rows)
+    return _RENDERERS[fmt](name, lambda: islice(triangle.rows(), rows))
 
 
 def render_triangle(name: str, rows: int, fmt: str) -> bytes:
@@ -188,33 +197,34 @@ def render_triangle(name: str, rows: int, fmt: str) -> bytes:
     return "".join(triangle_lines(name, rows, fmt)).encode()
 
 
-def _pretty_lines(doc: TriangleDoc) -> Iterator[str]:
-    # every cell and sum is a nonnegative integer, so the widest is the largest
-    width = len(str(max(map(max, doc.rows))))
-    sum_width = len(str(max(doc.sums)))
-    triangle = _TRIANGLES[doc.name]
+def _pretty_lines(name: str, rows: Callable[[], Iterator[Row]]) -> Iterator[str]:
+    triangle = _TRIANGLES[name]
     first = triangle.first_shown
-    skip = first - doc.first_row
+    skip = first - triangle.first_row
+    # every cell and sum is a nonnegative integer, so the widest is the
+    # largest; both are taken over every generated row, dots included
+    biggest, biggest_sum = reduce(lambda a, b: tuple(map(max, a, b)), ((max(row), sum(row)) for row in rows()))
+    width, sum_width = len(str(biggest)), len(str(biggest_sum))
     for n in range(first):
         yield f"{n:>3}  " + " ".join(["·".rjust(width)] * (n + 1)) + "\n"
-    for n, row, total in zip(count(first), doc.rows[skip:], doc.sums[skip:]):
+    for n, row in zip(count(first), islice(rows(), skip, None)):
         body = " ".join(str(v).rjust(width) for v in row)
-        tail = f"  | {str(total).rjust(sum_width)}" if triangle.sums else ""
+        tail = f"  | {str(sum(row)).rjust(sum_width)}" if triangle.sums else ""
         yield f"{n:>3}  {body}{tail}\n"
 
 
-def _csv_lines(doc: TriangleDoc) -> Iterator[str]:
-    for row in doc.rows:
+def _csv_lines(name: str, rows: Callable[[], Iterator[Row]]) -> Iterator[str]:
+    for row in rows():
         yield ",".join(map(str, row)) + "\n"
 
 
-def _bfile_lines(doc: TriangleDoc) -> Iterator[str]:
-    yield f"# {doc.name} triangle read by rows, first row {doc.first_row}\n"
-    corner = _TRIANGLES[doc.name].corner
-    if corner is not None:
-        yield f"# corner (0,0) uses the OEIS convention value {corner}\n"
-    idx = doc.offset
-    for row in doc.rows:
+def _bfile_lines(name: str, rows: Callable[[], Iterator[Row]]) -> Iterator[str]:
+    triangle = _TRIANGLES[name]
+    yield f"# {name} triangle read by rows, first row {triangle.first_row}\n"
+    if triangle.corner is not None:
+        yield f"# corner (0,0) uses the OEIS convention value {triangle.corner}\n"
+    idx = triangle.offset
+    for row in rows():
         # a whole row per string: one write per cell costs more than formatting
         yield "".join(f"{i} {v}\n" for i, v in enumerate(row, idx))
         idx += len(row)

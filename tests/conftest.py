@@ -8,7 +8,7 @@ def pytest_addoption(parser):
         default=False,
         help="run the long checks: tilting and antichain counts against the walk on every rank-6/7 orientation, "
         "tilting counts on A10/B10/D10, E7/E8 counts, the A14 row and verify_type, and the 1000-row triangle "
-        "recursions",
+        "recursions and memory",
     )
 
 

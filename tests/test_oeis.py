@@ -100,6 +100,76 @@ def test_triangle_bytes_pinned(name, fmt, capsys):
         assert hashlib.sha256(blob).hexdigest() == _TRIANGLE_DIGESTS[name, fmt]
 
 
+# sha256 of render_triangle(name, rows, fmt) and of the CLI's stdout for the
+# first rows, pinned from the renderer that held every row before writing:
+# the lucas corner, which pretty shows as a dot and which alone sets the
+# column width at one row; D's open dots before its row 2; and the b-file
+# corner comment
+_EDGE_ROW_DIGESTS = {
+    ("A", 1, "pretty"): "8e7dcc0f950ef528b27b396ae68cafc555c12370b98613345ce58e57978d1c9f",
+    ("A", 1, "csv"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("A", 1, "bfile"): "c4a83badb3ae64270ae0e3ab68a5facb944819e64e6ff78c392c87104599d806",
+    ("B", 1, "pretty"): "8e7dcc0f950ef528b27b396ae68cafc555c12370b98613345ce58e57978d1c9f",
+    ("B", 1, "csv"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("B", 1, "bfile"): "2317f9a1920806f4db66356e910c2dbca9f3e9ee15a1ecfffc615b1aa0ddda2f",
+    ("D", 1, "pretty"): "832e611a1fd709c619a7cf9f794626718afe8dbc25b9e5ce14611777c19d4363",
+    ("D", 1, "csv"): "2f87c318af5a394806350ab921582d0d266234b4613a08201bc066b4660d72dd",
+    ("D", 1, "bfile"): "cc94e140e6110b196377111b81f39f60098078272a3d9d3c24c9abbb1b2d8970",
+    ("sheared-catalan", 1, "pretty"): "5b1f6465de6d6a241c5a9da8665147b96f61cb5450be65fecde45d2b920dd144",
+    ("sheared-catalan", 1, "csv"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("sheared-catalan", 1, "bfile"): "09f2bd71f9b3af30181aa3d5fc66b096b23383d2108c59d95adadef52cb06bf1",
+    ("pascal", 1, "pretty"): "5b1f6465de6d6a241c5a9da8665147b96f61cb5450be65fecde45d2b920dd144",
+    ("pascal", 1, "csv"): "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("pascal", 1, "bfile"): "f5d263345ac45a32835d56e9c8c596654e146b8fe7b432d22185ca11dd00fa0d",
+    ("lucas", 1, "pretty"): "12643288920cde59644bc62532f3b3f7ac19d3d7fd265c3f44abd8c1b2a46d36",
+    ("lucas", 1, "csv"): "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+    ("lucas", 1, "bfile"): "178e810ebb7e955a19e5ccf0108b3e5e4d3735b8f1ce0e34104486918368db76",
+    ("A", 2, "pretty"): "85a3dd5a1e4971d9c0831d91f7126ec5a5527a246e6da85c8df853f0acb54d15",
+    ("A", 2, "csv"): "f68572c0ac3831c33d7e923aa722fbdf53aad6b2446cb8f1e1c2007676423072",
+    ("A", 2, "bfile"): "90eedbc6c8b723a0b23823d7802c464838904354448855ed3dfe368144b73dbe",
+    ("B", 2, "pretty"): "85a3dd5a1e4971d9c0831d91f7126ec5a5527a246e6da85c8df853f0acb54d15",
+    ("B", 2, "csv"): "f68572c0ac3831c33d7e923aa722fbdf53aad6b2446cb8f1e1c2007676423072",
+    ("B", 2, "bfile"): "46bf8e460b3c22b7674836d3f7114cfeaf2588b3c2b7a9f8aeb7eb538320c27e",
+    ("D", 2, "pretty"): "c2de4aeffb23858e298047dd53a63bf26c0e32a3329a7e21b5003da1416aeeee",
+    ("D", 2, "csv"): "930a630c0b2e561c176af6e9b7a03c3654a9cc4ffdaa650f4072c1d8819797e4",
+    ("D", 2, "bfile"): "182fa03a53bd0ff3fd2d1449e5c3717851d1ce3949a67fb0aeb90a7ebb0178f2",
+    ("sheared-catalan", 2, "pretty"): "d5c50474841c9f4d8a4447a42eef67371f5707f1bdf57b58c090445d6d104c04",
+    ("sheared-catalan", 2, "csv"): "f68572c0ac3831c33d7e923aa722fbdf53aad6b2446cb8f1e1c2007676423072",
+    ("sheared-catalan", 2, "bfile"): "0abdc0ffecf329f1257089d292f1206b7ee8fd3559c0946ea71ae6516139310f",
+    ("pascal", 2, "pretty"): "d5c50474841c9f4d8a4447a42eef67371f5707f1bdf57b58c090445d6d104c04",
+    ("pascal", 2, "csv"): "f68572c0ac3831c33d7e923aa722fbdf53aad6b2446cb8f1e1c2007676423072",
+    ("pascal", 2, "bfile"): "5375b1e680b7d913c7d9ce1e5b173e955a6a97961ae76788d455d00215334a7f",
+    ("lucas", 2, "pretty"): "b8f9664da4e812b4e255dce4951923d4a29838eb97921765fa5da957d09fdbe5",
+    ("lucas", 2, "csv"): "4f1dcfb225f67b87b4eec6091deaa9f4e781eff67a68f76856eaad08396fa2f1",
+    ("lucas", 2, "bfile"): "0a14a7be0978cd8789f71a6a07a33993eb7c77b1374523c7ea43dcf45228fdea",
+    ("A", 3, "pretty"): "5c3a23a7ef9fe7b534b624bae0ae4dc4c7d4340748f5c2dcd5242ddcc3f5b181",
+    ("A", 3, "csv"): "0b3281fe6e49155975736b0ec6b004cc51449f6fc42911e0480572125c8118b5",
+    ("A", 3, "bfile"): "f4792c9c1cabbcce6058c3f04c98bfdc1ef44fcad0863bc91f306025eb45963b",
+    ("B", 3, "pretty"): "1728725e77e8b6b1465131c3b50493ca6200b5f0ee865d867177e587efd6527c",
+    ("B", 3, "csv"): "ce92096af2de9230f363682f3078c0c4c0e069d760ab1e54b0a5a82527e5a3e3",
+    ("B", 3, "bfile"): "e85f6bc7236950ef4d36367df704e56aad4f05699d67e82a8919e8ff5f8b27f4",
+    ("D", 3, "pretty"): "1c6c86c77eb179dc70619e853b8d3619207287544b9cf1e42e49f395f0ff1374",
+    ("D", 3, "csv"): "693d6c2b233939e659e2baf42c41aa1d443b680ef3ba6c75d18691df007b3a15",
+    ("D", 3, "bfile"): "0aac3a5db449f26740e5c1324ebc14488670915ce52c856717df1fba167852c5",
+    ("sheared-catalan", 3, "pretty"): "f9ae4c6faad0656e8f3a2979a7a716c5b8fda8e8dc3101acadc4712fc7e1c01c",
+    ("sheared-catalan", 3, "csv"): "bf9b457a0885be89d97ea465fd24e879fb1c9b46428ffa597af2d700d0cb909e",
+    ("sheared-catalan", 3, "bfile"): "6ad06383171493a522a44653419b6054227693925dfeb6dc5542af9ea613f1a4",
+    ("pascal", 3, "pretty"): "23db4ed243db4f86d16027b74e103473ad3b273fb59e7a5b443edfae561930a0",
+    ("pascal", 3, "csv"): "df171a0d0f145f3da00efea7fcb40f80160a02dd8322d738e4b457676f770097",
+    ("pascal", 3, "bfile"): "24c681bbc1475640bcbe082cbb4b489d4e67672eca4f40187e3b3c4634a63a34",
+    ("lucas", 3, "pretty"): "05b39ef82f85eab66ba5bcf953641bc3faa6a84c12e65e86b74dbf7600081780",
+    ("lucas", 3, "csv"): "54037ec2dd38e72a619be434246e1abb98ea531e7f605d32f2a8978c10ccea99",
+    ("lucas", 3, "bfile"): "05eb61bfc017af781ea5aec6625bbb21502de8d20365d7ab2973d2980c9de389",
+}
+
+
+@pytest.mark.parametrize("name, rows, fmt", list(_EDGE_ROW_DIGESTS))
+def test_edge_rows_pinned(name, rows, fmt, capsys):
+    assert run(["triangle", name, "--rows", str(rows), "--format", fmt]) == 0
+    for blob in (render_triangle(name, rows, fmt), capsys.readouterr().out.encode()):
+        assert hashlib.sha256(blob).hexdigest() == _EDGE_ROW_DIGESTS[name, rows, fmt]
+
+
 _VMHWM_CHILD = """
 import os, sys
 import dynkin_tilting.cli as cli
@@ -110,13 +180,14 @@ def vmhwm_kb():
 
 before = vmhwm_kb()
 sys.stdout = open(os.devnull, "w")
-assert cli.run(["triangle", "B", "--rows", "400", "--format", "pretty"]) == 0
+assert cli.run(sys.argv[1:]) == 0
 sys.stdout.close()
 print(vmhwm_kb() - before, file=sys.__stdout__)
 """
 
 
-def test_triangle_is_written_row_by_row():
+def _vmhwm_growth_kb(rows, fmt):
+    """How far `triangle B` at `rows` rows raises VmHWM above the CLI's import."""
     try:
         with open("/proc/self/status") as status:
             if not any(line.startswith("VmHWM:") for line in status):
@@ -124,11 +195,24 @@ def test_triangle_is_written_row_by_row():
     except OSError:
         pytest.skip("/proc/self/status is unreadable")
     env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD], capture_output=True, text=True, env=env)
+    command = ["triangle", "B", "--rows", str(rows), "--format", fmt]
+    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD, *command], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    # holding the 19 MB text whole (as lines, str and bytes) grows VmHWM by
-    # about 80 MB; writing it row by row, by about 7 MB
-    assert int(proc.stdout) < 25 * 1024
+    return int(proc.stdout)
+
+
+# holding the rows before writing them grew VmHWM by about 7 MB at 400 rows
+# and by about 80 MB at 1000; generating each row as it is written grows it
+# by about 0.4 MB at 400 rows, and at 1000 rows by 1.4 MB (csv) and 3 MB
+# (pretty, whose widest cell is found in a first pass)
+def test_triangle_is_written_row_by_row():
+    assert _vmhwm_growth_kb(400, "pretty") < 2 * 1024
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fmt", ["pretty", "csv"])
+def test_thousand_row_triangle_is_written_row_by_row(fmt):
+    assert _vmhwm_growth_kb(1000, fmt) < 6 * 1024
 
 
 def test_pretty_rendering_d_has_dots_and_sums():

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 _FAULTS = "tests/test_verify_faults.py"
 _COUNTS = "tests/test_enumeration.py"
+_TRIANGLES = "tests/test_oeis.py"
 
 MUTANTS = (
     # --- report checks that once printed PASS whatever their actual side read
@@ -182,6 +183,21 @@ MUTANTS = (
         "if need > 1 and rest.bit_count() < need:",
         "if need > 1 and rest.bit_count() <= need:",
         (_COUNTS, "-k", "walker or listing"),
+    ),
+    # --- triangle output, streamed row by row
+    Mutant(
+        "bfile-index-stuck",
+        "oeis.py",
+        "idx += len(row)",
+        "pass",
+        (_TRIANGLES, "-k", "pinned"),
+    ),
+    Mutant(
+        "pretty-widths-skip-dots",
+        "oeis.py",
+        "biggest, biggest_sum = reduce(lambda a, b: tuple(map(max, a, b)), ((max(row), sum(row)) for row in rows()))",
+        "biggest, biggest_sum = reduce(lambda a, b: tuple(map(max, a, b)), ((max(row), sum(row)) for row in islice(rows(), skip, None)))",
+        (_TRIANGLES, "-k", "edge_rows_pinned"),
     ),
     # --- the count side
     Mutant(
