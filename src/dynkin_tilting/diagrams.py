@@ -30,8 +30,6 @@ Coords = tuple[int, ...]
 Arrow = tuple[int, int]
 Edge = tuple[int, int, int, int]
 
-SERIES = ("A", "B", "C", "D", "E", "F", "G")
-
 # admissible rank ranges per series (inclusive)
 RANK_RANGE = {
     "A": (1, None),
@@ -42,6 +40,7 @@ RANK_RANGE = {
     "F": (4, 4),
     "G": (2, 2),
 }
+SERIES = tuple(RANK_RANGE)
 
 
 class DiagramError(ValueError):

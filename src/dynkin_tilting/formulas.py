@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, inf
+from math import comb
 from typing import Iterator
 
 from .diagrams import RANK_RANGE
@@ -104,21 +104,6 @@ EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
     "G2": (1, 2, 5),
 }
 
-EXCEPTIONAL_TOTALS: dict[str, int] = {
-    "E3": 10,
-    "E4": 42,
-    "E5": 182,
-    "E6": 833,
-    "E7": 4160,
-    "E8": 25080,
-    "F4": 105,
-    "G2": 8,
-}
-
-for _label, _row in EXCEPTIONAL_ROWS.items():
-    if sum(_row) != EXCEPTIONAL_TOTALS[_label]:
-        raise AssertionError(f"exceptional row {_label} does not sum to its stored total")
-
 
 def _check_args(series: str, n: int, s: int | None = None) -> None:
     if series not in RANK_RANGE:
@@ -157,7 +142,7 @@ def a_total(series: str, n: int) -> int:
         return binom(2 * n, n)
     if series == "D":
         return bailey(2 * n - 1, n - 1)
-    return EXCEPTIONAL_TOTALS[f"{series}{n}"]
+    return sum(EXCEPTIONAL_ROWS[f"{series}{n}"])
 
 
 def a_row(series: str, n: int) -> tuple[int, ...]:
@@ -167,7 +152,7 @@ def a_row(series: str, n: int) -> tuple[int, ...]:
 
 # --- identities -------------------------------------------------------------
 
-# The identity regions of the module docstring, admitted by each check's guard
+# The identity regions of the module docstring, admitted by _require_region
 # and run by verify.verify_identities: per series (None for a check of n alone)
 # the least n, or (least n, least s, c, d, corner) for a check that takes s,
 # admitting least s <= s <= (n - c) // d and n + s >= corner.
@@ -186,11 +171,22 @@ _REGIONS = {
     # n + s >= 3 drops (D, 2, 0): the Lucas triangle has no row t = 0
     "shear_check": {"A": (1, 0, 0, 1, 0), "B": (1, 0, 0, 1, 0), "D": (2, 0, 1, 1, 3)},
 }
-_NOWHERE = (inf,) * 5  # the region of a series a check does not cover
 
 
-def _outside(name: str, *args) -> ValueError:
-    return ValueError(f"{name}{args} lies outside the check's argument region")
+def _require_region(name: str, series: str | None, n: int, s: int | None = None) -> None:
+    """Raise ValueError unless the arguments lie in check `name`'s row of _REGIONS."""
+    region = _REGIONS[name]
+    row = region.get(series)
+    if row is not None:
+        if s is None:
+            if n >= row:
+                return
+        else:
+            least, lo, c, d, corner = row
+            if n >= least and lo <= s and d * s <= n - c and n + s >= corner:
+                return
+    args = (n,) if None in region else (series, n) if s is None else (series, n, s)
+    raise ValueError(f"{name}{args} lies outside the check's argument region")
 
 
 def _last(series: str | None, max_n: int) -> int:
@@ -218,9 +214,7 @@ def _a_or_zero(series: str, n: int, s: int) -> int:
 
 def hook_check(series: str, n: int, s: int) -> bool:
     """a_s(n) = a_s(n-1) + a_{s-1}(n) on the staircase 1 <= s <= n - c, c = 0, 1, 2, 3 for A, B, D, E."""
-    least, lo, c, d, corner = _REGIONS["hook_check"].get(series, _NOWHERE)
-    if not (n >= least and lo <= s and d * s <= n - c and n + s >= corner):
-        raise _outside("hook_check", series, n, s)
+    _require_region("hook_check", series, n, s)
     return a_s(series, n, s) == _a_or_zero(series, n - 1, s) + a_s(series, n, s - 1)
 
 
@@ -231,8 +225,7 @@ def modified_hook_check(series: str, n: int) -> bool:
     E: a_{n-2}(E_n) = a_{n-2}(E_{n-1}) + a_{n-3}(E_n) + a_{n-3}(A_{n-3});
     and the closed consequence a_{n-1}(D_n) = [2n-3 over n-1].
     """
-    if n < _REGIONS["modified_hook_check"].get(series, inf):
-        raise _outside("modified_hook_check", series, n)
+    _require_region("modified_hook_check", series, n)
     if series == "D":
         ok = a_s("D", n, n - 1) == (
             a_s("D", n - 1, n - 1) + a_s("D", n, n - 2) + a_s("A", n - 2, n - 2)
@@ -257,23 +250,19 @@ def _row_sums(series: str, n: int) -> tuple[int, ...]:
 
 def summation_check(series: str, n: int, s: int) -> bool:
     """sum_{i<=s} a_i(n) = a_s(n+1) for series A, B, D and 1 <= s <= n-1."""
-    least, lo, c, d, corner = _REGIONS["summation_check"].get(series, _NOWHERE)
-    if not (n >= least and lo <= s and d * s <= n - c and n + s >= corner):
-        raise _outside("summation_check", series, n, s)
+    _require_region("summation_check", series, n, s)
     return _row_sums(series, n)[s] == a_s(series, n + 1, s)
 
 
 def total_split_check(series: str, n: int) -> bool:
     """a(n) = a_n(n) + a_{n-1}(n+1) for series A, B (n >= 1) and D (n >= 2)."""
-    if n < _REGIONS["total_split_check"].get(series, inf):
-        raise _outside("total_split_check", series, n)
+    _require_region("total_split_check", series, n)
     return a_total(series, n) == a_s(series, n, n) + a_s(series, n + 1, n - 1)
 
 
 def comparison_check(n: int) -> bool:
     """[2n-2 over n] - a_n(D_n) = a_{n-1}(A_{n-1}) = C(2n-2, n-1)/n."""
-    if n < _REGIONS["comparison_check"][None]:
-        raise _outside("comparison_check", n)
+    _require_region("comparison_check", None, n)
     gap = bailey(2 * n - 2, n) - a_s("D", n, n)
     catalan = a_s("A", n - 1, n - 1)
     num = binom(2 * n - 2, n - 1)
@@ -287,8 +276,7 @@ def diagonal_checks(series: str, n: int) -> bool:
     B: a(B_n) = a_n(B_{n+1})     and a_n(B_n) = a_{n-1}(B_{n+1});
     D: a(D_n) = a_{n-1}(D_{n+2}) and a_n(D_n) = a_{n-2}(D_{n+2}).
     """
-    if n < _REGIONS["diagonal_checks"].get(series, inf):
-        raise _outside("diagonal_checks", series, n)
+    _require_region("diagonal_checks", series, n)
     if series == "A":
         return a_total("A", n) == a_s("A", n + 1, n + 1) and a_s("A", n, n) == a_s("A", n, n - 1)
     if series == "B":
@@ -303,8 +291,7 @@ def b_decomposition_check(n: int) -> bool:
     v = u - a_{n-1}(A_{n-1}) = C(2n-2, n-2),  u + v = C(2n-1, n-1) = a_n(B_n),
     and  a_{n-1}(B_n) = a_{n-2}(B_{n+1}) + a_{n-1}(A_{n-1}).
     """
-    if n < _REGIONS["b_decomposition_check"][None]:
-        raise _outside("b_decomposition_check", n)
+    _require_region("b_decomposition_check", None, n)
     u = sum(a_s("A", i - 1, i - 1) * a_s("B", n - i, n - i) for i in range(1, n + 1))
     v = u - a_s("A", n - 1, n - 1)
     ok = (
@@ -318,8 +305,7 @@ def b_decomposition_check(n: int) -> bool:
 
 def lucas_vs_d_deviation_check(n: int) -> bool:
     """C(2n-2, n-2) = C(2n-2, n) yet [2n-2 over n-2] != [2n-2 over n]."""
-    if n < _REGIONS["lucas_vs_d_deviation_check"][None]:
-        raise _outside("lucas_vs_d_deviation_check", n)
+    _require_region("lucas_vs_d_deviation_check", None, n)
     return binom(2 * n - 2, n - 2) == binom(2 * n - 2, n) and bailey(
         2 * n - 2, n - 2
     ) != bailey(2 * n - 2, n)
@@ -348,9 +334,7 @@ def z_value(series: str, t: int, s: int) -> int:
 
 def z_recursion_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = z_{s-1}(t-1) + z_s(t-1) inside each triangle."""
-    least, lo, c, d, corner = _REGIONS["z_recursion_check"].get(series, _NOWHERE)
-    if not (t >= least and lo <= s and d * s <= t - c and t + s >= corner):
-        raise _outside("z_recursion_check", series, t, s)
+    _require_region("z_recursion_check", series, t, s)
     return z_value(series, t, s) == z_value(series, t - 1, s - 1) + z_value(series, t - 1, s)
 
 
@@ -392,16 +376,13 @@ def _reset_partial_sums() -> None:
 
 def hockey_stick_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = sum_{i=0..s} z_i(t-s+i-1), the telescoped recursion."""
-    least, lo, c, d, corner = _REGIONS["hockey_stick_check"].get(series, _NOWHERE)
-    if not (t >= least and lo <= s and d * s <= t - c and t + s >= corner):
-        raise _outside("hockey_stick_check", series, t, s)
+    _require_region("hockey_stick_check", series, t, s)
     return z_value(series, t, s) == _diagonal_sums(series, t)[t - s - 1]
 
 
 def z_boundary_check(series: str, t: int) -> bool:
     """Initial conditions: Pascal 1/1, Lucas 1/2, sheared ballot 1 and a zero."""
-    if t < _REGIONS["z_boundary_check"].get(series, inf):
-        raise _outside("z_boundary_check", series, t)
+    _require_region("z_boundary_check", series, t)
     if series == "B":
         return z_value("B", t, 0) == 1 and z_value("B", t, t) == 1
     if series == "D":
@@ -415,9 +396,7 @@ def shear_check(series: str, n: int, s: int) -> bool:
     A and B shear with t = n+s-1; the sub-diagonal part of D shears from the
     Lucas triangle with t = n+s-2 (its main diagonal deviates and is excluded).
     """
-    least, lo, c, d, corner = _REGIONS["shear_check"].get(series, _NOWHERE)
-    if not (n >= least and lo <= s and d * s <= n - c and n + s >= corner):
-        raise _outside("shear_check", series, n, s)
+    _require_region("shear_check", series, n, s)
     if series == "D":
         return a_s("D", n, s) == z_value("D", n + s - 2, s)
     return a_s(series, n, s) == z_value(series, n + s - 1, s)

@@ -224,19 +224,7 @@ def verify_identities(max_n: int) -> VerificationReport:
     max_n must be at least IDENTITY_MIN_N, so that no family is empty, and
     at most IDENTITY_MAX_N, so that the suite ends within seconds.
 
-    The regions are those of formulas, as least n (t for the z triangles)
-    per series and the range of s:
-
-      hook                     A1 B2 D3 E4 (to 8)   1 <= s <= n - 0/1/2/3
-      modified hook            D3 E4 (to 8)
-      summation                A1 B1 D2             1 <= s <= n - 1
-      total split, diagonals   A1 B1 D2
-      comparison, B decomposition, Lucas deviation  n >= 2
-      z recursion              A1 B1 D2             1 <= s <= (t+1)//2, t, t
-      hockey stick             A1 B1 D2             1 <= s <= t//2, t-1, t-2
-      z boundary               A0 B0 D1
-      shear                    A1 B1 D2             0 <= s <= n, n, n-1; n+s >= 3
-
+    The regions are those that the ``formulas`` module docstring lists.
     A family runs series by series, then by n, then by s.  Each check is
     looked up on ``formulas`` when its family runs, so wrappers see every call.
     """

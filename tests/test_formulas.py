@@ -1,6 +1,7 @@
 """Closed forms against the published tables, plus integrality properties."""
 
 import hashlib
+import math
 import sys
 import types
 from fractions import Fraction
@@ -141,11 +142,34 @@ def test_exceptional_rows():
     assert f.a_row("E", 8) == (1, 8, 35, 112, 299, 728, 1771, 4784, 17342)
     assert f.a_row("G", 2) == (1, 2, 5)
     assert f.a_row("F", 4) == (1, 4, 10, 24, 66)
-    # a_s and a_total read the tables for series E, F and G only
+    # a_s and a_total read the table for series E, F and G only
     labels = {
         f"{series}{n}" for series in "EFG" for n in range(RANK_RANGE[series][0], RANK_RANGE[series][1] + 1)
     }
-    assert set(f.EXCEPTIONAL_ROWS) == set(f.EXCEPTIONAL_TOTALS) == labels
+    assert set(f.EXCEPTIONAL_ROWS) == labels
+
+
+# degrees of the Weyl group, one tuple per component: E3..E5 are the
+# conventions A2 + A1, A4 and D5
+WEYL_DEGREES = {
+    "E3": ((2, 3), (2,)),
+    "E4": ((2, 3, 4, 5),),
+    "E5": ((2, 4, 5, 6, 8),),
+    "E6": ((2, 5, 6, 8, 9, 12),),
+    "E7": ((2, 6, 8, 10, 12, 14, 18),),
+    "E8": ((2, 8, 12, 14, 18, 20, 24, 30),),
+    "F4": ((2, 6, 8, 12),),
+    "G2": ((2, 6),),
+}
+
+
+def test_exceptional_totals_are_coxeter_catalan_numbers():
+    # the total is prod (h + d_i) / d_i over each component's degrees d_i,
+    # h the component's Coxeter number, its largest degree
+    assert set(WEYL_DEGREES) == set(f.EXCEPTIONAL_ROWS)
+    for label, components in WEYL_DEGREES.items():
+        total = math.prod(Fraction(max(degrees) + d, d) for degrees in components for d in degrees)
+        assert f.a_total(label[0], int(label[1:])) == total, label
 
 
 def convolve(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[int, ...]:
@@ -236,6 +260,26 @@ def test_identity_check_regions(name, arity, count, digest):
         f._reset_partial_sums()
     assert len(admitted) == count
     assert hashlib.sha256(repr(admitted).encode()).hexdigest() == digest
+
+
+# one refusal per arity, one for a series outside the check's table and one
+# below the corner n + s >= 3, which the guard refuses before the Lucas triangle
+_REFUSAL_PINS = [
+    ("comparison_check", (1,), "comparison_check(1,) lies outside the check's argument region"),
+    ("total_split_check", ("E", 8), "total_split_check('E', 8) lies outside the check's argument region"),
+    ("hook_check", ("B", 4, 4), "hook_check('B', 4, 4) lies outside the check's argument region"),
+    ("shear_check", ("E", 6, 1), "shear_check('E', 6, 1) lies outside the check's argument region"),
+    ("shear_check", ("D", 2, 0), "shear_check('D', 2, 0) lies outside the check's argument region"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, text", _REFUSAL_PINS, ids=["-".join(map(str, (name, *args))) for name, args, _ in _REFUSAL_PINS]
+)
+def test_identity_check_refusal_text(name, args, text):
+    with pytest.raises(ValueError) as refused:
+        getattr(f, name)(*args)
+    assert str(refused.value) == text
 
 
 def test_hook_examples():

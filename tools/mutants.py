@@ -126,6 +126,28 @@ MUTANTS = (
         '"hockey_stick_check": {"A": (1, 1, 0, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)},',
         ("tests/test_verify_cli.py", "-k", "identity"),
     ),
+    Mutant(
+        "region-drops-corner",
+        "formulas.py",
+        "if n >= least and lo <= s and d * s <= n - c and n + s >= corner:",
+        "if n >= least and lo <= s and d * s <= n - c:",
+        ("tests/test_formulas.py", "-k", "refusal_text"),
+    ),
+    Mutant(
+        "region-least-exclusive",
+        "formulas.py",
+        "if n >= least and lo <= s and d * s <= n - c and n + s >= corner:",
+        "if n > least and lo <= s and d * s <= n - c and n + s >= corner:",
+        ("tests/test_formulas.py", "-k", "identity_check_regions"),
+    ),
+    # --- exceptional totals, summed from their rows
+    Mutant(
+        "exceptional-total-short",
+        "formulas.py",
+        'return sum(EXCEPTIONAL_ROWS[f"{series}{n}"])',
+        'return sum(EXCEPTIONAL_ROWS[f"{series}{n}"][:-1])',
+        ("tests/test_formulas.py", "-k", "coxeter_catalan"),
+    ),
     # --- report checks that tier-1 already failed on
     Mutant(
         "report-passes",
