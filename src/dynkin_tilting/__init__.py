@@ -9,7 +9,6 @@ from .diagrams import (
     DynkinType,
     build_cartan,
     positive_roots,
-    simple_reflection,
     sink_order,
 )
 from .enumeration import (
@@ -22,7 +21,7 @@ from .enumeration import (
     eta_map,
 )
 from .formulas import a_row, a_s, a_total, bailey, binom, catalan_bracket
-from .homs import build_category, build_matrices, ext_nonzero, hom_nonzero
+from .homs import build_category, build_matrices
 from .orbits import Indec, ModCategory, knit_category
 from .verify import VerificationReport, run_suite, verify_identities, verify_type
 
@@ -52,12 +51,9 @@ __all__ = [
     "enumerate_support_tilting",
     "eta_inverse",
     "eta_map",
-    "ext_nonzero",
-    "hom_nonzero",
     "knit_category",
     "positive_roots",
     "run_suite",
-    "simple_reflection",
     "sink_order",
     "verify_identities",
     "verify_type",

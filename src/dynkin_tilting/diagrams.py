@@ -12,8 +12,7 @@ neighbour lists: a simple reflection s_i changes only coordinate i, from
 the coordinates of i's neighbours.  ``positive_roots`` closes the simple
 roots under the reflections that raise a coordinate, so it never holds a
 negative root; it is the only finite-type test, for every datum, and
-``knit_category`` runs it first.  ``simple_reflection`` keeps the dense
-definition as the tests' oracle.
+``knit_category`` runs it first.
 
 The B/C distinction: in type B the double-valued edge sits at the branch
 end with ``A[n][n-1] = -2`` (so the indecomposable projective at vertex n
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 Coords = tuple[int, ...]
 Arrow = tuple[int, int]
@@ -321,21 +320,6 @@ def sink_order(datum: CartanDatum) -> tuple[int, ...]:
     return tuple(order)
 
 
-def simple_reflection(datum: CartanDatum, i: int, coords: Sequence[int]) -> Coords:
-    """Reflect a root-lattice vector at vertex i (an involution).
-
-    The dense definition, one full row of the Cartan matrix per step; the
-    tests keep it as the oracle for the sparse kernel below.
-    """
-    row = datum.cartan[i - 1]
-    s = 0
-    for j, x in enumerate(coords):
-        s += row[j] * x
-    out = list(coords)
-    out[i - 1] -= s
-    return tuple(out)
-
-
 Kernel = tuple[tuple[tuple[int, int], ...], ...]
 
 
@@ -356,11 +340,6 @@ def reflect_in_place(kernel: Kernel, word: Iterable[int], x: list[int]) -> None:
         for j, c in kernel[i]:
             s += c * x[j]
         x[i] = s
-
-
-def is_positive(coords: Sequence[int]) -> bool:
-    """True for nonzero vectors with all coordinates >= 0."""
-    return all(c >= 0 for c in coords) and any(c > 0 for c in coords)
 
 
 def positive_roots(datum: CartanDatum) -> frozenset[Coords]:

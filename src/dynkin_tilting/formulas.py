@@ -174,10 +174,10 @@ _REGIONS = {
 
 
 def _require_region(name: str, series: str | None, n: int, s: int | None = None) -> None:
-    """Raise ValueError unless the arguments lie in check `name`'s row of _REGIONS."""
+    """Raise ValueError unless the arguments lie in check `name`'s row of _REGIONS and their series' ranks."""
     region = _REGIONS[name]
     row = region.get(series)
-    if row is not None:
+    if row is not None and n <= _last(series, n):
         if s is None:
             if n >= row:
                 return

@@ -11,23 +11,6 @@ from __future__ import annotations
 
 from .orbits import ModCategory, knit_category
 
-Key = tuple[int, int]
-
-
-def hom_nonzero(cat: ModCategory, x: Key, y: Key) -> bool:
-    """Hom(M(x), M(y)) != 0, decided pairwise (build_matrices' test oracle)."""
-    i, u = x
-    j, v = y
-    cat.indec(i, u), cat.indec(j, v)  # KeyError for an unknown key
-    return u <= v and cat.indec(j, v - u).dim[i - 1] != 0
-
-
-def ext_nonzero(cat: ModCategory, x: Key, y: Key) -> bool:
-    """Ext^1(M(x), M(y)) != 0, decided pairwise (build_matrices' test oracle)."""
-    i, u = x
-    cat.indec(i, u), cat.indec(*y)  # KeyError for an unknown key
-    return u > 0 and hom_nonzero(cat, y, (i, u - 1))
-
 
 def _projectives(cat: ModCategory) -> list[int]:
     """The bit of the projective M(i, 0), the first position of orbit i, at i - 1."""

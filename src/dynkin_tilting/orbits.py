@@ -60,22 +60,9 @@ class ModCategory(NamedTuple):
     def n(self) -> int:
         return self.datum.n
 
-    def indec(self, i: int, u: int) -> Indec:
-        """M(i, u); KeyError unless 1 <= i <= n and 0 <= u <= q(i)."""
-        if not (1 <= i <= self.n and 0 <= u <= self.q[i - 1]):
-            raise KeyError(f"no such indecomposable: {(i, u)}")
-        return self.indecs[sum(self.q[: i - 1]) + i - 1 + u]
-
     def injective_slice(self) -> tuple[int, ...]:
         """Indices of the injectives M(i, q(i)): the last position of each orbit."""
         return tuple(end - 1 for end in accumulate(qi + 1 for qi in self.q))
-
-
-def tau_minus(datum: CartanDatum, order: tuple[int, ...], coords: Coords) -> Coords:
-    """Inverse Coxeter transformation on the root lattice."""
-    x = list(coords)
-    reflect_in_place(reflection_kernel(datum), [v - 1 for v in reversed(order)], x)
-    return tuple(x)
 
 
 def knit_category(datum: CartanDatum) -> ModCategory:

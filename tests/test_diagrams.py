@@ -18,11 +18,10 @@ from dynkin_tilting.diagrams import (
     build_cartan,
     canonical_shape,
     default_orientation,
-    is_positive,
     positive_roots,
-    simple_reflection,
     sink_order,
 )
+from tests.oracles import is_positive, simple_reflection
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]

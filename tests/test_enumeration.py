@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dynkin_tilting
-from dynkin_tilting import enumeration
+from dynkin_tilting import enumeration, verify
 from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
 from dynkin_tilting.enumeration import (
     _compat_masks,
@@ -28,7 +28,8 @@ from dynkin_tilting.enumeration import (
     listing_lines,
 )
 from dynkin_tilting.formulas import a_row, a_total, binom
-from dynkin_tilting.homs import build_category, ext_nonzero, hom_nonzero
+from dynkin_tilting.homs import build_category
+from tests.oracles import ext_nonzero, hom_nonzero, nonnesting_tables
 
 
 def _cat(label, orientation="default"):
@@ -533,6 +534,12 @@ def test_count_tables_requires_matrices():
     bare = knit_category(build_cartan(DynkinType("A", 2)))
     with pytest.raises(ValueError, match="matrices not built"):
         count_tables(bare, "antichain")
+    # one matrix without the other is refused too, whichever one the statistic reads
+    cat = _cat("A2")
+    for half in (cat._replace(hom=None), cat._replace(ext=None)):
+        for statistic in ("antichain", "tilting"):
+            with pytest.raises(ValueError, match="matrices not built"):
+                count_tables(half, statistic)
 
 
 @pytest.mark.parametrize("eta", [eta_map, eta_inverse])
@@ -659,3 +666,22 @@ def test_listing_deterministic():
     cat1 = _cat("D4")
     cat2 = _cat("D4")
     assert list(enumerate_antichains(cat1)) == list(enumerate_antichains(cat2))
+
+
+@pytest.mark.parametrize("label", verify.SUITES["slow"].types.split())
+def test_nonnesting_partitions_grade_like_the_antichains(label):
+    """The antichains of the positive-root poset (the nonnesting partitions)
+    against the module category's antichains, which they never read.
+
+    By size they give the Narayana numbers of type Delta (Armstrong,
+    Mem. AMS 202, 2009), the antichains' by-size row.  By the size of the
+    union of their roots' supports they give the by-support-rank row and
+    formulas.a_row: that grading is an observed fact, checked here, not a
+    cited theorem.
+    """
+    dtype = DynkinType.parse(label)
+    datum = build_cartan(dtype)
+    by_size, by_support = nonnesting_tables(datum)
+    table = count_tables(build_category(datum), "antichain")
+    assert by_size == table.by_size
+    assert by_support == table.by_support_rank == a_row(*dtype)

@@ -204,10 +204,14 @@ def test_inadmissible_arguments():
             f.z_value("A", t, s)
 
 
-def _admitted(build, *args):
+def _admitted(build, *args, refusal=""):
+    """False when build(*args) raises a ValueError whose text holds `refusal`;
+    any other ValueError propagates."""
     try:
         build(*args)
-    except ValueError:
+    except ValueError as exc:
+        if refusal not in str(exc):
+            raise
         return False
     return True
 
@@ -232,6 +236,8 @@ def _region_grid(arity):
                 yield head
 
 
+_OUTSIDE = "lies outside the check's argument region"
+
 # check name, arity, then the count and the sha256 of repr(list) of the
 # grid arguments the check admits, in grid order
 _REGION_PINS = [
@@ -252,24 +258,27 @@ _REGION_PINS = [
 
 @pytest.mark.parametrize("name, arity, count, digest", _REGION_PINS, ids=[pin[0] for pin in _REGION_PINS])
 def test_identity_check_regions(name, arity, count, digest):
-    # each check raises ValueError exactly outside its argument region
+    # each check's guard refuses exactly outside its argument region: only
+    # its text counts as a refusal, so a check body that raises fails here
     check = getattr(f, name)
     try:
-        admitted = [args for args in _region_grid(arity) if _admitted(check, *args)]
+        admitted = [args for args in _region_grid(arity) if _admitted(check, *args, refusal=_OUTSIDE)]
     finally:
         f._reset_partial_sums()
     assert len(admitted) == count
     assert hashlib.sha256(repr(admitted).encode()).hexdigest() == digest
 
 
-# one refusal per arity, one for a series outside the check's table and one
-# below the corner n + s >= 3, which the guard refuses before the Lucas triangle
+# one refusal per arity, one for a series outside the check's table, one
+# below the corner n + s >= 3, which the guard refuses before the Lucas
+# triangle, and one past series E's last rank, which it refuses before a_s
 _REFUSAL_PINS = [
     ("comparison_check", (1,), "comparison_check(1,) lies outside the check's argument region"),
     ("total_split_check", ("E", 8), "total_split_check('E', 8) lies outside the check's argument region"),
     ("hook_check", ("B", 4, 4), "hook_check('B', 4, 4) lies outside the check's argument region"),
     ("shear_check", ("E", 6, 1), "shear_check('E', 6, 1) lies outside the check's argument region"),
     ("shear_check", ("D", 2, 0), "shear_check('D', 2, 0) lies outside the check's argument region"),
+    ("hook_check", ("E", 9, 1), "hook_check('E', 9, 1) lies outside the check's argument region"),
 ]
 
 

@@ -379,6 +379,18 @@ def test_online_fetch_failure_warns_and_uses_fixture(monkeypatch, capsys, error)
     assert "falling back to fixture" in capsys.readouterr().err
 
 
+def test_offline_by_default(monkeypatch):
+    # fetch_bfile swallows every error of a live fetch, so a urlopen that
+    # raised would go unseen: record the calls instead
+    import urllib.request
+
+    calls = []
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: calls.append(args))
+    fetch_bfile("A007318")
+    reconcile("A007318", 10)
+    assert calls == []
+
+
 # modules a CLI process must not pay to import: the network stack is needed
 # only by `reconcile --online`, and the rest are the start-up cost of
 # dataclasses (inspect pulls in ast, dis and tokenize) and of fractions

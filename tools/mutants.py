@@ -140,6 +140,13 @@ MUTANTS = (
         "if n > least and lo <= s and d * s <= n - c and n + s >= corner:",
         ("tests/test_formulas.py", "-k", "identity_check_regions"),
     ),
+    Mutant(
+        "region-ignores-last-rank",
+        "formulas.py",
+        "if row is not None and n <= _last(series, n):",
+        "if row is not None:",
+        ("tests/test_formulas.py", "-k", "identity_check_regions or refusal_text"),
+    ),
     # --- exceptional totals, summed from their rows
     Mutant(
         "exceptional-total-short",
@@ -263,6 +270,28 @@ MUTANTS = (
         "width = sum(comb(m, k) for k in range(n + 1)).bit_length()",
         "width = sum(comb(m, k) for k in range(n + 1)).bit_length() - 2",
         (_COUNTS,),
+    ),
+    Mutant(
+        "matrices-need-both",
+        "enumeration.py",
+        "if cat.hom is None or cat.ext is None:",
+        "if cat.hom is None and cat.ext is None:",
+        (_COUNTS, "-k", "requires_matrices"),
+    ),
+    # --- b-files are read from the fixtures unless a live fetch is asked for
+    Mutant(
+        "fetch-online-by-default",
+        "oeis.py",
+        "def fetch_bfile(sequence_id: str, online: bool = False) -> BFile:",
+        "def fetch_bfile(sequence_id: str, online: bool = True) -> BFile:",
+        (_TRIANGLES, "-k", "offline"),
+    ),
+    Mutant(
+        "reconcile-online-by-default",
+        "oeis.py",
+        "def reconcile(sequence_id: str, terms: int, online: bool = False) -> ReconcileResult:",
+        "def reconcile(sequence_id: str, terms: int, online: bool = True) -> ReconcileResult:",
+        (_TRIANGLES, "-k", "offline"),
     ),
 )
 
