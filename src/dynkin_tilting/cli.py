@@ -5,15 +5,21 @@ is plain decimal on stdout; the effective configuration of each run goes to
 stderr so stdout stays byte-stable and machine-readable.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage error, 141
 stdout closed by its reader before the output ended.
+
+An `enumerate --list` listing goes out in blocks of at least 8 KiB
+(io.DEFAULT_BUFFER_SIZE), so its bytes and its speed do not depend on
+`python -u` or PYTHONUNBUFFERED, under which every write to stdout is a
+write(2).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import sys
-from typing import Sequence, get_args
+from typing import Iterable, Sequence, get_args
 
 from . import formulas, oeis, verify
 from .diagrams import SERIES, DiagramError, DynkinType, build_cartan
@@ -110,6 +116,20 @@ def _cmd_triangle(args) -> int:
     return 0
 
 
+def _write_in_blocks(lines: Iterable[str]) -> None:
+    """Write the lines to stdout joined into blocks of at least
+    io.DEFAULT_BUFFER_SIZE characters, then the shorter rest, one write each."""
+    block: list[str] = []
+    size = 0
+    for line in lines:
+        block.append(line)
+        size += len(line)
+        if size >= io.DEFAULT_BUFFER_SIZE:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    sys.stdout.write("".join(block))  # the rest, shorter than a block
+
+
 def _cmd_enumerate(args) -> int:
     _require_rank(args)
     dtype = DynkinType(args.series, args.n)
@@ -120,7 +140,7 @@ def _cmd_enumerate(args) -> int:
     orientation = _parse_orientation(args.orientation)
     cat = build_category(build_cartan(dtype, orientation))
     if args.listing:
-        sys.stdout.writelines(listing_lines(cat, args.statistic))
+        _write_in_blocks(listing_lines(cat, args.statistic))
         return 0
     table = count_tables(cat, args.statistic)
     print("by-support-rank: " + count_row(table.by_support_rank, f"total {table.total}"))

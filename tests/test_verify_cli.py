@@ -1,6 +1,7 @@
 """Verifier reports and the command-line surface."""
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -486,6 +487,51 @@ def test_cli_enumerate_benchmark_listings(capsys, args, digest, lines):
     out = capsys.readouterr().out
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# listings shorter than one block, of two blocks and a rest, and of two lines;
+# sha256 and line count pinned from the one-write-per-set code
+_BLOCK_LISTINGS = [
+    ("D 6 --statistic antichain", "567abb65d536375271ae02e823c8e50af9e40fdd935838eb70577cddbec3ce99", 672),
+    ("E 6", "6d7af6bcccc626a606dd0d80e5868f6837b5a5fb7d4d0bb904e570c1671964b0", 833),
+    ("A 1", "bed2bb29c7e560d2a9e1e16fa1dee467763ea5610027b7faa5b202c321d2048e", 2),
+]
+
+
+@pytest.mark.parametrize("args, digest, lines", _BLOCK_LISTINGS)
+def test_cli_enumerate_listing_same_bytes_buffered_or_not(capsys, args, digest, lines):
+    assert run(["enumerate", *args.split(), "--list"]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert expected.count(b"\n") == lines
+    assert hashlib.sha256(expected).hexdigest() == digest
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "dynkin_tilting.cli", "enumerate", *args.split(), "--list"]
+    for mode in ({}, {"PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.run(command, capture_output=True, env={**env, **mode}, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == expected, mode
+
+
+class _WriteRecorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_cli_enumerate_listing_writes_blocks(monkeypatch):
+    recorder = _WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert run(["enumerate", "E", "6", "--list"]) == 0
+    text = recorder.getvalue()
+    assert text.count("\n") == 833
+    assert "".join(recorder.writes) == text
+    assert all(len(block) >= io.DEFAULT_BUFFER_SIZE for block in recorder.writes[:-1])
+    assert len(recorder.writes) <= len(text) // io.DEFAULT_BUFFER_SIZE + 1
 
 
 def test_cli_enumerate_refuses_before_building(capsys, monkeypatch):

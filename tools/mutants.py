@@ -213,6 +213,21 @@ MUTANTS = (
         "if need > 1 and rest.bit_count() <= need:",
         (_COUNTS, "-k", "walker or listing"),
     ),
+    # --- enumerate --list, written in blocks
+    Mutant(
+        "listing-writes-per-line",
+        "cli.py",
+        "_write_in_blocks(listing_lines(cat, args.statistic))",
+        "sys.stdout.writelines(listing_lines(cat, args.statistic))",
+        ("tests/test_verify_cli.py", "-k", "writes_blocks"),
+    ),
+    Mutant(
+        "listing-drops-last-block",
+        "cli.py",
+        'sys.stdout.write("".join(block))  # the rest, shorter than a block',
+        "pass",
+        ("tests/test_verify_cli.py", "-k", "buffered_or_not"),
+    ),
     # --- triangle output, streamed row by row
     Mutant(
         "bfile-index-stuck",
