@@ -6,8 +6,9 @@ stderr so stdout stays byte-stable and machine-readable.  Exit codes:
 0 success / all checks pass, 1 verification failure, 2 usage error, 141
 stdout closed by its reader before the output ended.
 
-An `enumerate --list` listing goes out in blocks of at least 8 KiB
-(io.DEFAULT_BUFFER_SIZE), so its bytes and its speed do not depend on
+Each command returns its exit code and its stdout lines, and `run` alone
+writes them, joined into blocks of at least 8 KiB (io.DEFAULT_BUFFER_SIZE).
+So the bytes and the speed of every command's stdout do not depend on
 `python -u` or PYTHONUNBUFFERED, under which every write to stdout is a
 write(2).
 """
@@ -105,15 +106,13 @@ def _require_rank(args) -> None:
         raise ValueError(f"{args.command} rank {args.n} is above the limit of {oeis.MAX_ROWS}")
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, Iterable[str]]:
     _require_rank(args)
-    print(count_row(formulas.a_row(args.series, args.n), f"total {formulas.a_total(args.series, args.n)}"))
-    return 0
+    return 0, [count_row(formulas.a_row(args.series, args.n), f"total {formulas.a_total(args.series, args.n)}") + "\n"]
 
 
-def _cmd_triangle(args) -> int:
-    sys.stdout.writelines(oeis.triangle_lines(args.name, args.rows, args.fmt))
-    return 0
+def _cmd_triangle(args) -> tuple[int, Iterable[str]]:
+    return 0, oeis.triangle_lines(args.name, args.rows, args.fmt)
 
 
 def _write_in_blocks(lines: Iterable[str]) -> None:
@@ -130,7 +129,7 @@ def _write_in_blocks(lines: Iterable[str]) -> None:
     sys.stdout.write("".join(block))  # the rest, shorter than a block
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
     _require_rank(args)
     dtype = DynkinType(args.series, args.n)
     try:
@@ -140,16 +139,15 @@ def _cmd_enumerate(args) -> int:
     orientation = _parse_orientation(args.orientation)
     cat = build_category(build_cartan(dtype, orientation))
     if args.listing:
-        _write_in_blocks(listing_lines(cat, args.statistic))
-        return 0
+        return 0, listing_lines(cat, args.statistic)
     table = count_tables(cat, args.statistic)
-    print("by-support-rank: " + count_row(table.by_support_rank, f"total {table.total}"))
+    lines = ["by-support-rank: " + count_row(table.by_support_rank, f"total {table.total}") + "\n"]
     if args.statistic == "antichain":
-        print("by-size:         " + count_row(table.by_size, f"total {table.total}"))
-    return 0
+        lines.append("by-size:         " + count_row(table.by_size, f"total {table.total}") + "\n")
+    return 0, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     max_n = args.max_n if args.max_n is not None else verify.SUITES[args.level].max_n
     # open --out before the suite runs, so a bad path fails before any output
     with open(args.out, "w") if args.out else contextlib.nullcontext() as out:
@@ -161,17 +159,15 @@ def _cmd_verify(args) -> int:
         text = header + report.render()
         if out is not None:
             out.write(text)
-    # --out is written and closed first: a reader that closes stdout early
-    # must not leave the file truncated
-    sys.stdout.write(text)
-    return 0 if report.passed else 1
+    # --out is written and closed before run writes stdout: a reader that
+    # closes stdout early must not leave the file truncated
+    return (0 if report.passed else 1), [text]
 
 
-def _cmd_reconcile(args) -> int:
+def _cmd_reconcile(args) -> tuple[int, Iterable[str]]:
     res = oeis.reconcile(args.sequence_id, args.terms, online=args.online)
     status = "PASS" if res.passed else "FAIL"
-    print(f"{res.sequence_id}\tterms={res.terms}\t{res.detail}\t{status}")
-    return 0 if res.passed else 1
+    return (0 if res.passed else 1), [f"{res.sequence_id}\tterms={res.terms}\t{res.detail}\t{status}\n"]
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -190,7 +186,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         "reconcile": _cmd_reconcile,
     }[args.command]
     try:
-        code = handler(args)
+        code, lines = handler(args)
+        _write_in_blocks(lines)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

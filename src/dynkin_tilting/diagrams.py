@@ -21,8 +21,8 @@ knits to dimension vector (1,...,1)); type C is the transposed matrix.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from math import gcd, lcm
 from typing import Iterable, NamedTuple, Union
 
 Coords = tuple[int, ...]
@@ -192,7 +192,6 @@ class CartanDatum(NamedTuple):
     shape: DiagramShape
     orientation: tuple[Arrow, ...]
     cartan: tuple[Coords, ...]
-    symmetrizer: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -209,11 +208,8 @@ def default_orientation(shape: DiagramShape) -> tuple[Arrow, ...]:
 
 def all_orientations(shape: DiagramShape) -> list[tuple[Arrow, ...]]:
     """All 2^e orientations of the forest, in a deterministic order."""
-    out = []
     pairs = [((j, i), (i, j)) for i, j, _, _ in shape.edges]
-    for choice in itertools.product(*pairs) if pairs else [()]:
-        out.append(tuple(sorted(choice)))
-    return sorted(out)
+    return sorted(tuple(sorted(choice)) for choice in itertools.product(*pairs))
 
 
 def _cartan_matrix(shape: DiagramShape) -> tuple[Coords, ...]:
@@ -223,37 +219,6 @@ def _cartan_matrix(shape: DiagramShape) -> tuple[Coords, ...]:
         mat[i - 1][j - 1] = -a
         mat[j - 1][i - 1] = -b
     return tuple(tuple(row) for row in mat)
-
-
-def _symmetrizer(shape: DiagramShape, cartan: tuple[Coords, ...]) -> tuple[int, ...]:
-    # propagate d_j = d_i * A_ij / A_ji along edges of each component, each
-    # d_j an exact fraction kept as a reduced (numerator, denominator) pair
-    n = shape.vertex_count
-    d: list[tuple[int, int] | None] = [None] * (n + 1)
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for i, j, _, _ in shape.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for comp in shape.components():
-        root = min(comp)
-        d[root] = (1, 1)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            num, den = d[v]  # type: ignore[misc]
-            for w in adj[v]:
-                if d[w] is None:
-                    # both entries are negative on an edge, so the ratio is positive
-                    p = num * -cartan[v - 1][w - 1]
-                    q = den * -cartan[w - 1][v - 1]
-                    g = gcd(p, q)
-                    d[w] = (p // g, q // g)
-                    stack.append(w)
-    pairs: list[tuple[int, int]] = d[1:]  # type: ignore[assignment]
-    denoms = lcm(*(q for _, q in pairs))
-    ints = [p * (denoms // q) for p, q in pairs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
 
 
 OrientationSpec = Union[str, Iterable[Arrow]]
@@ -286,8 +251,7 @@ def build_cartan(dtype: DynkinType, orientation_spec: OrientationSpec = "default
                 f"expected undirected {sorted(want)}, got {sorted(first)}"
             )
         orientation = tuple(sorted(first.values()))
-    cartan = _cartan_matrix(shape)
-    return CartanDatum(dtype.label, shape, orientation, cartan, _symmetrizer(shape, cartan))
+    return CartanDatum(dtype.label, shape, orientation, _cartan_matrix(shape))
 
 
 def sink_order(datum: CartanDatum) -> tuple[int, ...]:
@@ -303,18 +267,14 @@ def sink_order(datum: CartanDatum) -> tuple[int, ...]:
         outdeg[src] += 1
         preds[dst].append(src)
     order: list[int] = []
-    ready = sorted(v for v in outdeg if outdeg[v] == 0)
+    ready = [v for v in outdeg if outdeg[v] == 0]  # ascending, so already a heap
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
-        changed = False
         for w in preds[v]:
             outdeg[w] -= 1
             if outdeg[w] == 0:
-                ready.append(w)
-                changed = True
-        if changed:
-            ready.sort()
+                heapq.heappush(ready, w)
     if len(order) != n:
         raise DiagramError("orientation is cyclic: no sink ordering exists")
     return tuple(order)

@@ -238,7 +238,9 @@ def count_tables(cat: ModCategory, kind: Statistic) -> CountTable:
     coefficient s of row s.  Every coefficient k <= n counts distinct
     k-subsets of the m modules, and no compatible set has more than n
     members, so a width that holds sum over k <= n of C(m, k) holds every
-    field read.
+    field read.  A field too narrow spills into its neighbour; the closing
+    check sees that for antichains only, since for tilting by_rank is
+    by_size.
     """
     n = cat.n
     m = len(cat.indecs)
@@ -256,7 +258,8 @@ def count_tables(cat: ModCategory, kind: Statistic) -> CountTable:
         for k in range(n + 1):
             by_size.append((every >> (k * width)) & field)
     total = sum(by_rank)
-    assert total == sum(by_size)
+    if total != sum(by_size):
+        raise AssertionError(f"{cat.datum.label} {kind} counts overflow their {width}-bit fields")
     return CountTable(cat.datum.label, n, tuple(by_rank), tuple(by_size), total)
 
 

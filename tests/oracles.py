@@ -3,12 +3,47 @@
 Each one decides its fact the slow, direct way: the dense reflection row
 by row, tau-minus as a word of reflections, Hom and Ext pair by pair from
 the orbit grid, and the antichains of the positive-root poset without any
-module at all.
+module at all.  The symmetrizer D of a Cartan matrix lives here too: the
+package never reads it, and only the tests' finite-type oracle uses it.
 """
+
+from math import gcd, lcm
 
 from dynkin_tilting.diagrams import positive_roots, reflect_in_place, reflection_kernel
 
 Key = tuple[int, int]
+
+
+def symmetrizer(shape, cartan):
+    """The least positive integer vector d with d_i A_ij = d_j A_ji."""
+    # propagate d_j = d_i * A_ij / A_ji along edges of each component, each
+    # d_j an exact fraction kept as a reduced (numerator, denominator) pair
+    n = shape.vertex_count
+    d: list[tuple[int, int] | None] = [None] * (n + 1)
+    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for i, j, _, _ in shape.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    for comp in shape.components():
+        root = min(comp)
+        d[root] = (1, 1)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            num, den = d[v]  # type: ignore[misc]
+            for w in adj[v]:
+                if d[w] is None:
+                    # both entries are negative on an edge, so the ratio is positive
+                    p = num * -cartan[v - 1][w - 1]
+                    q = den * -cartan[w - 1][v - 1]
+                    g = gcd(p, q)
+                    d[w] = (p // g, q // g)
+                    stack.append(w)
+    pairs: list[tuple[int, int]] = d[1:]  # type: ignore[assignment]
+    denoms = lcm(*(q for _, q in pairs))
+    ints = [p * (denoms // q) for p, q in pairs]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def simple_reflection(datum, i, coords):

@@ -13,7 +13,6 @@ from dynkin_tilting.diagrams import (
     DiagramShape,
     DynkinType,
     _cartan_matrix,
-    _symmetrizer,
     all_orientations,
     build_cartan,
     canonical_shape,
@@ -21,7 +20,7 @@ from dynkin_tilting.diagrams import (
     positive_roots,
     sink_order,
 )
-from tests.oracles import is_positive, simple_reflection
+from tests.oracles import is_positive, simple_reflection, symmetrizer
 
 ALL_TYPES = (
     [("A", n) for n in range(1, 9)]
@@ -107,10 +106,15 @@ def test_b2_valuation_product_and_transpose():
     assert c2.cartan == tuple(zip(*b2.cartan))
 
 
+def test_cartan_datum_fields():
+    # the symmetrizer is not part of a datum: nothing in the package reads it
+    assert CartanDatum._fields == ("label", "shape", "orientation", "cartan")
+
+
 def test_symmetrized_matrix_symmetric():
     for series, n in ALL_TYPES:
         datum = build_cartan(DynkinType(series, n))
-        d = datum.symmetrizer
+        d = symmetrizer(datum.shape, datum.cartan)
         A = datum.cartan
         for i in range(n):
             for j in range(n):
@@ -119,7 +123,8 @@ def test_symmetrized_matrix_symmetric():
         assert math.gcd(*d) == 1, (series, n, d)
     # rows pinned from the Fraction-based computation; a scaled vector fails here
     for label, d in (("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("F4", (2, 2, 1, 1)), ("G2", (3, 1))):
-        assert build_cartan(DynkinType.parse(label)).symmetrizer == d, label
+        datum = build_cartan(DynkinType.parse(label))
+        assert symmetrizer(datum.shape, datum.cartan) == d, label
 
 
 def test_sink_order_default_is_identity():
@@ -133,6 +138,41 @@ def test_sink_order_default_is_identity():
 def test_sink_order_tie_break():
     datum = build_cartan(DynkinType("A", 3), [(1, 2), (3, 2)])
     assert sink_order(datum) == (2, 1, 3)
+
+
+def _sinks_first(datum):
+    """The sink order by its definition: repeatedly the smallest remaining
+    vertex with no arrow from it into the remaining vertices."""
+    remaining = set(range(1, datum.n + 1))
+    order = []
+    while remaining:
+        v = min(v for v in remaining if not any(src == v and dst in remaining for src, dst in datum.orientation))
+        order.append(v)
+        remaining.remove(v)
+    return tuple(order)
+
+
+# every orientation of every type up to rank 6, and E7's
+_SINK_ORDER_DATA = [
+    build_cartan(dtype, orientation)
+    for dtype in [DynkinType(series, n) for series, n in ALL_TYPES if n <= 6] + [DynkinType("E", 7)]
+    for orientation in all_orientations(canonical_shape(dtype))
+]
+
+
+def test_sink_order_matches_its_definition():
+    assert len(_SINK_ORDER_DATA) == 381
+    for datum in _SINK_ORDER_DATA:
+        assert sink_order(datum) == _sinks_first(datum), (datum.label, datum.orientation)
+
+
+def test_sink_order_refuses_a_cycle():
+    # build_cartan cannot make a cyclic orientation of a forest; a datum
+    # assembled by hand can
+    shape = canonical_shape(DynkinType("A", 2))
+    datum = CartanDatum("hand-built", shape, ((1, 2), (2, 1)), _cartan_matrix(shape))
+    with pytest.raises(DiagramError, match="cyclic"):
+        sink_order(datum)
 
 
 def test_orientation_validation():
@@ -231,7 +271,7 @@ def test_shape_validation_rejects_non_dynkin_data():
         DiagramShape(2, ((1, 2, 1, 1), (1, 2, 1, 1)))  # duplicate edge
 
 
-def _check_finite_type(cartan: tuple[tuple[int, ...], ...], symmetrizer: tuple[int, ...]) -> None:
+def _check_finite_type(cartan: tuple[tuple[int, ...], ...], d: tuple[int, ...]) -> None:
     """The tests' oracle for finite type: raise unless the symmetrized matrix
     is symmetric positive definite.
 
@@ -240,7 +280,7 @@ def _check_finite_type(cartan: tuple[tuple[int, ...], ...], symmetrizer: tuple[i
     is the k-th leading minor, so the pass stops at the first pivot <= 0.
     """
     n = len(cartan)
-    m = [[symmetrizer[i] * cartan[i][j] for j in range(n)] for i in range(n)]
+    m = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if m[i][j] != m[j][i]:
@@ -258,7 +298,7 @@ def _check_finite_type(cartan: tuple[tuple[int, ...], ...], symmetrizer: tuple[i
 
 def _finite_type_check(shape: DiagramShape) -> None:
     cartan = _cartan_matrix(shape)
-    _check_finite_type(cartan, _symmetrizer(shape, cartan))
+    _check_finite_type(cartan, symmetrizer(shape, cartan))
 
 
 def test_finite_type_check_accepts_canonical_types():
@@ -283,8 +323,7 @@ NON_FINITE_SHAPES = pytest.mark.parametrize(
 
 def hand_built_datum(shape: DiagramShape) -> CartanDatum:
     """A Cartan datum assembled from any shape, not only a canonical one."""
-    cartan = _cartan_matrix(shape)
-    return CartanDatum("hand-built", shape, default_orientation(shape), cartan, _symmetrizer(shape, cartan))
+    return CartanDatum("hand-built", shape, default_orientation(shape), _cartan_matrix(shape))
 
 
 @NON_FINITE_SHAPES

@@ -542,6 +542,24 @@ def test_count_tables_requires_matrices():
                 count_tables(half, statistic)
 
 
+_NARROW_FIELDS_CHILD = """
+from dynkin_tilting import enumeration
+from dynkin_tilting.diagrams import DynkinType, build_cartan
+from dynkin_tilting.homs import build_category
+
+enumeration.comb = lambda *_: 1  # every field a few bits wide
+enumeration.count_tables(build_category(build_cartan(DynkinType("A", 4))), "antichain")
+"""
+
+
+def test_count_overflow_check_survives_python_O():
+    # -O strips assert statements; the overflow check must not be one
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", _NARROW_FIELDS_CHILD], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "AssertionError: A4 antichain counts overflow their 3-bit fields" in proc.stderr
+
+
 @pytest.mark.parametrize("eta", [eta_map, eta_inverse])
 def test_eta_requires_matrices(eta):
     # the same refusal as count_tables, also under python -O, which strips asserts

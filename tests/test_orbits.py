@@ -13,6 +13,7 @@ from dynkin_tilting.diagrams import (
     positive_roots,
     sink_order,
 )
+from dynkin_tilting import orbits
 from dynkin_tilting.orbits import knit_category
 from tests.oracles import indec, is_positive, simple_reflection, tau_minus
 from tests.test_diagrams import ALL_TYPES, NON_FINITE_SHAPES, hand_built_datum
@@ -182,3 +183,13 @@ def test_e8_has_120_indecomposables():
     cat = _cat("E8")
     assert len(cat.indecs) == 120
     assert sum(q + 1 for q in cat.q) == 120
+
+
+def test_knitting_checks_the_grid_against_the_roots(monkeypatch):
+    # a root closure that misses one root leaves an orbit vector outside it
+    def one_root_short(datum):
+        return frozenset(sorted(positive_roots(datum))[1:])
+
+    monkeypatch.setattr(orbits, "positive_roots", one_root_short)
+    with pytest.raises(AssertionError, match="does not enumerate the positive roots"):
+        knit_category(build_cartan(DynkinType("A", 3)))

@@ -21,7 +21,7 @@ _CHECK = Check(*_CHECK_ARGS)
 _RECORDS = [
     (DynkinType, ("B", 3)),
     (DiagramShape, (2, ((1, 2, 1, 1),))),
-    (CartanDatum, (_A2.label, _A2.shape, _A2.orientation, _A2.cartan, _A2.symmetrizer)),
+    (CartanDatum, (_A2.label, _A2.shape, _A2.orientation, _A2.cartan)),
     (Indec, (1, 0, (1, 0), 0b01)),
     (ModCategory, (_A2, _A2_CAT.indecs, _A2_CAT.q, (1, 3, 4), (0, 0, 1))),
     (CountTable, ("A2", 2, (1, 2, 2), (1, 3, 1), 5)),

@@ -523,12 +523,19 @@ class _WriteRecorder(io.StringIO):
         return super().write(text)
 
 
-def test_cli_enumerate_listing_writes_blocks(monkeypatch):
+# every command's stdout goes out through run's one block writer: a listing,
+# a triangle of short rows, and a report written as one string
+@pytest.mark.parametrize(
+    "args, lines",
+    [("enumerate E 6 --list", 833), ("triangle A --rows 60 --format csv", 60), ("verify --quick", 111)],
+    ids=["enumerate-E6", "triangle-A60-csv", "verify-quick"],
+)
+def test_cli_enumerate_listing_writes_blocks(monkeypatch, args, lines):
     recorder = _WriteRecorder()
     monkeypatch.setattr(sys, "stdout", recorder)
-    assert run(["enumerate", "E", "6", "--list"]) == 0
+    assert run(args.split()) == 0
     text = recorder.getvalue()
-    assert text.count("\n") == 833
+    assert text.count("\n") == lines
     assert "".join(recorder.writes) == text
     assert all(len(block) >= io.DEFAULT_BUFFER_SIZE for block in recorder.writes[:-1])
     assert len(recorder.writes) <= len(text) // io.DEFAULT_BUFFER_SIZE + 1

@@ -213,12 +213,12 @@ MUTANTS = (
         "if need > 1 and rest.bit_count() <= need:",
         (_COUNTS, "-k", "walker or listing"),
     ),
-    # --- enumerate --list, written in blocks
+    # --- every command's stdout, written in blocks by run alone
     Mutant(
         "listing-writes-per-line",
         "cli.py",
-        "_write_in_blocks(listing_lines(cat, args.statistic))",
-        "sys.stdout.writelines(listing_lines(cat, args.statistic))",
+        "_write_in_blocks(lines)",
+        "sys.stdout.writelines(lines)",
         ("tests/test_verify_cli.py", "-k", "writes_blocks"),
     ),
     Mutant(
@@ -287,11 +287,40 @@ MUTANTS = (
         (_COUNTS,),
     ),
     Mutant(
+        "count-overflow-unchecked",
+        "enumeration.py",
+        "if total != sum(by_size):",
+        "if False:",
+        (_COUNTS, "-k", "python_O"),
+    ),
+    Mutant(
         "matrices-need-both",
         "enumeration.py",
         "if cat.hom is None or cat.ext is None:",
         "if cat.hom is None and cat.ext is None:",
         (_COUNTS, "-k", "requires_matrices"),
+    ),
+    # --- the category layer's guards: a cyclic orientation, a grid that misses a root
+    Mutant(
+        "knit-skips-root-check",
+        "orbits.py",
+        "if len(dims) != len(set(dims)) or set(dims) != roots:",
+        "if False:",
+        ("tests/test_orbits.py", "-k", "grid_against_the_roots"),
+    ),
+    Mutant(
+        "sink-order-accepts-cycle",
+        "diagrams.py",
+        'raise DiagramError("orientation is cyclic: no sink ordering exists")',
+        "pass",
+        ("tests/test_diagrams.py", "-k", "sink_order"),
+    ),
+    Mutant(
+        "sink-order-takes-largest",
+        "diagrams.py",
+        "v = heapq.heappop(ready)",
+        "v = ready.pop(ready.index(max(ready)))",
+        ("tests/test_diagrams.py", "-k", "sink_order"),
     ),
     # --- b-files are read from the fixtures unless a live fetch is asked for
     Mutant(
