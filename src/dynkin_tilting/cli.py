@@ -41,10 +41,13 @@ def _parse_orientation(spec: str):
 
 
 def _bounded_int(minimum: int, maximum: int | None = None):
+    """An argparse type for plain ASCII digits in the bounds: int() would also
+    take '+3', ' 3', '1_0' and non-ASCII digits."""
     bounds = f">= {minimum}" if maximum is None else f"within {minimum}..{maximum}"
 
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < minimum or (maximum is not None and int(text) > maximum):
+        digits = text.isascii() and text.isdecimal()
+        if not digits or int(text) < minimum or (maximum is not None and int(text) > maximum):
             raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
         return int(text)
 
@@ -60,16 +63,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="print one row of closed-form counts")
     p.add_argument("series", choices=SERIES)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_bounded_int(0))
 
     p = sub.add_parser("triangle", help="emit a triangle (pretty, csv, or b-file)")
     p.add_argument("name", choices=list(oeis.TRIANGLE_NAMES))
-    p.add_argument("--rows", type=int, default=10)
+    p.add_argument("--rows", type=_bounded_int(0), default=10)
     p.add_argument("--format", dest="fmt", choices=oeis.FORMATS, default="pretty")
 
     p = sub.add_parser("enumerate", help="enumerate one algebra and print count tables")
     p.add_argument("series", choices=SERIES)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_bounded_int(0))
     p.add_argument("--orientation", default="default", help="'default' or arrows like '2>1,3>2'")
     p.add_argument("--statistic", choices=get_args(Statistic), default="tilting")
     p.add_argument("--list", action="store_true", dest="listing", help="list every set")
@@ -96,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconcile", help="compare a generated sequence against its b-file")
     p.add_argument("sequence_id", choices=list(oeis.SEQUENCE_IDS))
-    p.add_argument("--terms", type=int, default=40)
+    p.add_argument("--terms", type=_bounded_int(0), default=40)
     p.add_argument("--online", action="store_true", help="fetch from oeis.org before falling back")
     return parser
 

@@ -11,8 +11,15 @@ Root-lattice work runs on one sparse kernel built from the Cartan matrix's
 neighbour lists: a simple reflection s_i changes only coordinate i, from
 the coordinates of i's neighbours.  ``positive_roots`` closes the simple
 roots under the reflections that raise a coordinate, so it never holds a
-negative root; it is the only finite-type test, for every datum, and
-``knit_category`` runs it first.
+negative root; it is the only finite-type test, and ``knit_category`` runs
+it first on every datum.
+
+Nothing of this depends on the orientation.  The canonical shape of a type,
+the Cartan matrix of a shape and the root closure of a Cartan matrix are
+each computed once and memoized, so the orientations of one type share
+them; the closure is keyed on the shape and the matrix together, so data
+built by hand never share an entry with a different matrix.  A datum not of
+finite type raises on every call, since a raised call stores nothing.
 
 The B/C distinction: in type B the double-valued edge sits at the branch
 end with ``A[n][n-1] = -2`` (so the indecomposable projective at vertex n
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Union
 
 Coords = tuple[int, ...]
@@ -75,13 +83,11 @@ class DynkinType(_DynkinTypeFields):
     def parse(cls, label: str) -> "DynkinType":
         """Parse a label like 'D4' or 'E8'."""
         label = label.strip()
-        if len(label) < 2 or label[0].upper() not in SERIES:
+        digits = label[1:]
+        # int() would also take '+3', ' 3', '1_0' and non-ASCII digits
+        if label[:1].upper() not in SERIES or not (digits.isascii() and digits.isdecimal()):
             raise DiagramError(f"cannot parse type label {label!r}")
-        try:
-            rank = int(label[1:])
-        except ValueError as exc:
-            raise DiagramError(f"cannot parse type label {label!r}") from exc
-        return cls(label[0].upper(), rank)
+        return cls(label[0].upper(), int(digits))
 
     @property
     def label(self) -> str:
@@ -137,10 +143,19 @@ class DiagramShape(_DiagramShapeFields):
         return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
 
 
+# Each memo below holds one entry per Dynkin type (or Cartan matrix) that a
+# run builds.  `verify --slow` builds 23 distinct types and a sweep over
+# every type of rank <= 6 builds 22, so a size of 64 keeps every entry of
+# such a run; a root-closure entry takes under 20 KB up to rank 8 (E8's 120
+# roots: 16 KB) and about 0.5 MB at rank 45.
+_MEMO_SIZE = 64
+
+
 def _path_edges(n: int) -> list[Edge]:
     return [(i, i + 1, 1, 1) for i in range(1, n)]
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def canonical_shape(dtype: DynkinType) -> DiagramShape:
     """Resolve a type (including degenerate ranks) to its canonical shape.
 
@@ -212,6 +227,7 @@ def all_orientations(shape: DiagramShape) -> list[tuple[Arrow, ...]]:
     return sorted(tuple(sorted(choice)) for choice in itertools.product(*pairs))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def _cartan_matrix(shape: DiagramShape) -> tuple[Coords, ...]:
     n = shape.vertex_count
     mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -283,14 +299,14 @@ def sink_order(datum: CartanDatum) -> tuple[int, ...]:
 Kernel = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def reflection_kernel(datum: CartanDatum) -> Kernel:
+def reflection_kernel(cartan: tuple[Coords, ...]) -> Kernel:
     """Every simple reflection in sparse form: the Cartan matrix's neighbour lists.
 
     Entry i holds the pairs (j, -A[i][j]) over the neighbours j of vertex
     i + 1, all indices 0-based.  The reflection at vertex i + 1 changes only
     coordinate i, to -x_i + sum(c * x_j for j, c in entry i).
     """
-    return tuple(tuple((j, -a) for j, a in enumerate(row) if a and j != i) for i, row in enumerate(datum.cartan))
+    return tuple(tuple((j, -a) for j, a in enumerate(row) if a and j != i) for i, row in enumerate(cartan))
 
 
 def reflect_in_place(kernel: Kernel, word: Iterable[int], x: list[int]) -> None:
@@ -311,11 +327,18 @@ def positive_roots(datum: CartanDatum) -> frozenset[Coords]:
     positive cone.  A connected finite type of rank k has at most
     max(k², 120) positive roots (k² for B and C, 120 for E8), so a closure
     that outgrows the sum of that bound over the components means the
-    matrix is not of finite type.  This is the only finite-type test.
+    matrix is not of finite type.  This is the only finite-type test.  The
+    closure runs once per (shape, Cartan matrix): every orientation of a
+    type gets the same frozenset.
     """
-    n = datum.n
-    kernel = reflection_kernel(datum)
-    max_roots = sum(max(len(c) ** 2, 120) for c in datum.shape.components())
+    return _root_closure(datum.shape, datum.cartan)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _root_closure(shape: DiagramShape, cartan: tuple[Coords, ...]) -> frozenset[Coords]:
+    n = shape.vertex_count
+    kernel = reflection_kernel(cartan)
+    max_roots = sum(max(len(c) ** 2, 120) for c in shape.components())
     seen: set[Coords] = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
     work = list(seen)
     while work:

@@ -172,6 +172,14 @@ def _compatible_inside(allowed: int, comp: list[int], width: int, memo: dict[int
     with modules in (vertex, power) order it is faster than lowest first for
     both statistics: A12 antichains take 7,201 calls against 12,610, A12
     tilting counts about 0.03 s against 0.14 s (CPython 3.11, 2 vCPUs).
+
+    Once y conflicts with none of the modules left below it (below is all
+    of allowed), the loop ends: its remaining terms, one per module left,
+    are exactly the sum that F(below) = 1 + (sum << width) packs, so it
+    adds got + ((got - 1) >> width) and stops.  Every mask the rest of the
+    loop would meet was met when F(below) was counted, so the memo and the
+    calls do not change, and only iterations are saved (default D12
+    tilting: 55,591 against 202,537).
     """
     acc = 0
     while allowed:
@@ -181,6 +189,9 @@ def _compatible_inside(allowed: int, comp: list[int], width: int, memo: dict[int
         got = memo.get(below)
         if got is None:
             got = memo[below] = _compatible_inside(below, comp, width, memo)
+        if below == allowed:
+            acc += got + ((got - 1) >> width)
+            break
         acc += got
     return 1 + (acc << width)
 
@@ -238,29 +249,31 @@ def count_tables(cat: ModCategory, kind: Statistic) -> CountTable:
     coefficient s of row s.  Every coefficient k <= n counts distinct
     k-subsets of the m modules, and no compatible set has more than n
     members, so a width that holds sum over k <= n of C(m, k) holds every
-    field read.  A field too narrow spills into its neighbour; the closing
-    check sees that for antichains only, since for tilting by_rank is
-    by_size.
+    field read.  A field too narrow spills into its neighbour, and the
+    closing check sees that for both statistics: it tallies the compatible
+    sets twice, by support-rank from the fields of each packed[s] and by
+    size from the fields of their sum, and the two totals must agree.
     """
     n = cat.n
     m = len(cat.indecs)
     width = sum(comb(m, k) for k in range(n + 1)).bit_length()
     field = (1 << width) - 1
     packed = _component_product(cat, _compat_masks(cat, kind), width)
+    by_rank = []
+    for poly in packed:  # loops, not generators: perfbench counts each resumption as a call
+        fields = 0
+        for k in range(n + 1):
+            fields += (poly >> (k * width)) & field
+        by_rank.append(fields)
+    every = sum(packed)
+    by_size = []
+    for k in range(n + 1):
+        by_size.append((every >> (k * width)) & field)
+    if sum(by_rank) != sum(by_size):
+        raise AssertionError(f"{cat.datum.label} {kind} counts overflow their {width}-bit fields")
     if kind == "tilting":
         by_rank = by_size = [(packed[s] >> (s * width)) & field for s in range(n + 1)]
-    else:
-        by_rank = []
-        for poly in packed:
-            by_rank.append(sum((poly >> (k * width)) & field for k in range(n + 1)))
-        every = sum(packed)
-        by_size = []
-        for k in range(n + 1):
-            by_size.append((every >> (k * width)) & field)
-    total = sum(by_rank)
-    if total != sum(by_size):
-        raise AssertionError(f"{cat.datum.label} {kind} counts overflow their {width}-bit fields")
-    return CountTable(cat.datum.label, n, tuple(by_rank), tuple(by_size), total)
+    return CountTable(cat.datum.label, n, tuple(by_rank), tuple(by_size), sum(by_rank))
 
 
 class SincereSplit(NamedTuple):

@@ -8,9 +8,11 @@ from each projective until the vector leaves the positive cone yields the
 full list of indecomposables M(i, u), 0 <= u <= q(i), keyed by orbit
 coordinates.  Projectives and orbits are computed in place on one list of
 coordinates with the sparse reflection kernel of ``diagrams``, each step
-touching only the reflected vertex and its neighbours.  The positive-root
-closure runs first: it refuses a datum not of finite type, bounds every
-orbit, and the finished grid is verified against it.
+touching only the reflected vertex and its neighbours.  The positive roots
+come first, from the closure that ``diagrams`` runs once per Cartan matrix
+and shares among the orientations of a type: they refuse a datum not of
+finite type, bound every orbit, and the finished grid is verified against
+them.
 """
 
 from __future__ import annotations
@@ -68,12 +70,12 @@ class ModCategory(NamedTuple):
 def knit_category(datum: CartanDatum) -> ModCategory:
     """Build the orbit grid M(i, u) and check it enumerates the positive roots.
 
-    The root closure runs first, so a datum not of finite type raises
-    DiagramError before any orbit is followed.
+    The positive roots are read first, so a datum not of finite type
+    raises DiagramError before any orbit is followed, on every call.
     """
     roots = positive_roots(datum)
     n = datum.n
-    kernel = reflection_kernel(datum)
+    kernel = reflection_kernel(datum.cartan)
     order = [v - 1 for v in sink_order(datum)]
     coxeter = order[::-1]
     indecs: list[Indec] = []

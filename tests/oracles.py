@@ -66,7 +66,7 @@ def is_positive(coords):
 def tau_minus(datum, order, coords):
     """Inverse Coxeter transformation on the root lattice, on the sparse kernel."""
     x = list(coords)
-    reflect_in_place(reflection_kernel(datum), [v - 1 for v in reversed(order)], x)
+    reflect_in_place(reflection_kernel(datum.cartan), [v - 1 for v in reversed(order)], x)
     return tuple(x)
 
 

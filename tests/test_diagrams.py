@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynkin_tilting import diagrams
 from dynkin_tilting.diagrams import (
     RANK_RANGE,
     CartanDatum,
@@ -20,6 +21,7 @@ from dynkin_tilting.diagrams import (
     positive_roots,
     sink_order,
 )
+from dynkin_tilting.orbits import knit_category
 from tests.oracles import is_positive, simple_reflection, symmetrizer
 
 ALL_TYPES = (
@@ -69,6 +71,13 @@ def test_parse_labels():
         DynkinType.parse("X2")
     with pytest.raises(DiagramError):
         DynkinType.parse("D")
+
+
+# int() takes each of these ranks; a label takes only ASCII digits
+@pytest.mark.parametrize("label", ["A+3", "A 3", "A1_0", "A-1", "A\u0663", "A3.0", "A"])
+def test_parse_refuses_malformed_ranks(label):
+    with pytest.raises(DiagramError, match="cannot parse type label"):
+        DynkinType.parse(label)
 
 
 def test_degenerate_shapes_resolve():
@@ -255,6 +264,40 @@ def test_closure_against_naive_oracle():
         assert positive_roots(datum) == frozenset(_naive_closure(datum)), (series, n)
 
 
+def test_root_closure_runs_once_per_cartan_matrix(monkeypatch):
+    # the closure depends on the Cartan matrix, not on the orientation: the
+    # 16 orientations of D5 and the 32 of E6 build one kernel each
+    kernels = 0
+    inner = diagrams.reflection_kernel
+
+    def counted(*args):
+        nonlocal kernels
+        kernels += 1
+        return inner(*args)
+
+    monkeypatch.setattr(diagrams, "reflection_kernel", counted)
+    diagrams._root_closure.cache_clear()
+    for series, n in (("D", 5), ("E", 6)):
+        dtype = DynkinType(series, n)
+        data = [build_cartan(dtype, o) for o in all_orientations(canonical_shape(dtype))]
+        for datum in data:
+            knit_category(datum)
+        assert len({id(positive_roots(datum)) for datum in data}) == 1
+    assert kernels == 2
+
+
+def test_b_and_c_roots_from_a_warm_memo():
+    # B_n and C_n share a rank and have transposed matrices: a memo keyed on
+    # less than the whole datum would hand one of them the other's roots
+    for n in range(2, 7):
+        b, c = build_cartan(DynkinType("B", n)), build_cartan(DynkinType("C", n))
+        hand = CartanDatum("hand-built", b.shape, b.orientation, c.cartan)  # B's shape, C's matrix
+        for _ in range(2):
+            for datum in (b, c, hand):
+                assert positive_roots(datum) == frozenset(_naive_closure(datum)), (n, datum.label)
+        assert positive_roots(b) != positive_roots(c)
+
+
 def test_root_coordinates_stay_small():
     # machine integers are safe: no coordinate exceeds 6 in any finite type
     for series, n in ALL_TYPES:
@@ -338,6 +381,17 @@ def test_root_closure_refuses_affine_and_indefinite_data(shape):
     # roots outgrow the closure's bound
     with pytest.raises(DiagramError, match="not finite type"):
         positive_roots(hand_built_datum(shape))
+
+
+@NON_FINITE_SHAPES
+def test_root_closure_refuses_again_on_a_second_call(shape):
+    # a raised call stores nothing in the memo, so the refusal repeats
+    datum = hand_built_datum(shape)
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="not finite type"):
+            positive_roots(datum)
+        with pytest.raises(DiagramError, match="not finite type"):
+            knit_category(datum)
 
 
 def test_finite_type_check_rejects_bad_matrices():

@@ -586,6 +586,27 @@ def test_cli_enumerate_max_results(capsys):
     assert capsys.readouterr().out == ""
 
 
+# int() takes each of these; every integer argument takes only ASCII digits
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["enumerate", "A", "+3"],
+        ["enumerate", "A", "3", "--max-results", "+42"],
+        ["table", "A", "1_0"],
+        ["table", "A", " 3"],
+        ["table", "A", "\u0663"],
+        ["table", "A", "-3"],
+        ["triangle", "A", "--rows", "1_0"],
+        ["reconcile", "A009766", "--terms", "+5"],
+    ],
+)
+def test_cli_refuses_malformed_integers(capsys, args):
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer >= " in captured.err
+
+
 def test_cli_triangle_csv(capsys):
     assert run(["triangle", "B", "--rows", "10", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -289,9 +289,30 @@ MUTANTS = (
     Mutant(
         "count-overflow-unchecked",
         "enumeration.py",
-        "if total != sum(by_size):",
+        "if sum(by_rank) != sum(by_size):",
         "if False:",
         (_COUNTS, "-k", "python_O"),
+    ),
+    Mutant(
+        "count-overflow-antichains-only",
+        "enumeration.py",
+        "if sum(by_rank) != sum(by_size):",
+        'if kind == "antichain" and sum(by_rank) != sum(by_size):',
+        (_COUNTS, "-k", "overflow_check_sees_tilting"),
+    ),
+    Mutant(
+        "loop-cut-drops-rest",
+        "enumeration.py",
+        "acc += got + ((got - 1) >> width)",
+        "acc += got",
+        (_COUNTS,),
+    ),
+    Mutant(
+        "loop-cut-inverted",
+        "enumeration.py",
+        "if below == allowed:",
+        "if below != allowed:",
+        (_COUNTS,),
     ),
     Mutant(
         "matrices-need-both",
@@ -321,6 +342,14 @@ MUTANTS = (
         "v = heapq.heappop(ready)",
         "v = ready.pop(ready.index(max(ready)))",
         ("tests/test_diagrams.py", "-k", "sink_order"),
+    ),
+    # --- root data memoized per Cartan matrix, not per rank
+    Mutant(
+        "roots-memo-keyed-on-rank",
+        "diagrams.py",
+        "return _root_closure(datum.shape, datum.cartan)",
+        "return _root_closure(*vars(positive_roots).setdefault(datum.n, (datum.shape, datum.cartan)))",
+        ("tests/test_diagrams.py", "-k", "warm_memo"),
     ),
     # --- b-files are read from the fixtures unless a live fetch is asked for
     Mutant(
