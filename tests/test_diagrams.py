@@ -56,6 +56,8 @@ def test_admissible_ranks():
     for series, n in [("A", 0), ("C", 1), ("E", 2), ("E", 9), ("F", 3), ("G", 3), ("B", 0)]:
         with pytest.raises(DiagramError):
             DynkinType(series, n)
+    with pytest.raises(DiagramError, match=r"^unknown series 'X'$"):
+        DynkinType("X", 3)
 
 
 def test_rank_must_be_an_int():
@@ -312,6 +314,9 @@ def test_shape_validation_rejects_non_dynkin_data():
         DiagramShape(3, ((1, 2, 1, 1), (2, 3, 1, 1), (1, 3, 1, 1)))  # cycle
     with pytest.raises(DiagramError):
         DiagramShape(2, ((1, 2, 1, 1), (1, 2, 1, 1)))  # duplicate edge
+    # vertices are numbered from 1
+    with pytest.raises(DiagramError, match=r"^bad edge endpoints \(0,1\)$"):
+        DiagramShape(2, ((0, 1, 1, 1),))
 
 
 def _check_finite_type(cartan: tuple[tuple[int, ...], ...], d: tuple[int, ...]) -> None:

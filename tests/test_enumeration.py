@@ -591,6 +591,17 @@ def test_count_overflow_check_sees_tilting(monkeypatch, label):
         count_tables(cat, "tilting")
 
 
+# with 2-bit fields G2 reads 1 2 2 under both statistics, by support-rank and
+# by size alike, so the tallies agree; fields 0 and 1 of the sum read 1 and 2
+# against the empty set and the 6 modules
+@pytest.mark.parametrize("kind", ["antichain", "tilting"])
+def test_count_field_check_sees_g2(monkeypatch, kind):
+    cat = _cat("G2")
+    monkeypatch.setattr(enumeration, "comb", lambda *_: 1)
+    with pytest.raises(AssertionError, match=f"G2 {kind} counts overflow their 2-bit fields"):
+        count_tables(cat, kind)
+
+
 def test_count_overflow_check_survives_python_O():
     # -O strips assert statements; the overflow check must not be one
     env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}

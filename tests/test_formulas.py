@@ -92,7 +92,8 @@ def test_bailey_examples():
     for t in range(1, 30):
         assert f.bailey(t, 0) == 1
         assert f.bailey(t, t) == 2
-    with pytest.raises(ValueError):
+    assert f.bailey(3, -1) == f.bailey(3, 4) == 0  # the zero exterior, on both sides
+    with pytest.raises(ValueError, match=r"^\[0 over 0\] is the ambiguous 0/0 corner; t must be >= 1$"):
         f.bailey(0, 0)
 
 
@@ -104,6 +105,11 @@ def test_catalan_bracket_examples():
     assert f.catalan_bracket(3, 2) == 0  # numerator boundary
     with pytest.raises(ValueError):
         f.catalan_bracket(2, 2)
+    with pytest.raises(ValueError, match=r"^\(3,3\) lies outside the ballot region t-2s\+1 >= 0$"):
+        f.catalan_bracket(3, 3)
+    # t - 2s + 1 = 0 here, so only the sign guard refuses it
+    with pytest.raises(ValueError, match=r"^catalan_bracket needs nonnegative arguments, got \(-1,0\)$"):
+        f.catalan_bracket(-1, 0)
 
 
 def test_triangle_a_regeneration():
@@ -197,6 +203,10 @@ def test_inadmissible_arguments():
         f.a_s("A", 3, 4)
     with pytest.raises(ValueError):
         f.a_s("A", 3, -1)
+    with pytest.raises(ValueError, match=r"^unknown series 'X'$"):
+        f.a_s("X", 3, 1)
+    with pytest.raises(ValueError, match=r"^z triangles exist for series A, B, D, not 'E'$"):
+        f.z_value("E", 3, 1)
     # the sheared ballot triangle starts at row 0; at t = -1 the bound
     # s <= (t + 2) // 2 alone would admit s = 0
     for t, s in ((-1, 0), (-2, 0)):
@@ -439,10 +449,23 @@ def test_shear_relations():
         ("a_s", ("D", 6, 3), f.hook_check, ("D", 6, 4)),  # a_{s-1}(n)
         ("a_s", ("A", 4, 2), f.shear_check, ("A", 4, 2)),
         ("z_value", ("B", 5, 2), f.shear_check, ("B", 4, 2)),
+        # each cell below falsifies one conjunct of a check and leaves the others true
+        ("a_s", ("D", 4, 4), f.modified_hook_check, ("D", 5)),  # the recursion, not [2n-3 over n-1]
+        ("bailey", (8, 5), f.comparison_check, (5,)),  # the gap, not the Catalan number
+        ("a_total", ("A", 4), f.diagonal_checks, ("A", 4)),  # the sum column, not the main diagonal
+        ("a_total", ("B", 4), f.diagonal_checks, ("B", 4)),
+        ("a_total", ("D", 4), f.diagonal_checks, ("D", 4)),
+        ("a_s", ("B", 5, 5), f.b_decomposition_check, (5,)),  # u + v, not u, v or the shift
+        ("a_s", ("B", 6, 3), f.b_decomposition_check, (5,)),  # the shift, not u, v or u + v
+        ("binom", (8, 5), f.lucas_vs_d_deviation_check, (5,)),  # the Pascal equality, not the Lucas gap
+        ("z_value", ("B", 4, 4), f.z_boundary_check, ("B", 4)),  # the last entry, not the first
+        ("z_value", ("D", 4, 4), f.z_boundary_check, ("D", 4)),
+        ("z_value", ("A", 8, 5), f.z_boundary_check, ("A", 4)),  # the zero, not the first entry
     ],
 )
 def test_identity_checks_see_one_wrong_cell(monkeypatch, name, cell, check, args):
-    # the checks look their terms up on the module, so one wrong cell shows
+    # the checks look their terms up on the module, so one wrong cell shows,
+    # also when the check's verdict is a conjunction and the cell is in one part
     assert check(*args)
     original = getattr(f, name)
     monkeypatch.setattr(f, name, lambda *a: original(*a) + (a == cell))

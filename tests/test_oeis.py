@@ -264,6 +264,10 @@ def test_bad_inputs():
             triangle_lines(*bad)
     with pytest.raises(ValueError):
         generate_terms("A000001", 5)
+    triangle_lines("A", 1000, "csv")  # the largest row count is admitted
+    assert generate_terms("A009766", 1) == [(0, 1)]
+    with pytest.raises(ValueError, match=r"^need at least one term$"):
+        generate_terms("A009766", 0)
 
 
 def test_parse_bfile_errors():
@@ -273,8 +277,12 @@ def test_parse_bfile_errors():
         parse_bfile("X", "0 1\n1 2\n5 9\n")
     with pytest.raises(BFileError):
         parse_bfile("X", "# only comments\n")
-    parsed = parse_bfile("X", "# c\n\n0 1\n1 2\n")
-    assert parsed.entries == ((0, 1), (1, 2))
+    with pytest.raises(BFileError, match=r"^line 1: expected 'index value', got '0 1 2'$"):
+        parse_bfile("X", "0 1 2\n")
+    with pytest.raises(BFileError, match=r"^line 2: negative value -2$"):
+        parse_bfile("X", "0 1\n1 -2\n")
+    parsed = parse_bfile("X", "# c\n\n0 1\n1 2\n2 0\n")  # zero is a value
+    assert parsed.entries == ((0, 1), (1, 2), (2, 0))
 
 
 def test_fixture_first_entries():

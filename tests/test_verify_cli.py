@@ -299,6 +299,16 @@ def test_identity_suite_memory_stays_linear(monkeypatch, forget_partial_sums):
     assert peak < 250_000
 
 
+def test_suite_bounds_at_their_edges(monkeypatch):
+    # the least bounds run and pass, and so does the sincere bound's largest
+    assert verify_bc_equality(2).passed
+    assert verify_sincere_structure(2).passed
+    assert verify_sincere_structure(6).passed
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    with pytest.raises(ValueError, match=r"^sincere-structure enumeration is desk-scale: n_max <= 6$"):
+        verify_sincere_structure(7)
+
+
 def test_sincere_structure():
     rep = verify_sincere_structure(5)
     assert rep.passed

@@ -1,11 +1,11 @@
 """Every check of a `verify` report can fail.
 
 Each test feeds one wrong input to the actual side of some checks: the count
-table of one orientation, the sincere classification, the eta map, or one
-fixture file.  The report of `verify --quick --out F` must then fail exactly
-the checks that read that input, say how many failed, exit 1 and still write
-F.  Without this, a check that compared its expected value with itself
-would print the same PASS line as a working one.
+table of one orientation, the sincere classification, the eta map or its
+inverse, or one fixture file.  The report of `verify --quick --out F` must
+then fail exactly the checks that read that input, say how many failed, exit
+1 and still write F.  Without this, a check that compared its expected value
+with itself would print the same PASS line as a working one.
 """
 
 import hashlib
@@ -123,14 +123,15 @@ def test_sincere_classification(monkeypatch, tmp_path, capsys, field, failed):
     assert _failing_quick_run(tmp_path, capsys) == {(check_id, "B3") for check_id in failed}
 
 
-def test_eta_map(monkeypatch, tmp_path, capsys):
-    original = verify.eta_map
+@pytest.mark.parametrize("name", ["eta_map", "eta_inverse"])
+def test_eta(monkeypatch, tmp_path, capsys, name):
+    original = getattr(verify, name)
 
-    def eta_map(cat, ac):
-        # on A3, keep the injective member instead of stripping it
+    def identity_on_a3(cat, ac):
+        # on A3, keep the injective member (eta_map) or leave it out (eta_inverse)
         return ac if cat.datum.label == "A3" else original(cat, ac)
 
-    monkeypatch.setattr(verify, "eta_map", eta_map)
+    monkeypatch.setattr(verify, name, identity_on_a3)
     assert _failing_quick_run(tmp_path, capsys) == {("sincere.eta", "A3")}
 
 

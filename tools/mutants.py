@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 _FAULTS = "tests/test_verify_faults.py"
 _COUNTS = "tests/test_enumeration.py"
 _TRIANGLES = "tests/test_oeis.py"
+_CONJUNCTS = ("tests/test_formulas.py", "-k", "one_wrong_cell")
 
 MUTANTS = (
     # --- report checks that once printed PASS whatever their actual side read
@@ -100,9 +101,16 @@ MUTANTS = (
     Mutant(
         "eta-bijective",
         "verify.py",
-        "bijective = ok and sorted(images) == sorted(no_injective)",
+        "bijective = sorted(images) == free and [eta_inverse(cat, down) for down in images] == sincere",
         "bijective = True",
         (_FAULTS,),
+    ),
+    Mutant(
+        "eta-skips-round-trip",
+        "verify.py",
+        "bijective = sorted(images) == free and [eta_inverse(cat, down) for down in images] == sincere",
+        "bijective = sorted(images) == free",
+        (_FAULTS, "-k", "eta_inverse"),
     ),
     Mutant(
         "hook-true",
@@ -117,6 +125,155 @@ MUTANTS = (
         "return a_s(series, n, s) == z_value(series, n + s - 1, s)",
         "return True",
         ("tests/test_formulas.py", "-k", "one_wrong_cell"),
+    ),
+    # --- identity checks whose verdict is a conjunction: each conjunct counts
+    Mutant(
+        "modified-hook-or",
+        "formulas.py",
+        'return ok and a_s("D", n, n - 1) == bailey(2 * n - 3, n - 1)',
+        'return ok or a_s("D", n, n - 1) == bailey(2 * n - 3, n - 1)',
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "comparison-first-or",
+        "formulas.py",
+        "return gap == catalan and num % n == 0 and catalan == num // n",
+        "return gap == catalan or num % n == 0 and catalan == num // n",
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "comparison-second-or",
+        "formulas.py",
+        "return gap == catalan and num % n == 0 and catalan == num // n",
+        "return gap == catalan and num % n == 0 or catalan == num // n",
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "diagonal-a-or",
+        "formulas.py",
+        'return a_total("A", n) == a_s("A", n + 1, n + 1) and a_s("A", n, n) == a_s("A", n, n - 1)',
+        'return a_total("A", n) == a_s("A", n + 1, n + 1) or a_s("A", n, n) == a_s("A", n, n - 1)',
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "diagonal-b-or",
+        "formulas.py",
+        'return a_total("B", n) == a_s("B", n + 1, n) and a_s("B", n, n) == a_s("B", n + 1, n - 1)',
+        'return a_total("B", n) == a_s("B", n + 1, n) or a_s("B", n, n) == a_s("B", n + 1, n - 1)',
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "diagonal-d-or",
+        "formulas.py",
+        'return a_total("D", n) == a_s("D", n + 2, n - 1) and a_s("D", n, n) == a_s("D", n + 2, n - 2)',
+        'return a_total("D", n) == a_s("D", n + 2, n - 1) or a_s("D", n, n) == a_s("D", n + 2, n - 2)',
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "b-decomposition-v-or",
+        "formulas.py",
+        "and v == binom(2 * n - 2, n - 2)",
+        "or v == binom(2 * n - 2, n - 2)",
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "b-decomposition-sum-or",
+        "formulas.py",
+        'and u + v == binom(2 * n - 1, n - 1) == a_s("B", n, n)',
+        'or u + v == binom(2 * n - 1, n - 1) == a_s("B", n, n)',
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "b-decomposition-shift-or",
+        "formulas.py",
+        "return ok and shifted",
+        "return ok or shifted",
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "lucas-deviation-or",
+        "formulas.py",
+        "return binom(2 * n - 2, n - 2) == binom(2 * n - 2, n) and bailey(",
+        "return binom(2 * n - 2, n - 2) == binom(2 * n - 2, n) or bailey(",
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "z-boundary-b-or",
+        "formulas.py",
+        'return z_value("B", t, 0) == 1 and z_value("B", t, t) == 1',
+        'return z_value("B", t, 0) == 1 or z_value("B", t, t) == 1',
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "z-boundary-d-or",
+        "formulas.py",
+        'return z_value("D", t, 0) == 1 and z_value("D", t, t) == 2',
+        'return z_value("D", t, 0) == 1 or z_value("D", t, t) == 2',
+        _CONJUNCTS,
+    ),
+    Mutant(
+        "z-boundary-a-or",
+        "formulas.py",
+        'return z_value("A", t, 0) == 1 and z_value("A", 2 * t, t + 1) == 0',
+        'return z_value("A", t, 0) == 1 or z_value("A", 2 * t, t + 1) == 0',
+        _CONJUNCTS,
+    ),
+    # --- refusal guards and their boundaries
+    Mutant(
+        "edge-endpoint-from-zero",
+        "diagrams.py",
+        "if not (1 <= i < j <= vertex_count):",
+        "if not (0 <= i < j <= vertex_count):",
+        ("tests/test_diagrams.py", "-k", "shape_validation"),
+    ),
+    Mutant(
+        "bailey-exterior-below-zero",
+        "formulas.py",
+        "if s < 0 or s > t:",
+        "if s < 0 and s > t:",
+        ("tests/test_formulas.py", "-k", "bailey_examples"),
+    ),
+    Mutant(
+        "z-value-any-series",
+        "formulas.py",
+        'raise ValueError(f"z triangles exist for series A, B, D, not {series!r}")',
+        "return 0",
+        ("tests/test_formulas.py", "-k", "inadmissible"),
+    ),
+    Mutant(
+        "bfile-takes-three-fields",
+        "oeis.py",
+        "if len(parts) != 2:",
+        "if len(parts) < 2:",
+        (_TRIANGLES, "-k", "parse_bfile"),
+    ),
+    Mutant(
+        "bfile-refuses-zero",
+        "oeis.py",
+        "if val < 0:",
+        "if val <= 0:",
+        (_TRIANGLES, "-k", "parse_bfile"),
+    ),
+    Mutant(
+        "triangle-thousand-rows-refused",
+        "oeis.py",
+        "if rows < 1 or rows > MAX_ROWS:",
+        "if rows < 1 or rows >= MAX_ROWS:",
+        (_TRIANGLES, "-k", "bad_inputs"),
+    ),
+    Mutant(
+        "sequence-one-term-refused",
+        "oeis.py",
+        "if terms < 1:",
+        "if terms <= 1:",
+        (_TRIANGLES, "-k", "bad_inputs"),
+    ),
+    Mutant(
+        "sincere-bound-six-refused",
+        "verify.py",
+        "if n_max > 6:",
+        "if n_max >= 6:",
+        ("tests/test_verify_cli.py", "-k", "edges"),
     ),
     # --- identity regions
     Mutant(
@@ -289,16 +446,23 @@ MUTANTS = (
     Mutant(
         "count-overflow-unchecked",
         "enumeration.py",
-        "if sum(by_rank) != sum(by_size):",
+        "if sum(by_rank) != sum(by_size) or by_size[:2] != [1, m]:",
         "if False:",
         (_COUNTS, "-k", "python_O"),
     ),
     Mutant(
         "count-overflow-antichains-only",
         "enumeration.py",
-        "if sum(by_rank) != sum(by_size):",
-        'if kind == "antichain" and sum(by_rank) != sum(by_size):',
+        "if sum(by_rank) != sum(by_size) or by_size[:2] != [1, m]:",
+        'if kind == "antichain" and (sum(by_rank) != sum(by_size) or by_size[:2] != [1, m]):',
         (_COUNTS, "-k", "overflow_check_sees_tilting"),
+    ),
+    Mutant(
+        "count-fields-unread",
+        "enumeration.py",
+        "if sum(by_rank) != sum(by_size) or by_size[:2] != [1, m]:",
+        "if sum(by_rank) != sum(by_size):",
+        (_COUNTS, "-k", "field_check_sees_g2"),
     ),
     Mutant(
         "loop-cut-drops-rest",
