@@ -23,33 +23,19 @@ import sys
 from typing import Iterable, Sequence, get_args
 
 from . import formulas, oeis, verify
-from .diagrams import SERIES, DiagramError, DynkinType, build_cartan
+from .diagrams import SERIES, DiagramError, DynkinType, _plain_int, build_cartan
 from .enumeration import Statistic, count_row, count_tables, listing_lines
 from .homs import build_category
 
-def _parse_orientation(spec: str):
-    if spec == "default":
-        return "default"
-    arrows = []
-    for part in spec.split(","):
-        src, _, dst = part.partition(">")
-        try:
-            arrows.append((int(src), int(dst)))
-        except ValueError:
-            raise DiagramError(f"bad orientation fragment {part!r}; expected 'src>dst'") from None
-    return arrows
-
-
 def _bounded_int(minimum: int, maximum: int | None = None):
-    """An argparse type for plain ASCII digits in the bounds: int() would also
-    take '+3', ' 3', '1_0' and non-ASCII digits."""
+    """An argparse type for ASCII digits whose value lies in the bounds."""
     bounds = f">= {minimum}" if maximum is None else f"within {minimum}..{maximum}"
 
     def parse(text: str) -> int:
-        digits = text.isascii() and text.isdecimal()
-        if not digits or int(text) < minimum or (maximum is not None and int(text) > maximum):
+        value = _plain_int(text)
+        if value is None or value < minimum or (maximum is not None and value > maximum):
             raise argparse.ArgumentTypeError(f"expected an integer {bounds}, got {text!r}")
-        return int(text)
+        return value
 
     return parse
 
@@ -139,8 +125,7 @@ def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
         verify.check_result_budget(dtype, args.max_results)
     except ValueError as exc:
         raise ValueError(f"{exc}; raise it with --max-results") from None
-    orientation = _parse_orientation(args.orientation)
-    cat = build_category(build_cartan(dtype, orientation))
+    cat = build_category(build_cartan(dtype, args.orientation))
     if args.listing:
         return 0, listing_lines(cat, args.statistic)
     table = count_tables(cat, args.statistic)

@@ -54,6 +54,13 @@ class DiagramError(ValueError):
     """Raised for inadmissible types, bad orientations, or non-finite data."""
 
 
+def _plain_int(text: str) -> int | None:
+    """The value of text if it is one or more ASCII digits 0-9, else None.  Every
+    integer read from text comes through here: int() also takes '+3', ' 3',
+    '1_0' and non-ASCII digits."""
+    return int(text) if text.isascii() and text.isdecimal() else None
+
+
 class _DynkinTypeFields(NamedTuple):
     series: str
     rank: int
@@ -81,13 +88,11 @@ class DynkinType(_DynkinTypeFields):
 
     @classmethod
     def parse(cls, label: str) -> "DynkinType":
-        """Parse a label like 'D4' or 'E8'."""
-        label = label.strip()
-        digits = label[1:]
-        # int() would also take '+3', ' 3', '1_0' and non-ASCII digits
-        if label[:1].upper() not in SERIES or not (digits.isascii() and digits.isdecimal()):
+        """Parse a label like 'D4' or 'E8': a series letter, then the rank in ASCII digits."""
+        rank = _plain_int(label[1:])
+        if label[:1].upper() not in SERIES or rank is None:
             raise DiagramError(f"cannot parse type label {label!r}")
-        return cls(label[0].upper(), int(digits))
+        return cls(label[0].upper(), rank)
 
     @property
     def label(self) -> str:
@@ -240,20 +245,34 @@ def _cartan_matrix(shape: DiagramShape) -> tuple[Coords, ...]:
 OrientationSpec = Union[str, Iterable[Arrow]]
 
 
+def orientation_text(orientation: Iterable[Arrow]) -> str:
+    """Arrows as the text build_cartan reads, like '2>1,3>2'; 'none' for no arrow."""
+    return ",".join(f"{src}>{dst}" for src, dst in orientation) or "none"
+
+
+def _read_arrow(part: str) -> Arrow:
+    src, _, dst = part.partition(">")
+    arrow = _plain_int(src), _plain_int(dst)
+    if None in arrow:
+        raise DiagramError(f"bad orientation fragment {part!r}; expected 'src>dst'")
+    return arrow
+
+
 def build_cartan(dtype: DynkinType, orientation_spec: OrientationSpec = "default") -> CartanDatum:
     """Construct the Cartan datum for a type with a chosen acyclic orientation.
 
-    ``orientation_spec`` is either the string ``"default"`` (all arrows point
-    towards vertex 1, branches into the chain) or an explicit set of arrows
-    ``(src, dst)`` covering each diagram edge exactly once.  The shape is a
+    ``orientation_spec`` is the string ``"default"`` (all arrows point
+    towards vertex 1, branches into the chain), or arrows ``(src, dst)``
+    covering each diagram edge exactly once: given as pairs, or as text
+    like ``"2>1,3>2"`` whose endpoints are ASCII digits.  The shape is a
     forest, so every such orientation is acyclic.
     """
     shape = canonical_shape(dtype)
-    if isinstance(orientation_spec, str):
-        if orientation_spec != "default":
-            raise DiagramError(f"unknown orientation spec {orientation_spec!r}")
+    if orientation_spec == "default":
         orientation = default_orientation(shape)
     else:
+        if isinstance(orientation_spec, str):
+            orientation_spec = map(_read_arrow, orientation_spec.split(","))
         first: dict[tuple, tuple] = {}  # undirected edge -> the arrow given for it
         for arrow in map(tuple, orientation_spec):
             edge = tuple(sorted(arrow))

@@ -18,10 +18,10 @@ oracle for every generated row.  ``triangle_lines`` generates each row as
 it writes it and holds none; pretty output generates the rows twice, first
 for the column widths.
 
-b-file format: ASCII lines "<index> <value>", '#' comments and blank lines
-ignored, indices increasing by 1 from the sequence offset.  Offline fixture
-files shipped with the package are authoritative; a live fetch from oeis.org
-is opt-in and falls back to the fixture with a warning on any failure.
+b-file format: lines "<index> <value>" in ASCII digits, '#' comments and blank
+lines ignored, indices increasing by 1 from the sequence offset.  Offline
+fixture files shipped with the package are authoritative; a live fetch from
+oeis.org is opt-in and falls back to the fixture with a warning on any failure.
 
 Sequence ids and their generators (offsets as in the shipped fixtures):
 
@@ -43,6 +43,8 @@ from itertools import accumulate, chain, count, islice
 from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
+
+from .diagrams import _plain_int
 
 FIXTURE_ENV_VAR = "DYNKIN_TILTING_FIXTURES"
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -280,12 +282,11 @@ def parse_bfile(sequence_id: str, text: str) -> BFile:
         parts = line.split()
         if len(parts) != 2:
             raise BFileError(f"line {lineno}: expected 'index value', got {raw!r}")
-        try:
-            idx, val = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise BFileError(f"line {lineno}: non-integer field in {raw!r}") from exc
-        if val < 0:
-            raise BFileError(f"line {lineno}: negative value {val}")
+        idx, val = _plain_int(parts[0]), _plain_int(parts[1].removeprefix("-"))
+        if idx is None or val is None:
+            raise BFileError(f"line {lineno}: non-integer field in {raw!r}")
+        if parts[1].startswith("-"):
+            raise BFileError(f"line {lineno}: negative value {parts[1]}")
         if entries and idx != entries[-1][0] + 1:
             raise BFileError(
                 f"line {lineno}: index {idx} does not follow {entries[-1][0]}"

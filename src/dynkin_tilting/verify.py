@@ -16,7 +16,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from . import formulas, oeis
-from .diagrams import DynkinType, all_orientations, build_cartan, canonical_shape
+from .diagrams import DynkinType, all_orientations, build_cartan, canonical_shape, orientation_text
 from .enumeration import (
     CountTable,
     _walk,
@@ -78,10 +78,6 @@ def _row(table: CountTable) -> str:
     return count_row(table.by_support_rank, table.total)
 
 
-def _orientation_label(orientation) -> str:
-    return ",".join(f"{a}>{b}" for a, b in orientation) or "none"
-
-
 def check_result_budget(dtype: DynkinType, limit: int = MAX_RESULTS) -> None:
     """Refuse a type with more than ``limit`` result sets before anything is built.
 
@@ -119,7 +115,7 @@ def verify_type(series: str, n: int, orientations: Sequence | None = None) -> Ve
     tables: list[CountTable] = []
     for spec in orientations:
         cat = build_category(build_cartan(dtype, spec))
-        label = spec if isinstance(spec, str) else _orientation_label(spec)
+        label = spec if isinstance(spec, str) else orientation_text(spec)
         tilt = count_tables(cat, "tilting")
         anti = count_tables(cat, "antichain")
         subject = f"{dtype.label} orientation={label}"
@@ -303,8 +299,7 @@ RECONCILE_TERMS = {
 
 def verify_reconcile(terms: dict[str, int] | None = None) -> VerificationReport:
     """Compare generated sequence prefixes against the shipped b-files."""
-    if terms is None:
-        terms = RECONCILE_TERMS
+    terms = RECONCILE_TERMS if terms is None else terms
     if not terms:
         raise ValueError("verify_reconcile needs at least one sequence")
     checks = []
@@ -337,8 +332,7 @@ def run_suite(level: str = "full", max_n: int | None = None) -> VerificationRepo
     if level not in SUITES:
         raise ValueError(f"unknown suite {level!r}; choose from {', '.join(SUITES)}")
     suite = SUITES[level]
-    if max_n is None:
-        max_n = suite.max_n
+    max_n = suite.max_n if max_n is None else max_n
     _require_identity_bound(max_n)
     parts = [verify_type(*DynkinType.parse(label)) for label in suite.types.split()]
     parts.append(verify_type("A", 4, orientation_sweep("A", 4)))

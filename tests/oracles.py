@@ -2,13 +2,23 @@
 
 Each one decides its fact the slow, direct way: the dense reflection row
 by row, tau-minus as a word of reflections, Hom and Ext pair by pair from
-the orbit grid, and the antichains of the positive-root poset without any
-module at all.  The symmetrizer D of a Cartan matrix lives here too: the
-package never reads it, and only the tests' finite-type oracle uses it.
+the orbit grid, the antichains of the positive-root poset without any
+module at all, and the partial sums of the identity suite term by term.
+The symmetrizer D of a Cartan matrix lives here too: the package never
+reads it, and only the tests' finite-type oracle uses it.  So does the
+probe of a CLI run's peak memory that the streaming tests share.
 """
 
+import os
+import subprocess
+import sys
 from math import gcd, lcm
+from pathlib import Path
 
+import pytest
+
+import dynkin_tilting
+from dynkin_tilting import formulas
 from dynkin_tilting.diagrams import positive_roots, reflect_in_place, reflection_kernel
 
 Key = tuple[int, int]
@@ -124,3 +134,45 @@ def nonnesting_tables(datum):
 
     walk(0, 0, (1 << len(roots)) - 1)
     return tuple(by_size), tuple(by_support)
+
+
+def partial_row_sum(series, n, s):
+    """a_0(n) + ... + a_s(n), each term read from ``formulas.a_s`` when called."""
+    return sum(formulas.a_s(series, n, i) for i in range(s + 1))
+
+
+def partial_diagonal_sum(series, t, s):
+    """z_0(t-s-1) + z_1(t-s) + ... + z_s(t-1), each term read from
+    ``formulas.z_value`` when called."""
+    return sum(formulas.z_value(series, t - s + i - 1, i) for i in range(s + 1))
+
+
+_VMHWM_CHILD = """
+import os, sys
+import dynkin_tilting.cli as cli
+
+def vmhwm_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = vmhwm_kb()
+sys.stdout = open(os.devnull, "w")
+assert cli.run(sys.argv[1:]) == 0
+sys.stdout.close()
+print(vmhwm_kb() - before, file=sys.__stdout__)
+"""
+
+
+def vmhwm_growth_kb(*argv):
+    """How far a fresh CLI process running `argv`, with stdout to /dev/null,
+    raises VmHWM above the CLI's import; skips where /proc has no VmHWM."""
+    try:
+        with open("/proc/self/status") as status:
+            if not any(line.startswith("VmHWM:") for line in status):
+                pytest.skip("no VmHWM in /proc/self/status")
+    except OSError:
+        pytest.skip("/proc/self/status is unreadable")
+    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)

@@ -1,12 +1,13 @@
 """Diagram shapes, Cartan matrices, reflections, and positive-root closures."""
 
+import argparse
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynkin_tilting import diagrams
+from dynkin_tilting import cli, diagrams
 from dynkin_tilting.diagrams import (
     RANK_RANGE,
     CartanDatum,
@@ -18,9 +19,11 @@ from dynkin_tilting.diagrams import (
     build_cartan,
     canonical_shape,
     default_orientation,
+    orientation_text,
     positive_roots,
     sink_order,
 )
+from dynkin_tilting.oeis import BFileError, parse_bfile
 from dynkin_tilting.orbits import knit_category
 from tests.oracles import is_positive, simple_reflection, symmetrizer
 
@@ -76,10 +79,77 @@ def test_parse_labels():
 
 
 # int() takes each of these ranks; a label takes only ASCII digits
-@pytest.mark.parametrize("label", ["A+3", "A 3", "A1_0", "A-1", "A\u0663", "A3.0", "A"])
+@pytest.mark.parametrize("label", ["A+3", "A 3", "A3 ", "A1_0", "A-1", "A\u0663", "A3.0", "A"])
 def test_parse_refuses_malformed_ranks(label):
     with pytest.raises(DiagramError, match="cannot parse type label"):
         DynkinType.parse(label)
+
+
+def _plain(text):
+    """The digits rule, stated apart from the package: one or more of 0-9."""
+    return int(text) if text and set(text) <= set("0123456789") else None
+
+
+# fields of digits, and fields with what int() or str.isdigit() also takes:
+# signs, spaces, underscores, Arabic-Indic, fullwidth and superscript digits
+_FIELDS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=3),
+    st.text("0123456789 +-_.\t\n#x\u0661\u0663\uff13\u00b2", max_size=4),
+)
+
+
+@given(_FIELDS, _FIELDS)
+@example(" 1", "2")  # the orientation ' 1>2,2>3'
+@example("+1", "2")
+@example("1 ", " 2")  # '1 > 2,2>3'
+@example("\u0661", "2")
+@example("1_0", "2")
+@example("0", "1_0")  # the b-file line '0 1_0'
+@example("0", "+3")
+@example("0", "\u0663")
+@example("01", "2")  # a leading zero is plain digits
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_readers_take_plain_ascii_digits_only(first, second):
+    value = _plain(first)
+    parse = cli._bounded_int(0)
+    if value is None:
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse(first)
+    else:
+        assert parse(first) == value
+    if value is None or value == 0:
+        with pytest.raises(DiagramError):
+            DynkinType.parse("A" + first)
+    else:
+        assert DynkinType.parse("A" + first) == DynkinType("A", value)
+    # an orientation fragment src>dst, next to the arrow 2>3 of A3
+    spec = f"{first}>{second},2>3"
+    arrow = (value, _plain(second))
+    if None not in arrow and sorted(arrow) == [1, 2]:
+        assert build_cartan(DynkinType("A", 3), spec).orientation == tuple(sorted([arrow, (2, 3)]))
+    else:
+        with pytest.raises(DiagramError) as refused:
+            build_cartan(DynkinType("A", 3), spec)
+        fragment_error = f"bad orientation fragment {f'{first}>{second}'!r}; expected 'src>dst'"
+        assert (str(refused.value) == fragment_error) == (None in arrow)
+    # a b-file line, when whitespace splits it into these two fields
+    line = f"{first} {second}"
+    if line.split() == [first, second]:
+        if None in arrow:
+            with pytest.raises(BFileError):
+                parse_bfile("X", line)
+        else:
+            assert parse_bfile("X", line).entries == (arrow,)
+
+
+def test_orientation_text_round_trip():
+    for series, n in ALL_TYPES:
+        for orientation in all_orientations(canonical_shape(DynkinType(series, n))):
+            text = orientation_text(orientation)
+            if orientation:
+                assert build_cartan(DynkinType(series, n), text).orientation == orientation
+            else:
+                assert text == "none"
 
 
 def test_degenerate_shapes_resolve():
@@ -191,7 +261,7 @@ def test_orientation_validation():
         build_cartan(DynkinType("A", 3), [(1, 2)])  # missing an edge
     with pytest.raises(DiagramError):
         build_cartan(DynkinType("A", 3), [(1, 2), (2, 3), (1, 3)])  # not a diagram edge
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match=r"^bad orientation fragment 'linear'; expected 'src>dst'$"):
         build_cartan(DynkinType("A", 2), "linear")
     # a repeated arrow, and two arrows on one edge, are refused by name
     with pytest.raises(DiagramError, match=r"repeats the edge \(1, 2\): arrows \(1, 2\) and \(1, 2\)"):

@@ -29,7 +29,7 @@ from dynkin_tilting.enumeration import (
 )
 from dynkin_tilting.formulas import a_row, a_total, binom
 from dynkin_tilting.homs import build_category
-from tests.oracles import ext_nonzero, hom_nonzero, nonnesting_tables
+from tests.oracles import ext_nonzero, hom_nonzero, nonnesting_tables, vmhwm_growth_kb
 
 
 def _cat(label, orientation="default"):
@@ -346,38 +346,6 @@ def test_antichain_counts_above_walk_reach():
     assert table.by_size == tuple(_narayana(13, k + 1) for k in range(13))
 
 
-_VMHWM_CHILD = """
-import os, sys
-import dynkin_tilting.cli as cli
-
-def vmhwm_kb():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-
-sys.stdout = open(os.devnull, "w")
-assert cli.run(["table", "A", "1"]) == 0
-before = vmhwm_kb()
-assert cli.run(sys.argv[1:]) == 0
-sys.stdout.close()
-print(vmhwm_kb() - before, file=sys.__stdout__)
-"""
-
-
-def _vmhwm_growth_kb(*args):
-    """VmHWM growth of a fresh CLI process running `args` after `table A 1`,
-    with stdout to /dev/null."""
-    try:
-        with open("/proc/self/status") as status:
-            if not any(line.startswith("VmHWM:") for line in status):
-                pytest.skip("no VmHWM in /proc/self/status")
-    except OSError:
-        pytest.skip("/proc/self/status is unreadable")
-    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD, *args], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
-
-
 # the recursion calls per count, on default orientations: one memo shared
 # by every support of a count.  With a fresh memo per support they were
 # 4,806 (tilting) and 3,801 (antichain) on A10, 5,535 and 2,290 on E8
@@ -453,9 +421,10 @@ def test_count_loop_ends_at_a_conflict_free_module(monkeypatch):
 # a count keeps one memo, shared by its supports and dropped when it
 # returns; perfbench's enum-count allows 5% (0.8 MB) more peak RSS, so a
 # count that grows VmHWM by more than 1 MB breaks it.  Measured growth
-# (CPython 3.11.7, 2 vCPUs, five runs each): tilting 136-140 KB on A10,
-# 312-316 KB on B10, 432-436 KB on D10 and 412-416 KB on E8; antichain
-# 168-172 KB on A10, 240 KB on B10, 140-144 KB on D10 and 144 KB on E8
+# from the CLI's import, its first run's argument parsing included (about
+# 0.1 MB), CPython 3.11.7, 2 vCPUs, two runs each: tilting 252 KB on A10,
+# 504 KB on B10, 624 KB on D10 and 604 KB on E8; antichain 264 KB on A10,
+# 336 KB on B10, 244 KB on D10 and 260 KB on E8
 @pytest.mark.parametrize(
     "statistic, series, rank",
     [
@@ -470,13 +439,13 @@ def test_count_loop_ends_at_a_conflict_free_module(monkeypatch):
     ],
 )
 def test_memo_stays_small(statistic, series, rank):
-    assert _vmhwm_growth_kb("enumerate", series, rank, "--statistic", statistic) < 1024
+    assert vmhwm_growth_kb("enumerate", series, rank, "--statistic", statistic) < 1024
 
 
 def test_listing_is_written_line_by_line():
     # the listing is 1.18 MB of text; streaming it grows VmHWM by about
-    # 0.15 MB, joining all lines before the write by about 6 MB
-    assert _vmhwm_growth_kb("enumerate", "A", "10", "--statistic", "antichain", "--list") < 1024
+    # 0.2 MB, joining all lines before the write by about 6 MB
+    assert vmhwm_growth_kb("enumerate", "A", "10", "--statistic", "antichain", "--list") < 1024
 
 
 def test_a2_antichains_by_hand():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dynkin_tilting import formulas as f
 from dynkin_tilting.diagrams import RANK_RANGE, DynkinType
+from tests.oracles import partial_diagonal_sum, partial_row_sum
 
 # the three series tables, rows 0..9 (D starts at 2), with row sums
 TRIANGLE_A = {
@@ -324,14 +325,6 @@ def test_summation_examples():
     assert f.summation_check("D", 4, 3)  # 1+4+9+16 = 30
 
 
-def _literal_row_sum(series, n, s):
-    return sum(f.a_s(series, n, i) for i in range(s + 1))
-
-
-def _literal_diagonal_sum(series, t, s):
-    return sum(f.z_value(series, t - s + i - 1, i) for i in range(s + 1))
-
-
 # every admissible instance up to 60, in the identity suite's order
 SUMMATION_INSTANCES = [
     (series, n, s) for series in "ABD" for n in range(2 if series == "D" else 1, 61) for s in range(1, n)
@@ -350,11 +343,11 @@ def test_shared_partial_sums_match_literal_sums(order):
     # diagonals next to those its truncated region leaves out
     f._reset_partial_sums()
     for series, n, s in SUMMATION_INSTANCES[::order]:
-        literal = _literal_row_sum(series, n, s)
+        literal = partial_row_sum(series, n, s)
         assert f._row_sums(series, n)[s] == literal, (series, n, s)
         assert f.summation_check(series, n, s) == (literal == f.a_s(series, n + 1, s))
     for series, t, s in HOCKEY_STICK_INSTANCES[::order]:
-        literal = _literal_diagonal_sum(series, t, s)
+        literal = partial_diagonal_sum(series, t, s)
         assert f._diagonal_sums(series, t)[t - s - 1] == literal, (series, t, s)
         assert f.hockey_stick_check(series, t, s) == (f.z_value(series, t, s) == literal)
 

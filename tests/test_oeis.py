@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from dynkin_tilting.oeis import (
     triangle_doc,
     triangle_lines,
 )
+from tests.oracles import vmhwm_growth_kb
 
 
 def generate_terms(sequence_id, terms):
@@ -170,49 +172,18 @@ def test_edge_rows_pinned(name, rows, fmt, capsys):
         assert hashlib.sha256(blob).hexdigest() == _EDGE_ROW_DIGESTS[name, rows, fmt]
 
 
-_VMHWM_CHILD = """
-import os, sys
-import dynkin_tilting.cli as cli
-
-def vmhwm_kb():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-
-before = vmhwm_kb()
-sys.stdout = open(os.devnull, "w")
-assert cli.run(sys.argv[1:]) == 0
-sys.stdout.close()
-print(vmhwm_kb() - before, file=sys.__stdout__)
-"""
-
-
-def _vmhwm_growth_kb(rows, fmt):
-    """How far `triangle B` at `rows` rows raises VmHWM above the CLI's import."""
-    try:
-        with open("/proc/self/status") as status:
-            if not any(line.startswith("VmHWM:") for line in status):
-                pytest.skip("no VmHWM in /proc/self/status")
-    except OSError:
-        pytest.skip("/proc/self/status is unreadable")
-    env = {**os.environ, "PYTHONPATH": str(Path(dynkin_tilting.__file__).parents[1])}
-    command = ["triangle", "B", "--rows", str(rows), "--format", fmt]
-    proc = subprocess.run([sys.executable, "-c", _VMHWM_CHILD, *command], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
-
-
 # holding the rows before writing them grew VmHWM by about 7 MB at 400 rows
 # and by about 80 MB at 1000; generating each row as it is written grows it
 # by about 0.4 MB at 400 rows, and at 1000 rows by 1.4 MB (csv) and 3 MB
 # (pretty, whose widest cell is found in a first pass)
 def test_triangle_is_written_row_by_row():
-    assert _vmhwm_growth_kb(400, "pretty") < 2 * 1024
+    assert vmhwm_growth_kb("triangle", "B", "--rows", "400", "--format", "pretty") < 2 * 1024
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("fmt", ["pretty", "csv"])
 def test_thousand_row_triangle_is_written_row_by_row(fmt):
-    assert _vmhwm_growth_kb(1000, fmt) < 6 * 1024
+    assert vmhwm_growth_kb("triangle", "B", "--rows", "1000", "--format", fmt) < 6 * 1024
 
 
 def test_pretty_rendering_d_has_dots_and_sums():
@@ -281,6 +252,12 @@ def test_parse_bfile_errors():
         parse_bfile("X", "0 1 2\n")
     with pytest.raises(BFileError, match=r"^line 2: negative value -2$"):
         parse_bfile("X", "0 1\n1 -2\n")
+    # int() takes each of these fields; a b-file takes only ASCII digits
+    for field in ("1_0", "+3", "\u0663"):
+        with pytest.raises(BFileError, match=rf"^line 2: non-integer field in '1 {re.escape(field)}'$"):
+            parse_bfile("X", f"0 1\n1 {field}\n")
+        with pytest.raises(BFileError, match=rf"^line 2: non-integer field in '{re.escape(field)} 1'$"):
+            parse_bfile("X", f"0 1\n{field} 1\n")
     parsed = parse_bfile("X", "# c\n\n0 1\n1 2\n2 0\n")  # zero is a value
     assert parsed.entries == ((0, 1), (1, 2), (2, 0))
 

@@ -22,6 +22,7 @@ from dynkin_tilting.verify import (
     verify_sincere_structure,
     verify_type,
 )
+from tests.oracles import partial_diagonal_sum, partial_row_sum
 
 
 def test_verify_type_e6():
@@ -251,11 +252,11 @@ def forget_partial_sums():
 
 
 def _literal_summation(series, n, s):
-    return sum(formulas.a_s(series, n, i) for i in range(s + 1)) == formulas.a_s(series, n + 1, s)
+    return partial_row_sum(series, n, s) == formulas.a_s(series, n + 1, s)
 
 
 def _literal_hockey_stick(series, t, s):
-    return formulas.z_value(series, t, s) == sum(formulas.z_value(series, t - s + i - 1, i) for i in range(s + 1))
+    return formulas.z_value(series, t, s) == partial_diagonal_sum(series, t, s)
 
 
 @pytest.mark.parametrize(
@@ -443,6 +444,13 @@ _BAD_ORIENTATIONS = [
     ("1>2,3", "3", "error: bad orientation fragment '3'; expected 'src>dst'"),
     ("1>2,2>3,1>2", "1>2", "error: orientation repeats the edge (1, 2): arrows (1, 2) and (1, 2)"),
     ("1>2,3>2,2>1", "2>1", "error: orientation repeats the edge (1, 2): arrows (1, 2) and (2, 1)"),
+    # int() takes each of these endpoints; an orientation takes only ASCII digits
+    (" 1>2,2>3", " 1>2", "error: bad orientation fragment ' 1>2'; expected 'src>dst'"),
+    ("+1>2,2>3", "+1>2", "error: bad orientation fragment '+1>2'; expected 'src>dst'"),
+    ("1 > 2,2>3", "1 > 2", "error: bad orientation fragment '1 > 2'; expected 'src>dst'"),
+    ("\u0661>2,2>3", "\u0661>2", "error: bad orientation fragment '\u0661>2'; expected 'src>dst'"),
+    ("1_0>2,2>3", "1_0>2", "error: bad orientation fragment '1_0>2'; expected 'src>dst'"),
+    ("linear", "linear", "error: bad orientation fragment 'linear'; expected 'src>dst'"),
 ]
 
 
@@ -454,6 +462,13 @@ def test_cli_enumerate_rejects_bad_orientation(capsys, spec, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == error
+
+
+def test_cli_integers_take_leading_zeros(capsys):
+    assert run(["enumerate", "A", "3", "--orientation", "1>2,2>3"]) == 0
+    plain = capsys.readouterr().out
+    assert run(["enumerate", "A", "03", "--orientation", "01>002,2>3"]) == 0
+    assert capsys.readouterr().out == plain == "by-support-rank: 1 3 5 5 | total 14\n"
 
 
 # sha256 of `enumerate ... --list` stdout, pinned from the recursive walker

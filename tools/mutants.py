@@ -1,9 +1,10 @@
 """Run a list of one-line mutants of the package; each must fail its tests.
 
 Every mutant replaces one line of a file under src/dynkin_tilting/ (matched
-with its indentation stripped, and required to occur exactly once) in a
-copy of the repository made in a temporary directory, then runs the named
-tests there.  A mutant is killed when pytest reports failing tests (exit
+with its indentation stripped) in a copy of the repository made in a
+temporary directory, then runs the named tests there.  The line must occur
+exactly once, unless the mutant names its occurrence: the k-th of a line
+that occurs more than once, such as a guard two functions share.  A mutant is killed when pytest reports failing tests (exit
 code 1); an exit for any other reason, such as a collection error or no
 test selected, counts as surviving, so a broken mutant cannot pass as
 killed.  Each set of tests first runs once on the unchanged copy and must
@@ -14,7 +15,7 @@ and pytest only.
     python tools/mutants.py --tier1  # each mutant against the whole suite
 
 Exits 0 when every mutant run is killed, 1 when one survives, 2 when a
-mutant's line is not found exactly once or its tests fail unchanged.
+mutant's line is not found as it says or its tests fail unchanged.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]  # pytest arguments that must fail
+    occurrence: int | None = None  # k: the k-th of several copies of the line; None: its only copy
 
 
 _FAULTS = "tests/test_verify_faults.py"
@@ -250,8 +252,8 @@ MUTANTS = (
     Mutant(
         "bfile-refuses-zero",
         "oeis.py",
-        "if val < 0:",
-        "if val <= 0:",
+        'if parts[1].startswith("-"):',
+        'if parts[1].startswith("-") or val == 0:',
         (_TRIANGLES, "-k", "parse_bfile"),
     ),
     Mutant(
@@ -274,6 +276,46 @@ MUTANTS = (
         "if n_max > 6:",
         "if n_max >= 6:",
         ("tests/test_verify_cli.py", "-k", "edges"),
+    ),
+    # guards whose line occurs twice in its file, named by occurrence
+    Mutant(
+        "bc-bound-two-refused",
+        "verify.py",
+        "if n_max < 2:",
+        "if n_max <= 2:",
+        ("tests/test_verify_cli.py", "-k", "edges"),
+        occurrence=1,
+    ),
+    Mutant(
+        "sincere-bound-two-refused",
+        "verify.py",
+        "if n_max < 2:",
+        "if n_max <= 2:",
+        ("tests/test_verify_cli.py", "-k", "edges"),
+        occurrence=2,
+    ),
+    Mutant(
+        "catalan-bracket-takes-negative-t",
+        "formulas.py",
+        "if t < 0 or s < 0:",
+        "if s < 0:",
+        ("tests/test_formulas.py", "-k", "catalan_bracket_examples"),
+        occurrence=2,
+    ),
+    # --- integers and orientations read from text: ASCII digits only
+    Mutant(
+        "plain-int-takes-any-int",
+        "diagrams.py",
+        "return int(text) if text.isascii() and text.isdecimal() else None",
+        "return int(text)",
+        ("tests/test_diagrams.py", "-k", "plain_ascii_digits"),
+    ),
+    Mutant(
+        "orientation-reads-with-int",
+        "diagrams.py",
+        "arrow = _plain_int(src), _plain_int(dst)",
+        "arrow = int(src), int(dst)",
+        ("tests/test_diagrams.py", "-k", "plain_ascii_digits"),
     ),
     # --- identity regions
     Mutant(
@@ -537,10 +579,20 @@ def _hits(lines: list[str], old: str) -> list[int]:
     return [i for i, line in enumerate(lines) if line.strip() == old]
 
 
-def _mutate(path: Path, old: str, new: str) -> None:
+def target_line(lines: list[str], mutant: Mutant) -> int | None:
+    """The index of the line the mutant replaces, or None if the line is not
+    there as the mutant names it: once, or at least k times for occurrence k > 0."""
+    hits = _hits(lines, mutant.old)
+    if mutant.occurrence is None:
+        return hits[0] if len(hits) == 1 else None
+    k = mutant.occurrence
+    return hits[k - 1] if 1 <= k <= len(hits) and len(hits) > 1 else None
+
+
+def _mutate(path: Path, mutant: Mutant) -> None:
     lines = path.read_text().splitlines(keepends=True)
-    (i,) = _hits(lines, old)
-    lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + new + "\n"
+    i = target_line(lines, mutant)
+    lines[i] = lines[i][: len(lines[i]) - len(lines[i].lstrip())] + mutant.new + "\n"
     path.write_text("".join(lines))
 
 
@@ -556,7 +608,7 @@ def run_tests(tests: tuple[str, ...], mutant: Mutant | None = None) -> int:
             else:
                 shutil.copy2(source, work / name)
         if mutant is not None:
-            _mutate(work / "src" / "dynkin_tilting" / mutant.path, mutant.old, mutant.new)
+            _mutate(work / "src" / "dynkin_tilting" / mutant.path, mutant)
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
         done = subprocess.run(command, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -568,9 +620,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tier1", action="store_true", help="run the whole test suite on each mutant")
     args = parser.parse_args(argv)
     for mutant in MUTANTS:
-        hits = len(_hits((ROOT / "src" / "dynkin_tilting" / mutant.path).read_text().splitlines(), mutant.old))
-        if hits != 1:
-            print(f"stale mutant {mutant.name}: {hits} lines of {mutant.path} read {mutant.old!r}")
+        lines = (ROOT / "src" / "dynkin_tilting" / mutant.path).read_text().splitlines()
+        if target_line(lines, mutant) is None:
+            hits = len(_hits(lines, mutant.old))
+            where = "" if mutant.occurrence is None else f" (occurrence {mutant.occurrence} named)"
+            print(f"stale mutant {mutant.name}: {hits} lines of {mutant.path} read {mutant.old!r}{where}")
             return 2
     for tests in dict.fromkeys(TIER1 if args.tier1 else m.tests for m in MUTANTS):
         code = run_tests(tests)
