@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate one algebra and print count tables")
     p.add_argument("series", choices=SERIES)
     p.add_argument("n", type=_bounded_int(0))
-    p.add_argument("--orientation", default="default", help="'default' or arrows like '2>1,3>2'")
+    p.add_argument("--orientation", default="default", help="'default', 'none' (no edges) or arrows like '2>1,3>2'")
     p.add_argument("--statistic", choices=get_args(Statistic), default="tilting")
     p.add_argument("--list", action="store_true", dest="listing", help="list every set")
     p.add_argument(

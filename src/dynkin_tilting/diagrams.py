@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 Coords = tuple[int, ...]
 Arrow = tuple[int, int]
@@ -88,11 +88,11 @@ class DynkinType(_DynkinTypeFields):
 
     @classmethod
     def parse(cls, label: str) -> "DynkinType":
-        """Parse a label like 'D4' or 'E8': a series letter, then the rank in ASCII digits."""
+        """Parse a label like 'D4' or 'E8': a series letter as SERIES spells it, then the rank in ASCII digits."""
         rank = _plain_int(label[1:])
-        if label[:1].upper() not in SERIES or rank is None:
+        if label[:1] not in SERIES or rank is None:
             raise DiagramError(f"cannot parse type label {label!r}")
-        return cls(label[0].upper(), rank)
+        return cls(label[0], rank)
 
     @property
     def label(self) -> str:
@@ -226,10 +226,10 @@ def default_orientation(shape: DiagramShape) -> tuple[Arrow, ...]:
     return tuple(sorted((j, i) for i, j, _, _ in shape.edges))
 
 
-def all_orientations(shape: DiagramShape) -> list[tuple[Arrow, ...]]:
-    """All 2^e orientations of the forest, in a deterministic order."""
+def all_orientations(shape: DiagramShape) -> list[str]:
+    """All 2^e orientations of the forest as orientation_text, ordered by their sorted arrows."""
     pairs = [((j, i), (i, j)) for i, j, _, _ in shape.edges]
-    return sorted(tuple(sorted(choice)) for choice in itertools.product(*pairs))
+    return [orientation_text(o) for o in sorted(tuple(sorted(choice)) for choice in itertools.product(*pairs))]
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -240,9 +240,6 @@ def _cartan_matrix(shape: DiagramShape) -> tuple[Coords, ...]:
         mat[i - 1][j - 1] = -a
         mat[j - 1][i - 1] = -b
     return tuple(tuple(row) for row in mat)
-
-
-OrientationSpec = Union[str, Iterable[Arrow]]
 
 
 def orientation_text(orientation: Iterable[Arrow]) -> str:
@@ -258,23 +255,22 @@ def _read_arrow(part: str) -> Arrow:
     return arrow
 
 
-def build_cartan(dtype: DynkinType, orientation_spec: OrientationSpec = "default") -> CartanDatum:
+def build_cartan(dtype: DynkinType, orientation_spec: str = "default") -> CartanDatum:
     """Construct the Cartan datum for a type with a chosen acyclic orientation.
 
-    ``orientation_spec`` is the string ``"default"`` (all arrows point
-    towards vertex 1, branches into the chain), or arrows ``(src, dst)``
-    covering each diagram edge exactly once: given as pairs, or as text
-    like ``"2>1,3>2"`` whose endpoints are ASCII digits.  The shape is a
-    forest, so every such orientation is acyclic.
+    ``orientation_spec`` is ``"default"`` (all arrows point towards vertex
+    1, branches into the chain), ``"none"`` for a diagram with no edge, or
+    arrows like ``"2>1,3>2"`` covering each diagram edge exactly once, with
+    endpoints in ASCII digits: the text ``orientation_text`` writes.  The
+    shape is a forest, so every such orientation is acyclic.
     """
     shape = canonical_shape(dtype)
     if orientation_spec == "default":
         orientation = default_orientation(shape)
     else:
-        if isinstance(orientation_spec, str):
-            orientation_spec = map(_read_arrow, orientation_spec.split(","))
+        parts = [] if orientation_spec == "none" else orientation_spec.split(",")
         first: dict[tuple, tuple] = {}  # undirected edge -> the arrow given for it
-        for arrow in map(tuple, orientation_spec):
+        for arrow in map(_read_arrow, parts):
             edge = tuple(sorted(arrow))
             if edge in first:
                 raise DiagramError(f"orientation repeats the edge {edge}: arrows {first[edge]} and {arrow}")

@@ -16,7 +16,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from . import formulas, oeis
-from .diagrams import DynkinType, all_orientations, build_cartan, canonical_shape, orientation_text
+from .diagrams import DynkinType, all_orientations, build_cartan, canonical_shape
 from .enumeration import (
     CountTable,
     _walk,
@@ -92,10 +92,11 @@ def check_result_budget(dtype: DynkinType, limit: int = MAX_RESULTS) -> None:
         raise ValueError(f"{dtype.label} has {forecast} result sets, above the limit of {limit}")
 
 
-def verify_type(series: str, n: int, orientations: Sequence | None = None) -> VerificationReport:
+def verify_type(series: str, n: int, orientations: Sequence[str] | None = None) -> VerificationReport:
     """Enumerate one type under one or more orientations and compare counts.
 
-    Per orientation: support-tilting counts by support-rank against the
+    Per orientation, given as build_cartan's text and named so in the
+    report: support-tilting counts by support-rank against the
     closed-form row, totals against the closed-form total, and the
     antichain-by-support-rank table against the tilting table.  With several
     orientations the tables must also agree across all of them.
@@ -115,10 +116,9 @@ def verify_type(series: str, n: int, orientations: Sequence | None = None) -> Ve
     tables: list[CountTable] = []
     for spec in orientations:
         cat = build_category(build_cartan(dtype, spec))
-        label = spec if isinstance(spec, str) else orientation_text(spec)
         tilt = count_tables(cat, "tilting")
         anti = count_tables(cat, "antichain")
-        subject = f"{dtype.label} orientation={label}"
+        subject = f"{dtype.label} orientation={spec}"
         checks.append(_check("enum.tilting.rank", subject, expected_row, _row(tilt)))
         checks.append(_check("enum.antichain.rank", subject, _row(tilt), _row(anti)))
         tables.append(tilt)
@@ -137,9 +137,9 @@ def verify_type(series: str, n: int, orientations: Sequence | None = None) -> Ve
     return VerificationReport(tuple(checks))
 
 
-def orientation_sweep(series: str, n: int) -> list:
-    """Deterministic orientation list: exhaustive for rank <= 4, else a
-    fixed-seed sample of 10."""
+def orientation_sweep(series: str, n: int) -> list[str]:
+    """Deterministic list of orientation texts: exhaustive for rank <= 4,
+    else a fixed-seed sample of 10."""
     shape = canonical_shape(DynkinType(series, n))
     orientations = all_orientations(shape)
     if n <= 4 or len(orientations) <= 10:

@@ -1,6 +1,7 @@
 """Diagram shapes, Cartan matrices, reflections, and positive-root closures."""
 
 import argparse
+import itertools
 import math
 
 import pytest
@@ -71,7 +72,9 @@ def test_rank_must_be_an_int():
 
 def test_parse_labels():
     assert DynkinType.parse("D4") == DynkinType("D", 4)
-    assert DynkinType.parse("e8") == DynkinType("E", 8)
+    # the series letter is read as written, as the CLI's choices=SERIES reads it
+    with pytest.raises(DiagramError, match="cannot parse type label 'e8'"):
+        DynkinType.parse("e8")
     with pytest.raises(DiagramError):
         DynkinType.parse("X2")
     with pytest.raises(DiagramError):
@@ -143,13 +146,18 @@ def test_readers_take_plain_ascii_digits_only(first, second):
 
 
 def test_orientation_text_round_trip():
-    for series, n in ALL_TYPES:
-        for orientation in all_orientations(canonical_shape(DynkinType(series, n))):
-            text = orientation_text(orientation)
-            if orientation:
-                assert build_cartan(DynkinType(series, n), text).orientation == orientation
-            else:
-                assert text == "none"
+    # every orientation of every type up to rank 6, and of E7 and E8; the
+    # edgeless A1, B1 and D2 have one orientation each, written 'none'
+    types = [DynkinType(series, n) for series, n in ALL_TYPES if n <= 6] + [DynkinType("E", 7), DynkinType("E", 8)]
+    for dtype in types:
+        shape = canonical_shape(dtype)
+        choices = itertools.product(*[((j, i), (i, j)) for i, j, _, _ in shape.edges])
+        expected = sorted(tuple(sorted(choice)) for choice in choices)
+        texts = all_orientations(shape)
+        assert texts == [orientation_text(orientation) for orientation in expected], dtype
+        for text, orientation in zip(texts, expected):
+            assert build_cartan(dtype, text).orientation == orientation
+    assert all_orientations(canonical_shape(DynkinType("D", 2))) == ["none"]
 
 
 def test_degenerate_shapes_resolve():
@@ -217,7 +225,7 @@ def test_sink_order_default_is_identity():
 
 
 def test_sink_order_tie_break():
-    datum = build_cartan(DynkinType("A", 3), [(1, 2), (3, 2)])
+    datum = build_cartan(DynkinType("A", 3), "1>2,3>2")
     assert sink_order(datum) == (2, 1, 3)
 
 
@@ -258,24 +266,42 @@ def test_sink_order_refuses_a_cycle():
 
 def test_orientation_validation():
     with pytest.raises(DiagramError):
-        build_cartan(DynkinType("A", 3), [(1, 2)])  # missing an edge
+        build_cartan(DynkinType("A", 3), "1>2")  # missing an edge
     with pytest.raises(DiagramError):
-        build_cartan(DynkinType("A", 3), [(1, 2), (2, 3), (1, 3)])  # not a diagram edge
+        build_cartan(DynkinType("A", 3), "1>2,2>3,1>3")  # not a diagram edge
     with pytest.raises(DiagramError, match=r"^bad orientation fragment 'linear'; expected 'src>dst'$"):
         build_cartan(DynkinType("A", 2), "linear")
+    with pytest.raises(DiagramError, match=r"^bad orientation fragment ''; expected 'src>dst'$"):
+        build_cartan(DynkinType("A", 2), "")
     # a repeated arrow, and two arrows on one edge, are refused by name
     with pytest.raises(DiagramError, match=r"repeats the edge \(1, 2\): arrows \(1, 2\) and \(1, 2\)"):
-        build_cartan(DynkinType("A", 3), [(1, 2), (2, 3), (1, 2)])
+        build_cartan(DynkinType("A", 3), "1>2,2>3,1>2")
     with pytest.raises(DiagramError, match=r"repeats the edge \(1, 2\): arrows \(1, 2\) and \(2, 1\)"):
-        build_cartan(DynkinType("A", 3), [(1, 2), (3, 2), (2, 1)])
-    # arrows may come from a one-shot iterator
-    assert build_cartan(DynkinType("A", 3), iter([(3, 2), (1, 2)])).orientation == ((1, 2), (3, 2))
+        build_cartan(DynkinType("A", 3), "1>2,3>2,2>1")
+    # arrows may come in any order; the datum keeps them sorted
+    assert build_cartan(DynkinType("A", 3), "3>2,1>2").orientation == ((1, 2), (3, 2))
+    # 'none' is the empty arrow set: right for an edgeless diagram only
+    for label in ("A1", "B1", "D2"):
+        dtype = DynkinType.parse(label)
+        assert build_cartan(dtype, "none") == build_cartan(dtype)
+        assert build_cartan(dtype, "none").orientation == ()
+    with pytest.raises(DiagramError, match=r"^arrow set does not match the A2 diagram edges: .* got \[\]$"):
+        build_cartan(DynkinType("A", 2), "none")
+    with pytest.raises(DiagramError, match="bad orientation fragment 'none'"):
+        build_cartan(DynkinType("A", 2), "1>2,none")
 
 
 def test_all_orientations_count():
     assert len(all_orientations(canonical_shape(DynkinType("A", 4)))) == 8
     assert len(all_orientations(canonical_shape(DynkinType("D", 4)))) == 8
-    assert all_orientations(canonical_shape(DynkinType("A", 1))) == [()]
+    assert all_orientations(canonical_shape(DynkinType("A", 1))) == ["none"]
+    assert all_orientations(canonical_shape(DynkinType("A", 3))) == ["1>2,2>3", "1>2,3>2", "2>1,2>3", "2>1,3>2"]
+    # ordered by the arrows, not by their text, which puts '10>9' before '2>1'
+    a10 = DynkinType("A", 10)
+    texts = all_orientations(canonical_shape(a10))
+    orientations = [build_cartan(a10, text).orientation for text in texts]
+    assert len(set(orientations)) == 512 and orientations == sorted(orientations)
+    assert texts != sorted(texts)
 
 
 def test_simple_reflection_examples():

@@ -1,0 +1,235 @@
+"""The input contract as properties: every argv is answered or refused with exit 2.
+
+The argv strategy draws each subcommand's arguments from the parser's own
+choices, mixed with junk tokens (signs, spaces, underscores, non-ASCII
+digits, empty and repeated arrows), and runs `cli.run` in process.  Ranks,
+row and term counts are drawn small, so every example ends fast; `verify`
+draws only `--max-n` tokens that are refused before a suite runs, and
+`reconcile` never draws `--online`.  The text strategy feeds the three text
+readers, `DynkinType.parse`, `build_cartan` and `parse_bfile`, and checks
+what they accept against a regular-expression statement of the same rule.
+"""
+
+import contextlib
+import io
+import re
+from typing import get_args
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dynkin_tilting import cli, oeis, verify
+from dynkin_tilting.diagrams import (
+    RANK_RANGE,
+    SERIES,
+    DiagramError,
+    DynkinType,
+    _plain_int,
+    all_orientations,
+    build_cartan,
+    canonical_shape,
+    default_orientation,
+)
+from dynkin_tilting.enumeration import Statistic
+from dynkin_tilting.oeis import BFileError, parse_bfile
+
+# tokens no integer argument takes
+_NOT_INTS = ["", " ", "-", "--", "-1", "+3", " 3", "3 ", "1_0", "\u0663", "\uff13", "\u00b2", "3.0", "0x3", "x", "e8"]
+# no junk token is '--' and a letter, which argparse would read as a prefix of
+# a long option, so a drawn argv never reaches `reconcile --online`
+_JUNK = st.one_of(
+    st.sampled_from(_NOT_INTS + ["a", "AB", "none", "default", ">", ",", "1>2\n", "-h"]),
+    st.text("ABDEacde0123456789 +_.>,\t\n\u0663", max_size=4),
+)
+_SMALL = st.integers(0, 6).map(str)
+_ODD_INTS = st.sampled_from(["03", "006", "1001", "99999999999999999999"] + _NOT_INTS)
+_ODD_SERIES = st.sampled_from(["a", "e", "H", "AB", ""])
+_ORIENTATIONS = st.one_of(
+    st.sampled_from(["default", "none", "", ",", ">", "1>2,,2>3", "none,none", "1>2,1>2", " 1>2"]),
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=5).map(
+        lambda arrows: ",".join(f"{src}>{dst}" for src, dst in arrows)
+    ),
+)
+
+
+def _refused_max_n(token: str) -> bool:
+    value = _plain_int(token)
+    return value is None or not verify.IDENTITY_MIN_N <= value <= verify.IDENTITY_MAX_N
+
+
+@st.composite
+def _argv(draw, out_path: str) -> list[str]:
+    # half the draws are well formed: choices, small integers and, for
+    # enumerate, an orientation of the drawn type; the other half mixes junk
+    # into every argument and between them
+    clean = draw(st.booleans())
+
+    def pick(valid, junk=_JUNK):
+        return draw(valid if clean else st.one_of(valid, junk))
+
+    commands = ["table", "triangle", "enumerate", "verify", "reconcile"]
+    command = pick(st.sampled_from(commands), st.sampled_from(["frobnicate", "-h", ""]))
+    positional: list[str] = []
+    options: list[list[str]] = []
+
+    def maybe(*tokens):
+        if draw(st.booleans()):
+            options.append(list(tokens))
+
+    if command == "table":
+        positional = [pick(st.sampled_from(SERIES), _ODD_SERIES), pick(_SMALL, _ODD_INTS)]
+    elif command == "triangle":
+        positional = [pick(st.sampled_from(oeis.TRIANGLE_NAMES))]
+        maybe("--rows", pick(_SMALL, _ODD_INTS))
+        maybe("--format", pick(st.sampled_from(oeis.FORMATS)))
+    elif command == "enumerate":
+        positional = [pick(st.sampled_from(SERIES), _ODD_SERIES), pick(_SMALL, _ODD_INTS)]
+        orientations = st.just("default")
+        with contextlib.suppress(DiagramError):
+            dtype = DynkinType.parse("".join(positional))
+            if dtype.rank <= 6:  # at most 32 orientations
+                orientations = st.sampled_from(all_orientations(canonical_shape(dtype)))
+        maybe("--orientation", pick(orientations, _ORIENTATIONS))
+        maybe("--statistic", pick(st.sampled_from(get_args(Statistic))))
+        maybe("--list")
+        maybe("--max-results", pick(st.sampled_from(["1", "14", "100", "1000"]), _ODD_INTS))
+    elif command == "verify":
+        for level in draw(st.lists(st.sampled_from(list(verify.SUITES)), max_size=2)):
+            options.append([f"--{level}"])
+        options.append(["--max-n", draw(st.one_of(st.integers(0, 200).map(str), _JUNK).filter(_refused_max_n))])
+        maybe("--threads", pick(_SMALL, _ODD_INTS))
+        maybe("--out", out_path)
+    elif command == "reconcile":
+        positional = [pick(st.sampled_from(oeis.SEQUENCE_IDS))]
+        maybe("--terms", pick(st.sampled_from(["1", "40", "200"]), _ODD_INTS))
+    groups = draw(st.permutations([positional, *options]))
+    argv = [command] + [token for group in groups for token in group]
+    # a junk token anywhere but after `verify`'s --max-n, where it would be the bound
+    for _ in range(0 if clean else draw(st.integers(0, 2))):
+        token = draw(_JUNK.filter(_refused_max_n) if command == "verify" else _JUNK)
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refusal_is_reported(err: str) -> bool:
+    """argparse prints its usage, then 'prog: error: message'; a refusal of
+    the program's own ends stderr with an 'error: ' line."""
+    if err.startswith("usage: "):
+        return re.search(r"^dynkin-tilting[a-z ]*: error: ", err, re.MULTILINE) is not None
+    return err.splitlines()[-1].startswith("error: ")
+
+
+def test_cli_argv_is_answered_or_refused(tmp_path_factory):
+    out_path = str(tmp_path_factory.mktemp("verify-out") / "report.txt")
+
+    @given(_argv(out_path))
+    @example(["enumerate", "A", "1", "--orientation", "none"])
+    @example(["enumerate", "A", "3", "--orientation", "none"])
+    @example(["enumerate", "A", "3", "--orientation", ""])
+    @example(["table", "e", "8"])
+    @example(["verify", "--quick", "--max-n", "-1"])
+    @example(["reconcile", "A009766", "--terms", "200"])  # more terms than the fixture: a FAIL line, exit 1
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def check(argv):
+        code, out, err = _run(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "", argv
+            assert _refusal_is_reported(err), (argv, err)
+        if code == 0:
+            assert out and out.endswith("\n"), argv
+            assert _run(argv) == (0, out, err), argv
+
+    check()
+
+
+def _expected_type(label: str) -> DynkinType | None:
+    match = re.fullmatch(r"([A-G])([0-9]+)", label)
+    if match is None:
+        return None
+    series, rank = match[1], int(match[2])
+    lo, hi = RANK_RANGE[series]
+    return DynkinType(series, rank) if rank >= lo and (hi is None or rank <= hi) else None
+
+
+def _expected_arrows(dtype: DynkinType, text: str):
+    """The sorted arrows text names, or None: 'default', 'none' for the
+    empty arrow set, or fragments src>dst in ASCII digits covering each
+    diagram edge once."""
+    shape = canonical_shape(dtype)
+    if text == "default":
+        return default_orientation(shape)
+    fragments = [] if text == "none" else text.split(",")
+    matches = [re.fullmatch(r"([0-9]+)>([0-9]+)", fragment) for fragment in fragments]
+    if None in matches:
+        return None
+    arrows = [(int(m[1]), int(m[2])) for m in matches]
+    edges = sorted((i, j) for i, j, _, _ in shape.edges)
+    return tuple(sorted(arrows)) if sorted(tuple(sorted(arrow)) for arrow in arrows) == edges else None
+
+
+_TYPES = [DynkinType.parse(label) for label in ("A1", "D2", "A3", "B3", "D4", "G2")]
+_ARROW_TEXT = st.one_of(
+    st.text("0123456789>,none\u0663 +", max_size=12),
+    st.lists(st.sampled_from(["1>2", "2>1", "2>3", "3>2", "2>4", "4>2", "1>1", "01>2", "3>02"]), max_size=4).map(
+        ",".join
+    ),
+    st.text(max_size=8),
+)
+_BFILE_TEXT = st.one_of(
+    st.lists(st.sampled_from(["0 1", "1 2", "2 5", "3 14", "1 -2", "#c", "", " 2  5 ", "2 x", "1 2"]), max_size=5).map(
+        "\n".join
+    ),
+    st.text("0123456789 -#\n\u0663", max_size=16),
+    st.text(max_size=12),
+)
+
+
+@given(st.one_of(st.text("ABCDEFGHabcdefg0123456789 +-_\u0663", max_size=4), st.text(max_size=4)))
+@example("e8")  # the series letter is read as written
+@example("E8")
+@example("E9")
+@example("A0")
+@example("A03")
+@example("")
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_type_labels_follow_one_rule(label):
+    try:
+        got = DynkinType.parse(label)
+    except DiagramError:
+        got = None
+    assert got == _expected_type(label), label
+
+
+@given(st.sampled_from(_TYPES), _ARROW_TEXT)
+@example(DynkinType("A", 1), "none")
+@example(DynkinType("D", 2), "none")
+@example(DynkinType("A", 3), "none")
+@example(DynkinType("A", 3), "")
+@example(DynkinType("A", 3), "default")
+@example(DynkinType("A", 3), "1>2,none")
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_orientation_text_follows_one_rule(dtype, text):
+    try:
+        got = build_cartan(dtype, text).orientation
+    except DiagramError:
+        got = None
+    assert got == _expected_arrows(dtype, text), (dtype, text)
+
+
+@given(_BFILE_TEXT)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_bfile_text_is_read_or_refused(text):
+    try:
+        bfile = parse_bfile("X", text)
+    except BFileError:
+        return
+    # what is read reads again, from the plainest form of the same entries
+    assert parse_bfile("X", "".join(f"{i} {v}\n" for i, v in bfile.entries)) == bfile

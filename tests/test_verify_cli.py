@@ -451,6 +451,13 @@ _BAD_ORIENTATIONS = [
     ("\u0661>2,2>3", "\u0661>2", "error: bad orientation fragment '\u0661>2'; expected 'src>dst'"),
     ("1_0>2,2>3", "1_0>2", "error: bad orientation fragment '1_0>2'; expected 'src>dst'"),
     ("linear", "linear", "error: bad orientation fragment 'linear'; expected 'src>dst'"),
+    ("", "empty", "error: bad orientation fragment ''; expected 'src>dst'"),
+    # 'none' is the orientation of a diagram with no edge, and A3 has two
+    (
+        "none",
+        "none",
+        "error: arrow set does not match the A3 diagram edges: expected undirected [(1, 2), (2, 3)], got []",
+    ),
 ]
 
 
@@ -462,6 +469,15 @@ def test_cli_enumerate_rejects_bad_orientation(capsys, spec, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == error
+
+
+@pytest.mark.parametrize("label", ["A 1", "B 1", "D 2"])
+def test_cli_enumerate_edgeless_orientation_none(capsys, label):
+    # 'none' is the text a report prints for the one orientation of an edgeless diagram
+    assert run(["enumerate", *label.split(), "--orientation", "none"]) == 0
+    none = capsys.readouterr().out
+    assert run(["enumerate", *label.split()]) == 0
+    assert capsys.readouterr().out == none != ""
 
 
 def test_cli_integers_take_leading_zeros(capsys):

@@ -71,8 +71,8 @@ def _patch_count_tables(monkeypatch, label, kind, orientation=None):
     monkeypatch.setattr(verify, "count_tables", count_tables)
 
 
-_A4_SPEC = ((1, 2), (2, 3), (3, 4))  # in the A4 sweep; not the default orientation
-_A4_SUBJECT = "A4 orientation=1>2,2>3,3>4"
+_A4_SPEC = "1>2,2>3,3>4"  # in the A4 sweep; not the default orientation
+_A4_SUBJECT = f"A4 orientation={_A4_SPEC}"
 
 
 def test_one_orientation_tilting_table(monkeypatch, tmp_path, capsys):

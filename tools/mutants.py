@@ -317,6 +317,35 @@ MUTANTS = (
         "arrow = int(src), int(dst)",
         ("tests/test_diagrams.py", "-k", "plain_ascii_digits"),
     ),
+    # --- one orientation form, the text reports print; one series-letter rule
+    Mutant(
+        "none-orientation-refused",
+        "diagrams.py",
+        'parts = [] if orientation_spec == "none" else orientation_spec.split(",")',
+        'parts = orientation_spec.split(",")',
+        ("tests/test_input_contract.py", "-k", "orientation_text"),
+    ),
+    Mutant(
+        "orientations-sorted-as-text",
+        "diagrams.py",
+        "return [orientation_text(o) for o in sorted(tuple(sorted(choice)) for choice in itertools.product(*pairs))]",
+        "return sorted(orientation_text(sorted(choice)) for choice in itertools.product(*pairs))",
+        ("tests/test_diagrams.py", "-k", "all_orientations_count"),
+    ),
+    Mutant(
+        "series-letter-folded",
+        "diagrams.py",
+        "rank = _plain_int(label[1:])",
+        "label, rank = label[:1].upper() + label[1:], _plain_int(label[1:])",
+        ("tests/test_input_contract.py", "-k", "type_labels"),
+    ),
+    Mutant(
+        "refusal-on-stdout",
+        "cli.py",
+        'print(f"error: {exc}", file=sys.stderr)',
+        'print(f"error: {exc}")',
+        ("tests/test_input_contract.py", "-k", "argv"),
+    ),
     # --- identity regions
     Mutant(
         "hockey-stick-a-to-t",
