@@ -90,13 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_rank(args) -> None:
-    if args.n > oeis.MAX_ROWS:
-        raise ValueError(f"{args.command} rank {args.n} is above the limit of {oeis.MAX_ROWS}")
-
-
 def _cmd_table(args) -> tuple[int, Iterable[str]]:
-    _require_rank(args)
     return 0, [count_row(formulas.a_row(args.series, args.n), f"total {formulas.a_total(args.series, args.n)}") + "\n"]
 
 
@@ -119,7 +113,6 @@ def _write_in_blocks(lines: Iterable[str]) -> None:
 
 
 def _cmd_enumerate(args) -> tuple[int, Iterable[str]]:
-    _require_rank(args)
     dtype = DynkinType(args.series, args.n)
     try:
         verify.check_result_budget(dtype, args.max_results)
@@ -165,7 +158,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
-    print(f"# config: {' '.join(argv if argv is not None else sys.argv[1:])}", file=sys.stderr)
+    # repr shows an unprintable argument, so a newline cannot start a line of its own
+    shown = (arg if arg.isprintable() else repr(arg) for arg in (sys.argv[1:] if argv is None else argv))
+    print(f"# config: {' '.join(shown)}", file=sys.stderr)
     handler = {
         "table": _cmd_table,
         "triangle": _cmd_triangle,

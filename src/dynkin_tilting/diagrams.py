@@ -5,7 +5,7 @@ Vertices are numbered 1..n.  A diagram shape is a forest of valued edges
 ``A[i][j] = -a`` and ``A[j][i] = -b``.  Degenerate ranks resolve to their
 conventional shapes (B1 = A1, D2 = A1 + A1, D3 = A3, E3 = A2 + A1,
 E4 = A4, E5 = D5) before any computation, so downstream code never
-special-cases them.
+special-cases them.  One rule, ``_admit``, admits a type's series and rank.
 
 Root-lattice work runs on one sparse kernel built from the Cartan matrix's
 neighbour lists: a simple reflection s_i changes only coordinate i, from
@@ -37,7 +37,7 @@ Coords = tuple[int, ...]
 Arrow = tuple[int, int]
 Edge = tuple[int, int, int, int]
 
-# admissible rank ranges per series (inclusive)
+# admissible rank ranges per series (inclusive); None: no last rank below MAX_RANK
 RANK_RANGE = {
     "A": (1, None),
     "B": (1, None),
@@ -48,10 +48,24 @@ RANK_RANGE = {
     "G": (2, 2),
 }
 SERIES = tuple(RANK_RANGE)
+MAX_RANK = 1000  # the closed forms take seconds at rank 3000, over a minute at 10**6
 
 
 class DiagramError(ValueError):
     """Raised for inadmissible types, bad orientations, or non-finite data."""
+
+
+def _admit(series: str, rank: int) -> None:
+    """The one admission rule of a type, which DynkinType and the closed forms
+    run: its series has a range in RANK_RANGE, which holds its rank, and the
+    rank is at most MAX_RANK."""
+    if series not in RANK_RANGE:
+        raise DiagramError(f"unknown series {series!r}")
+    lo, hi = RANK_RANGE[series]
+    if rank < lo or (hi is not None and rank > hi):
+        raise DiagramError(f"inadmissible rank {rank} for series {series}")
+    if rank > MAX_RANK:
+        raise DiagramError(f"{series}{rank} has rank {rank}, above the rank limit of {MAX_RANK}")
 
 
 def _plain_int(text: str) -> int | None:
@@ -72,13 +86,9 @@ class DynkinType(_DynkinTypeFields):
     __slots__ = ()
 
     def __new__(cls, series: str, rank: int) -> "DynkinType":
-        if series not in SERIES:
-            raise DiagramError(f"unknown series {series!r}")
         if isinstance(rank, bool) or not isinstance(rank, int):
             raise DiagramError(f"rank must be an integer, got {rank!r}")
-        lo, hi = RANK_RANGE[series]
-        if rank < lo or (hi is not None and rank > hi):
-            raise DiagramError(f"inadmissible rank {rank} for series {series}")
+        _admit(series, rank)
         return super().__new__(cls, series, rank)
 
     @classmethod
@@ -200,9 +210,7 @@ def canonical_shape(dtype: DynkinType) -> DiagramShape:
         return DiagramShape(n, tuple(edges))
     if s == "F":
         return DiagramShape(4, ((1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)))
-    if s == "G":
-        return DiagramShape(2, ((1, 2, 1, 3),))
-    raise DiagramError(f"unknown series {s!r}")
+    return DiagramShape(2, ((1, 2, 1, 3),))  # G2, the last series DynkinType admits
 
 
 class CartanDatum(NamedTuple):

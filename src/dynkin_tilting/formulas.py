@@ -32,8 +32,10 @@ range of s; series E ends at its last rank, 8:
   z_boundary_check             A0 B0 D1
   shear_check                  A1 B1 D2      0 <= s <= n, n, n-1; n+s >= 3
 
-Admissible ranks are those of ``diagrams.RANK_RANGE`` plus the empty types
-A_0 and B_0, whose row is (1,); the enumeration side has no rank-0 diagram.
+Admissible types are those that ``diagrams.DynkinType`` admits by its one
+rule, which refuses ``A1001 has rank 1001, above the rank limit of 1000``,
+plus the empty types A_0 and B_0, whose row is (1,); the enumeration side
+has no rank-0 diagram.
 Degenerate-rank conventions shared with the enumeration side: B_1 = A_1;
 D_2 = A_1 + A_1; D_3 = A_3; E_3 = A_2 + A_1; E_4 = A_4; E_5 = D_5.  The A/B/D
 formulas already produce the convention rows, so only the E table stores them
@@ -47,10 +49,10 @@ from itertools import accumulate
 from math import comb
 from typing import Iterator
 
-from .diagrams import RANK_RANGE
+from .diagrams import RANK_RANGE, _admit
 
-# rank-0 types admitted below RANK_RANGE (see the module docstring)
-_EMPTY_TYPES = frozenset({("A", 0), ("B", 0)})
+# the series of the empty types A_0 and B_0, admitted here alone (see the module docstring)
+_EMPTY_SERIES = ("A", "B")
 
 
 def binom(t: int, s: int) -> int:
@@ -105,19 +107,12 @@ EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
 }
 
 
-def _check_args(series: str, n: int, s: int | None = None) -> None:
-    if series not in RANK_RANGE:
-        raise ValueError(f"unknown series {series!r}")
-    lo, hi = RANK_RANGE[series]
-    if (n < lo and (series, n) not in _EMPTY_TYPES) or (hi is not None and n > hi):
-        raise ValueError(f"inadmissible rank {n} for series {series}")
-    if s is not None and not 0 <= s <= n:
-        raise ValueError(f"support-rank {s} out of range 0..{n}")
-
-
 def a_s(series: str, n: int, s: int) -> int:
     """Count at support-rank s for the rank-n algebra of the given series."""
-    _check_args(series, n, s)
+    if n or series not in _EMPTY_SERIES:
+        _admit(series, n)
+    if not 0 <= s <= n:
+        raise ValueError(f"support-rank {s} out of range 0..{n}")
     if s == 0:
         return 1
     if series == "A":
@@ -135,7 +130,8 @@ def a_s(series: str, n: int, s: int) -> int:
 
 def a_total(series: str, n: int) -> int:
     """Total count over all support-ranks."""
-    _check_args(series, n)
+    if n or series not in _EMPTY_SERIES:
+        _admit(series, n)
     if series == "A":
         return catalan_bracket(2 * n + 2, n + 1)
     if series in ("B", "C"):

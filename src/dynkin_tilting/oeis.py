@@ -18,8 +18,9 @@ oracle for every generated row.  ``triangle_lines`` generates each row as
 it writes it and holds none; pretty output generates the rows twice, first
 for the column widths.
 
-b-file format: lines "<index> <value>" in ASCII digits, '#' comments and blank
-lines ignored, indices increasing by 1 from the sequence offset.  Offline
+b-file format: lines "<index> <value>" in ASCII digits, each ended by a line
+feed alone and split by spaces and tabs alone, '#' comments and blank lines
+ignored, indices increasing by 1 from the sequence offset.  Offline
 fixture files shipped with the package are authoritative; a live fetch from
 oeis.org is opt-in and falls back to the fixture with a warning on any failure.
 
@@ -50,7 +51,7 @@ FIXTURE_ENV_VAR = "DYNKIN_TILTING_FIXTURES"
 _FIXTURE_DIR = Path(__file__).parent / "fixtures"
 _FETCH_TIMEOUT_S = 10.0
 
-# most rows `triangle` renders; also the largest rank `table` prints
+# most rows `triangle` renders
 MAX_ROWS = 1000
 
 Row = tuple[int, ...]
@@ -275,11 +276,11 @@ def _sequence(sequence_id: str, terms: int) -> _Triangle:
 def parse_bfile(sequence_id: str, text: str) -> BFile:
     """Parse b-file text; malformed lines report their line number."""
     entries: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        parts = [part for part in line.replace("\t", " ").split(" ") if part]
         if len(parts) != 2:
             raise BFileError(f"line {lineno}: expected 'index value', got {raw!r}")
         idx, val = _plain_int(parts[0]), _plain_int(parts[1].removeprefix("-"))

@@ -82,11 +82,9 @@ def check_result_budget(dtype: DynkinType, limit: int = MAX_RESULTS) -> None:
     """Refuse a type with more than ``limit`` result sets before anything is built.
 
     Both statistics have ``formulas.a_total`` results, so the closed form
-    forecasts the size of every search of the type, once the rank is at
-    most ``oeis.MAX_ROWS``: a larger forecast takes minutes to compute.
+    forecasts the size of every search of the type, at once: a DynkinType
+    has rank at most 1000.
     """
-    if dtype.rank > oeis.MAX_ROWS:
-        raise ValueError(f"{dtype.label} has rank {dtype.rank}, above the rank limit of {oeis.MAX_ROWS}")
     forecast = formulas.a_total(dtype.series, dtype.rank)
     if forecast > limit:
         raise ValueError(f"{dtype.label} has {forecast} result sets, above the limit of {limit}")

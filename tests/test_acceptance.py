@@ -232,13 +232,21 @@ def test_criterion_09_integrality_to_2000():
             sub = sub * ((2 * n - 1) * 2 * n) // ((n - 1) * (n + 1))
         central = nxt
         edge = edge * (2 * n * (2 * n + 1)) // (n * (n + 1))
-    # implementation agreement with the rational forms, densely sampled
+    # implementation agreement with the rational forms, densely sampled: on
+    # the brackets a_s and a_total read, and on a_s and a_total themselves up
+    # to the rank limit of 1000
     for n in list(range(1, 301)) + [500, 1000, 1500, 2000]:
-        assert formulas.a_s("A", n, n) * (n + 1) == formulas.binom(2 * n, n)
-        assert formulas.a_total("A", n) * (n + 2) == formulas.binom(2 * n + 2, n + 1)
+        a_diagonal, a_total = formulas.catalan_bracket(2 * n, n), formulas.catalan_bracket(2 * n + 2, n + 1)
+        assert a_diagonal * (n + 1) == formulas.binom(2 * n, n)
+        assert a_total * (n + 2) == formulas.binom(2 * n + 2, n + 1)
+        if n <= 1000:
+            assert (formulas.a_s("A", n, n), formulas.a_total("A", n)) == (a_diagonal, a_total)
         if n >= 2:
-            assert formulas.a_s("D", n, n) * (2 * n - 2) == (3 * n - 4) * formulas.binom(2 * n - 2, n - 2)
-            assert formulas.a_total("D", n) * (2 * n - 1) == (3 * n - 2) * formulas.binom(2 * n - 1, n - 1)
+            d_diagonal, d_total = formulas.bailey(2 * n - 2, n - 2), formulas.bailey(2 * n - 1, n - 1)
+            assert d_diagonal * (2 * n - 2) == (3 * n - 4) * formulas.binom(2 * n - 2, n - 2)
+            assert d_total * (2 * n - 1) == (3 * n - 2) * formulas.binom(2 * n - 1, n - 1)
+            if n <= 1000:
+                assert (formulas.a_s("D", n, n), formulas.a_total("D", n)) == (d_diagonal, d_total)
     elapsed = time.monotonic() - start
     print(f"criterion 9 (integrality t<=2000): PASS ({elapsed:.2f}s)")
 

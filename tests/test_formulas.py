@@ -484,7 +484,8 @@ def test_catalan_bracket_matches_rational_definition(t, data):
     assert f.catalan_bracket(t, s) == Fraction(t - 2 * s + 1, t - s + 1) * f.binom(t, s)
 
 
-@given(st.integers(0, 2000), st.data())
+# up to the rank limit of 1000; tests/test_acceptance.py checks the brackets to 2000
+@given(st.integers(0, 1000), st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_series_formula_is_integral(n, data):
     s = data.draw(st.integers(0, n))
@@ -493,7 +494,7 @@ def test_a_series_formula_is_integral(n, data):
     assert f.a_s("A", n, s) == num // (n + 1)
 
 
-@given(st.integers(2, 2000))
+@given(st.integers(2, 1000))
 @settings(max_examples=200, deadline=None)
 def test_d_series_diagonal_is_integral(n):
     num = (3 * n - 4) * f.binom(2 * n - 2, n - 2)

@@ -8,6 +8,8 @@ draws only `--max-n` tokens that are refused before a suite runs, and
 `reconcile` never draws `--online`.  The text strategy feeds the three text
 readers, `DynkinType.parse`, `build_cartan` and `parse_bfile`, and checks
 what they accept against a regular-expression statement of the same rule.
+The closed forms admit a type by that statement too, plus A0 and B0, and
+every entry point that takes a rank refuses 1001 with one message.
 """
 
 import contextlib
@@ -15,10 +17,11 @@ import io
 import re
 from typing import get_args
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynkin_tilting import cli, oeis, verify
+from dynkin_tilting import cli, formulas, oeis, verify
 from dynkin_tilting.diagrams import (
     RANK_RANGE,
     SERIES,
@@ -150,13 +153,87 @@ def test_cli_argv_is_answered_or_refused(tmp_path_factory):
     check()
 
 
+def test_config_line_shows_an_unprintable_argument_by_repr():
+    code, out, err = _run(["enumerate", "A", "3", "--orientation", "1>2\n# injected,2>3"])
+    assert (code, out) == (2, "")
+    config, error = err.splitlines()
+    assert config == r"# config: enumerate A 3 --orientation '1>2\n# injected,2>3'"
+    assert error.startswith("error: bad orientation fragment")
+
+
 def _expected_type(label: str) -> DynkinType | None:
     match = re.fullmatch(r"([A-G])([0-9]+)", label)
     if match is None:
         return None
     series, rank = match[1], int(match[2])
     lo, hi = RANK_RANGE[series]
-    return DynkinType(series, rank) if rank >= lo and (hi is None or rank <= hi) else None
+    # a series with no last rank ends at the rank limit of 1000
+    return DynkinType(series, rank) if lo <= rank <= (1000 if hi is None else hi) else None
+
+
+def _refusal(call, *args) -> str | None:
+    """The message of the ValueError that call(*args) raises, or None if it returns."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(
+    st.sampled_from([*SERIES, "X", "a", ""]),
+    st.one_of(st.integers(-2, 12), st.integers(995, 1005), st.sampled_from([10**6, 10**20])),
+)
+@example("A", 0)
+@example("B", 0)
+@example("C", 0)
+@example("D", 1)
+@example("A", 1000)
+@example("A", 1001)
+@example("A", 10**6)  # its total alone would not end within a minute
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_closed_forms_admit_by_the_type_rule(series, n):
+    expected = (series, n) in {("A", 0), ("B", 0)} or _expected_type(f"{series}{n}") is not None
+    assert (_refusal(formulas.a_s, series, n, 0) is None) == expected, (series, n)
+    assert (_refusal(formulas.a_total, series, n) is None) == expected, (series, n)
+
+
+def _cli_refusal(*argv: str) -> str | None:
+    """The refusal `cli.run` reports for argv, or None if it answers."""
+    code, out, err = _run(list(argv))
+    if code == 0:
+        return None
+    assert (code, out) == (2, ""), argv
+    return err.splitlines()[-1].removeprefix("error: ")
+
+
+def _refuse_to_build(*_):
+    raise AssertionError("a refused rank built a category")
+
+
+# entry point -> the series it reads and its refusal at a rank
+_RANK_ENTRY_POINTS = {
+    "table": ("A", lambda n: _cli_refusal("table", "A", str(n))),
+    "enumerate": ("A", lambda n: _cli_refusal("enumerate", "A", str(n))),
+    "DynkinType": ("A", lambda n: _refusal(DynkinType, "A", n)),
+    "DynkinType.parse": ("A", lambda n: _refusal(DynkinType.parse, f"A{n}")),
+    "a_row": ("A", lambda n: _refusal(formulas.a_row, "A", n)),
+    "verify_type": ("A", lambda n: _refusal(verify.verify_type, "A", n)),
+    "verify_bc_equality": ("B", lambda n: _refusal(verify.verify_bc_equality, n)),
+}
+
+
+@pytest.mark.parametrize("rank", [1000, 1001])
+@pytest.mark.parametrize("entry", list(_RANK_ENTRY_POINTS))
+def test_every_entry_point_refuses_ranks_above_the_rank_limit(monkeypatch, entry, rank):
+    monkeypatch.setattr(cli, "build_category", _refuse_to_build)
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    series, refusal = _RANK_ENTRY_POINTS[entry]
+    got = refusal(rank)
+    if rank > 1000:
+        assert got == f"{series}{rank} has rank {rank}, above the rank limit of 1000"
+    else:  # answered, or refused only by the result budget
+        assert got is None or re.fullmatch(rf"{series}1000 has [0-9]+ result sets, above the limit of 10000000.*", got)
 
 
 def _expected_arrows(dtype: DynkinType, text: str):
@@ -187,9 +264,23 @@ _BFILE_TEXT = st.one_of(
     st.lists(st.sampled_from(["0 1", "1 2", "2 5", "3 14", "1 -2", "#c", "", " 2  5 ", "2 x", "1 2"]), max_size=5).map(
         "\n".join
     ),
-    st.text("0123456789 -#\n\u0663", max_size=16),
+    st.text("0123456789 -#\n\t\r\x1c\x85\u3000\u0663", max_size=16),
     st.text(max_size=12),
 )
+
+
+def _expected_entries(text: str) -> tuple[tuple[int, int], ...] | None:
+    """The entries of a b-file text, or None: lines end at '\\n' alone, and
+    each is blank, a '#' comment, or an index and a value in ASCII digits
+    parted by spaces and tabs; the indices step by 1, and there is an entry."""
+    entries: list[tuple[int, int]] = []
+    for line in text.split("\n"):
+        match = re.fullmatch(r"[ \t]*(?:#.*|([0-9]+)[ \t]+([0-9]+))?[ \t]*", line)
+        if match is None or (match[1] and entries and int(match[1]) != entries[-1][0] + 1):
+            return None
+        if match[1]:
+            entries.append((int(match[1]), int(match[2])))
+    return tuple(entries) or None
 
 
 @given(st.one_of(st.text("ABCDEFGHabcdefg0123456789 +-_\u0663", max_size=4), st.text(max_size=4)))
@@ -198,6 +289,9 @@ _BFILE_TEXT = st.one_of(
 @example("E9")
 @example("A0")
 @example("A03")
+@example("A1000")
+@example("A1001")
+@example("A" + "9" * 20)
 @example("")
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_type_labels_follow_one_rule(label):
@@ -225,11 +319,13 @@ def test_orientation_text_follows_one_rule(dtype, text):
 
 
 @given(_BFILE_TEXT)
+@example("0\u30001\n1 2\x1c2 5")  # Unicode blanks are no field gap and no line end
+@example("0 1\r\n1 2")
+@example(" 0\t1 \n\n# c\n1  2\t")
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_bfile_text_is_read_or_refused(text):
     try:
-        bfile = parse_bfile("X", text)
+        got = parse_bfile("X", text).entries
     except BFileError:
-        return
-    # what is read reads again, from the plainest form of the same entries
-    assert parse_bfile("X", "".join(f"{i} {v}\n" for i, v in bfile.entries)) == bfile
+        got = None
+    assert got == _expected_entries(text), text

@@ -47,11 +47,19 @@ def test_triangle_doc_row_shapes():
     assert lucas.rows[3] == (1, 4, 5, 2)
 
 
+def _closed_form_row(name, n):
+    """a_row(name, n).  The 1000-row D triangle ends at D_1001, past the rank
+    limit of 1000, so that row is read from the Lucas brackets that a_s("D", n, s) reads."""
+    if n <= 1000:
+        return formulas.a_row(name, n)
+    return tuple(formulas.bailey(n + s - 2, s) for s in range(n)) + (formulas.bailey(2 * n - 2, n - 2),)
+
+
 def _closed_form_rows(name, rows):
     """The rows of a triangle from the closed forms, one cell at a time."""
     if name in ("A", "B", "D"):
         first = 2 if name == "D" else 0
-        return tuple(formulas.a_row(name, n) for n in range(first, first + rows))
+        return tuple(_closed_form_row(name, n) for n in range(first, first + rows))
     if name == "sheared-catalan":
         return tuple(tuple(formulas.z_value("A", t, s) for s in range((t + 1) // 2 + 1)) for t in range(rows))
     if name == "pascal":
@@ -66,7 +74,10 @@ def test_recursion_rows_match_closed_forms(name, rows):
     doc = triangle_doc(name, rows)
     assert doc.rows == _closed_form_rows(name, rows)
     if name in ("A", "B", "D"):
-        assert doc.sums == tuple(formulas.a_total(name, doc.first_row + k) for k in range(rows))
+        ranks = range(doc.first_row, doc.first_row + rows)
+        # a_total("D", n) is the Lucas bracket [2n-1 over n-1], past the rank limit too
+        totals = (formulas.a_total(name, n) if n <= 1000 else formulas.bailey(2 * n - 1, n - 1) for n in ranks)
+        assert doc.sums == tuple(totals)
     else:
         assert doc.sums == tuple(map(sum, doc.rows))
 
@@ -258,6 +269,11 @@ def test_parse_bfile_errors():
             parse_bfile("X", f"0 1\n1 {field}\n")
         with pytest.raises(BFileError, match=rf"^line 2: non-integer field in '{re.escape(field)} 1'$"):
             parse_bfile("X", f"0 1\n{field} 1\n")
+    # a line ends at '\n' alone and its fields part at spaces and tabs alone
+    with pytest.raises(BFileError, match=r"^line 1: expected 'index value', got '0\\u30001'$"):
+        parse_bfile("X", "0\u30001\n1 2\x1c2 5")
+    with pytest.raises(BFileError, match=r"^line 2: expected 'index value', got '1 2\\x1c2 5'$"):
+        parse_bfile("X", "0 1\n1 2\x1c2 5")
     parsed = parse_bfile("X", "# c\n\n0 1\n1 2\n2 0\n")  # zero is a value
     assert parsed.entries == ((0, 1), (1, 2), (2, 0))
 

@@ -402,7 +402,7 @@ def test_cli_table_bad_rank(capsys):
     assert run(["table", "A", "1001"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: table rank 1001 is above the limit of 1000" in captured.err
+    assert "error: A1001 has rank 1001, above the rank limit of 1000" in captured.err
     assert run(["table", "A", "1000"]) == 0
     assert capsys.readouterr().out.endswith(f" | total {formulas.a_total('A', 1000)}\n")
 
@@ -603,7 +603,7 @@ def test_cli_enumerate_refuses_ranks_above_the_row_cap(capsys, monkeypatch, rank
     assert run(["enumerate", "A", rank]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == f"error: enumerate rank {rank} is above the limit of 1000"
+    assert captured.err.splitlines()[-1] == f"error: A{rank} has rank {rank}, above the rank limit of 1000"
 
 
 def test_cli_enumerate_rank_1000_reaches_the_forecast(capsys):

@@ -339,6 +339,37 @@ MUTANTS = (
         "label, rank = label[:1].upper() + label[1:], _plain_int(label[1:])",
         ("tests/test_input_contract.py", "-k", "type_labels"),
     ),
+    # --- one admission rule for a type's series and rank, and text read or shown
+    Mutant(
+        "rank-limit-inclusive",
+        "diagrams.py",
+        "if rank > MAX_RANK:",
+        "if rank >= MAX_RANK:",
+        ("tests/test_input_contract.py", "-k", "rank_limit"),
+    ),
+    # a_s only: a_total without admission would compute the total of A_(10**20)
+    Mutant(
+        "formulas-skips-admission",
+        "formulas.py",
+        "_admit(series, n)",
+        "pass",
+        ("tests/test_input_contract.py", "-k", "closed_forms"),
+        occurrence=1,
+    ),
+    Mutant(
+        "bfile-splits-any-whitespace",
+        "oeis.py",
+        'parts = [part for part in line.replace("\\t", " ").split(" ") if part]',
+        "parts = line.split()",
+        (_TRIANGLES, "-k", "parse_bfile"),
+    ),
+    Mutant(
+        "config-echoes-raw",
+        "cli.py",
+        "shown = (arg if arg.isprintable() else repr(arg) for arg in (sys.argv[1:] if argv is None else argv))",
+        "shown = sys.argv[1:] if argv is None else argv",
+        ("tests/test_input_contract.py", "-k", "config_line"),
+    ),
     Mutant(
         "refusal-on-stdout",
         "cli.py",
