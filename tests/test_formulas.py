@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynkin_tilting import formulas as f
-from dynkin_tilting.diagrams import RANK_RANGE, DynkinType
+from dynkin_tilting.diagrams import MAX_RANK, RANK_RANGE, DynkinType
 from tests.oracles import partial_diagonal_sum, partial_row_sum
 
 # the three series tables, rows 0..9 (D starts at 2), with row sums
@@ -484,22 +484,32 @@ def test_catalan_bracket_matches_rational_definition(t, data):
     assert f.catalan_bracket(t, s) == Fraction(t - 2 * s + 1, t - s + 1) * f.binom(t, s)
 
 
-# up to the rank limit of 1000; tests/test_acceptance.py checks the brackets to 2000
-@given(st.integers(0, 1000), st.data())
+# a_s refuses ranks above the rank limit; past it the bracket a_s reads is checked
+@given(st.integers(0, 2000), st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_series_formula_is_integral(n, data):
     s = data.draw(st.integers(0, n))
     num = (n - s + 1) * f.binom(n + s, s)
     assert num % (n + 1) == 0
-    assert f.a_s("A", n, s) == num // (n + 1)
+    if n <= MAX_RANK:
+        assert f.a_s("A", n, s) == num // (n + 1)
+    else:
+        assert f.catalan_bracket(n + s, s) == num // (n + 1)
+        with pytest.raises(ValueError, match="above the rank limit"):
+            f.a_s("A", n, s)
 
 
-@given(st.integers(2, 1000))
+@given(st.integers(2, 2000))
 @settings(max_examples=200, deadline=None)
 def test_d_series_diagonal_is_integral(n):
     num = (3 * n - 4) * f.binom(2 * n - 2, n - 2)
     assert num % (2 * n - 2) == 0
-    assert f.a_s("D", n, n) == num // (2 * n - 2)
+    if n <= MAX_RANK:
+        assert f.a_s("D", n, n) == num // (2 * n - 2)
+    else:
+        assert f.bailey(2 * n - 2, n - 2) == num // (2 * n - 2)
+        with pytest.raises(ValueError, match="above the rank limit"):
+            f.a_s("D", n, n)
 
 
 @given(st.integers(1, 300), st.data())
