@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconcile", help="compare a generated sequence against its b-file")
     p.add_argument("sequence_id", choices=list(oeis.SEQUENCE_IDS))
-    p.add_argument("--terms", type=_bounded_int(0), default=40)
+    p.add_argument("--terms", type=_bounded_int(0), help="compare this many terms (default: every term of the b-file)")
     p.add_argument("--online", action="store_true", help="fetch from oeis.org before falling back")
     return parser
 

@@ -69,10 +69,11 @@ def _admit(series: str, rank: int) -> None:
 
 
 def _plain_int(text: str) -> int | None:
-    """The value of text if it is one or more ASCII digits 0-9, else None.  Every
+    """The value of text if it is 1 to 4,300 ASCII digits 0-9, else None.  Every
     integer read from text comes through here: int() also takes '+3', ' 3',
-    '1_0' and non-ASCII digits."""
-    return int(text) if text.isascii() and text.isdecimal() else None
+    '1_0' and non-ASCII digits, and past CPython's default limit of 4,300
+    digits it raises, or reads at length if sys.set_int_max_str_digits allows."""
+    return int(text) if text.isascii() and text.isdecimal() and len(text) <= 4300 else None
 
 
 class _DynkinTypeFields(NamedTuple):

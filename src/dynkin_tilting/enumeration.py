@@ -1,6 +1,8 @@
 """Enumeration of antichains and support-tilting sets over a module category.
 
-The two statistics differ only in a per-element compatibility bitmask:
+The two statistics differ only in a per-element compatibility bitmask;
+homs.build_matrices puts both statistics' masks on the category, which
+keeps no Ext rows:
 
   * antichain: X, Y coexist iff Hom(X,Y) = 0 = Hom(Y,X);
   * support-tilting: X, Y coexist iff Ext(X,Y) = 0 = Ext(Y,X), and a set
@@ -31,7 +33,7 @@ from operator import itemgetter, or_
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .diagrams import DiagramError
-from .homs import ext_columns, hom_columns, injective_by_socle
+from .homs import injective_by_socle
 from .orbits import Indec, ModCategory
 
 Statistic = Literal["antichain", "tilting"]
@@ -57,26 +59,18 @@ def count_row(counts: Iterable[int], total: object = None) -> str:
 
 
 def _require_matrices(cat: ModCategory) -> None:
-    if cat.hom is None or cat.ext is None:
+    if cat.hom is None or cat.antichain_masks is None or cat.tilting_masks is None:
         raise ValueError("category matrices not built; call homs.build_matrices first")
 
 
-def _compat_masks(cat: ModCategory, statistic: Statistic) -> list[int]:
-    """Bit y of mask x: x != y and neither Hom (antichain) nor Ext (tilting)
-    runs between them in either direction, i.e. the complement of row x,
-    column x and x itself."""
+def _compat_masks(cat: ModCategory, statistic: Statistic) -> tuple[int, ...]:
+    """The statistic's compat masks, which homs.build_matrices fills: bit y
+    of mask x says x != y and neither Hom (antichain) nor Ext (tilting) runs
+    between them in either direction."""
     if statistic not in ("antichain", "tilting"):
         raise ValueError(f"unknown statistic {statistic!r}; expected 'antichain' or 'tilting'")
     _require_matrices(cat)
-    full = (1 << len(cat.indecs)) - 1
-    if statistic == "antichain":
-        rows, cols = cat.hom, hom_columns(cat)
-    else:
-        rows, cols = cat.ext, ext_columns(cat)
-    masks = []  # a loop, not a comprehension: that would add a call to perfbench's per-layer call counts
-    for x, (row, col) in enumerate(zip(rows, cols)):
-        masks.append(full & ~(row | col | 1 << x))
-    return masks
+    return cat.antichain_masks if statistic == "antichain" else cat.tilting_masks
 
 
 def _walk(
@@ -160,7 +154,7 @@ def _row(u: int, rows: dict[int, list[int]], by_lowest: list[list[tuple[int, int
     return got
 
 
-def _compatible_inside(allowed: int, comp: list[int], width: int, memo: dict[int, int]) -> int:
+def _compatible_inside(allowed: int, comp: Sequence[int], width: int, memo: dict[int, int]) -> int:
     """The pairwise compatible sets inside allowed, empty one included, as a
     packed size polynomial; memo holds the count for each mask the recursion
     meets.  The count depends on the mask alone (comp and width are fixed
@@ -196,7 +190,7 @@ def _compatible_inside(allowed: int, comp: list[int], width: int, memo: dict[int
     return 1 + (acc << width)
 
 
-def _component_product(cat: ModCategory, comp: list[int], width: int) -> list[int]:
+def _component_product(cat: ModCategory, comp: Sequence[int], width: int) -> list[int]:
     """The compatible sets by support-rank, each a size polynomial packed in
     one int (coefficient k in bits [k * width, (k + 1) * width)), as a
     product over support components.

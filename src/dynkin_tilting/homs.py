@@ -12,11 +12,6 @@ from __future__ import annotations
 from .orbits import ModCategory, knit_category
 
 
-def _projectives(cat: ModCategory) -> list[int]:
-    """The bit of the projective M(i, 0), the first position of orbit i, at i - 1."""
-    return [1 << (end - qi) for end, qi in zip(cat.injective_slice(), cat.q)]
-
-
 def hom_columns(cat: ModCategory) -> list[int]:
     """Column y of the Hom matrix (bit x: Hom(M_x, M_y) != 0), by recurrence along each orbit.
 
@@ -31,7 +26,7 @@ def hom_columns(cat: ModCategory) -> list[int]:
     M(j, v - 1), which is not injective.
     """
     n = cat.n
-    firsts = _projectives(cat)
+    firsts = [1 << (end - qi) for end, qi in zip(cat.injective_slice(), cat.q)]  # P(i) at i - 1
     cols = []
     col = 0
     for ind in cat.indecs:
@@ -44,32 +39,23 @@ def hom_columns(cat: ModCategory) -> list[int]:
     return cols
 
 
-def ext_columns(cat: ModCategory) -> list[int]:
-    """Column y of the Ext matrix (bit x: Ext^1(M_x, M_y) != 0).
-
-    Ext(M(i, u), y) != 0 iff u >= 1 and Hom(y, M(i, u - 1)) != 0, so the
-    column of y is its Hom row shifted one position along each orbit,
-    (hom[y] << 1) & V_1 with V_1 the modules of power >= 1: V_1 clears
-    each injective of the row, which the shift carries onto the next
-    orbit's projective or past the last orbit.
-    """
-    lifted = ((1 << len(cat.indecs)) - 1) & ~sum(_projectives(cat))
-    return [(row << 1) & lifted for row in cat.hom]
-
-
 def build_matrices(cat: ModCategory) -> ModCategory:
-    """Fill the dense Hom/Ext bit-matrices (row x, bit y) with whole-row operations.
+    """Fill the Hom bit-matrix (row x, bit y) and both statistics' compat masks.
 
     Each orbit is a contiguous block of ``indecs``, so shifting a mask left by
     u carries M(j, w) to M(j, w + u).  With S_i the modules whose support
     holds i and V_u those of power >= u, the Hom row of M(i, u) is
     (S_i << u) & V_u: a bit shifted past the end of its orbit lands at a
-    power below u, where V_u clears it.  The Ext row of M(i, u >= 1) is the
-    Hom column of M(i, u - 1), the position just before it, from
-    hom_columns' recurrence; no bit-matrix is transposed.
+    power below u, where V_u clears it.  Compat mask x is the complement of
+    x and of the relation's row and column x: Hom for antichains, Ext for
+    tilting.  The Ext row of M(i, u >= 1) is the Hom column of M(i, u - 1),
+    the position just before it, from hom_columns' recurrence; the Ext
+    column of y is (hom[y] << 1) & V_1, where V_1 clears each injective of
+    the row, which the shift carries onto the next orbit's projective or
+    past the last orbit.  No bit-matrix is transposed, and no Ext row is kept.
     """
     holds = [0] * cat.n  # S_i at i - 1
-    at_least = [0] * (max(cat.q) + 1)  # V_u
+    at_least = [0] * (max(cat.q) + 2)  # V_u, with V_1 = 0 when every module is projective
     for k, ind in enumerate(cat.indecs):
         bit = 1 << k
         for i in range(cat.n):
@@ -79,8 +65,15 @@ def build_matrices(cat: ModCategory) -> ModCategory:
             at_least[u] |= bit
     hom = tuple((holds[ind.vertex - 1] << ind.power) & at_least[ind.power] for ind in cat.indecs)
     cols = hom_columns(cat)
-    ext = tuple(cols[k - 1] if ind.power else 0 for k, ind in enumerate(cat.indecs))
-    return cat._replace(hom=hom, ext=ext)
+    full = at_least[0]
+    antichain, tilting = [], []
+    for x, (ind, row, col) in enumerate(zip(cat.indecs, hom, cols)):
+        others = full ^ 1 << x
+        ext_row = cols[x - 1] if ind.power else 0
+        ext_col = (row << 1) & at_least[1]
+        antichain.append(others & ~(row | col))
+        tilting.append(others & ~(ext_row | ext_col))
+    return cat._replace(hom=hom, antichain_masks=tuple(antichain), tilting_masks=tuple(tilting))
 
 
 def build_category(datum) -> ModCategory:

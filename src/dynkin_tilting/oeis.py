@@ -7,6 +7,9 @@ Supported triangle names:
   pascal             C(t, s)
   lucas              [t over s], with the open (0,0) corner
 
+`triangle --rows` (at most MAX_ROWS) counts rows, not ranks, so the rank
+limit does not apply: the D table starts at D_2, and row 1000 is D_1001.
+
 Rows are built one from the previous by the additive recursions that
 ``formulas`` states and ``verify`` checks: the hook recursion
 a_s(n) = a_s(n-1) + a_{s-1}(n) for the A, B and D tables, and the
@@ -262,10 +265,10 @@ _SEQUENCES = {
 SEQUENCE_IDS = tuple(sorted(_SEQUENCES))
 
 
-def _sequence(sequence_id: str, terms: int) -> _Triangle:
+def _sequence(sequence_id: str, terms: int | None) -> _Triangle:
     if sequence_id not in _SEQUENCES:
         raise ValueError(f"unsupported sequence {sequence_id!r}; known: {', '.join(SEQUENCE_IDS)}")
-    if terms < 1:
+    if terms is not None and terms < 1:
         raise ValueError("need at least one term")
     return _SEQUENCES[sequence_id]
 
@@ -339,13 +342,15 @@ class ReconcileResult(NamedTuple):
     detail: str
 
 
-def reconcile(sequence_id: str, terms: int, online: bool = False) -> ReconcileResult:
-    """Compare the first `terms` generated values against the b-file.
+def reconcile(sequence_id: str, terms: int | None = None, online: bool = False) -> ReconcileResult:
+    """Compare the first `terms` generated values against the b-file, or
+    every term it holds when `terms` is None.
 
     The b-file is loaded first, so no more terms are generated than it holds.
     """
     sequence = _sequence(sequence_id, terms)
     bfile = fetch_bfile(sequence_id, online=online)
+    terms = len(bfile.entries) if terms is None else terms
     if len(bfile.entries) < terms:
         return ReconcileResult(
             sequence_id, terms, False, f"b-file has only {len(bfile.entries)} terms"

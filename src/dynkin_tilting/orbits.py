@@ -44,19 +44,22 @@ class Indec(NamedTuple):
 
 
 class ModCategory(NamedTuple):
-    """All indecomposables of one (type, orientation), plus Hom/Ext bitmasks.
+    """All indecomposables of one (type, orientation), plus Hom rows and compat masks.
 
     ``indecs`` is sorted by (vertex, power), so orbit i is the contiguous
     block of q(i) + 1 positions after the orbits of the smaller vertices.
-    ``hom``/``ext`` are filled by homs.build_matrices: row x is an int whose
-    bit y says Hom(M_x, M_y) != 0 (resp. Ext^1(M_x, M_y) != 0).
+    homs.build_matrices fills the rest, one int per module x: bit y of
+    ``hom[x]`` says Hom(M_x, M_y) != 0, and of ``antichain_masks[x]``
+    (``tilting_masks[x]``) that y != x and no Hom (Ext^1) runs between them
+    either way.  The category holds no Ext rows.
     """
 
     datum: CartanDatum
     indecs: tuple[Indec, ...]
     q: tuple[int, ...]
     hom: Optional[tuple[int, ...]] = None
-    ext: Optional[tuple[int, ...]] = None
+    antichain_masks: Optional[tuple[int, ...]] = None
+    tilting_masks: Optional[tuple[int, ...]] = None
 
     @property
     def n(self) -> int:

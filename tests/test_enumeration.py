@@ -80,9 +80,13 @@ def _recursive_walk(cat, statistic):
     explicit-stack one.  It visits every compatible set in lex order and keeps,
     for tilting, those whose size equals their support-rank; returns the
     (members, support mask) pairs in visiting order, with supports read from
-    the dimension vectors."""
-    rel = cat.hom if statistic == "antichain" else cat.ext
-    m = len(cat.indecs)
+    the dimension vectors and Ext decided pair by pair by the oracle."""
+    keys = [ind.key for ind in cat.indecs]
+    m = len(keys)
+    if statistic == "antichain":
+        rel = cat.hom
+    else:
+        rel = [sum(1 << y for y in range(m) if ext_nonzero(cat, keys[x], keys[y])) for x in range(m)]
     vmask = [_dim_support(ind) for ind in cat.indecs]
     comp = [
         sum(1 << y for y in range(m) if y != x and not (rel[x] >> y) & 1 and not (rel[y] >> x) & 1) for x in range(m)
@@ -532,9 +536,9 @@ def test_count_tables_requires_matrices():
     bare = knit_category(build_cartan(DynkinType("A", 2)))
     with pytest.raises(ValueError, match="matrices not built"):
         count_tables(bare, "antichain")
-    # one matrix without the other is refused too, whichever one the statistic reads
+    # one field without the others is refused too, whichever one the statistic reads
     cat = _cat("A2")
-    for half in (cat._replace(hom=None), cat._replace(ext=None)):
+    for half in (cat._replace(hom=None), cat._replace(antichain_masks=None), cat._replace(tilting_masks=None)):
         for statistic in ("antichain", "tilting"):
             with pytest.raises(ValueError, match="matrices not built"):
                 count_tables(half, statistic)

@@ -1,4 +1,4 @@
-"""Hom/Ext non-vanishing predicates and the dense bit-matrices."""
+"""Hom/Ext non-vanishing predicates, the Hom bit-matrix and the compat masks."""
 
 import re
 
@@ -6,7 +6,7 @@ import pytest
 
 from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
 from dynkin_tilting.enumeration import _compat_masks
-from dynkin_tilting.homs import build_category, build_matrices, ext_columns, hom_columns, injective_by_socle
+from dynkin_tilting.homs import build_category, build_matrices, hom_columns, injective_by_socle
 from dynkin_tilting.orbits import knit_category
 from tests.oracles import ext_nonzero, hom_nonzero, indec
 
@@ -47,10 +47,12 @@ def test_projectives_never_extend():
 
 
 def test_ext_diagonal_vanishes():
+    # every indecomposable is rigid, and no compat mask holds its own module
     for label in TYPES:
         cat = _cat(label)
-        for k, row in enumerate(cat.ext):
-            assert not (row >> k) & 1
+        for k, m in enumerate(cat.indecs):
+            assert not ext_nonzero(cat, m.key, m.key)
+            assert not (cat.antichain_masks[k] >> k) & 1 and not (cat.tilting_masks[k] >> k) & 1
 
 
 def test_no_hom_to_earlier_slice():
@@ -95,7 +97,7 @@ def test_nonprojectives_extend_something():
 def test_matrices_deterministic():
     a = build_matrices(knit_category(build_cartan(DynkinType("E", 6))))
     b = build_matrices(knit_category(build_cartan(DynkinType("E", 6))))
-    assert a.hom == b.hom and a.ext == b.ext
+    assert a == b
 
 
 def transpose(rows):
@@ -124,21 +126,20 @@ def _small_cats():
 
 def test_columns_match_transpose_oracle():
     # every orientation up to rank 5 plus default E6, E7 and E8: the column
-    # recurrence equals the transposed Hom rows, the Ext rows equal the Hom
-    # columns one step back, and each compat mask is the complement of the
-    # relation's row, its transposed column and the module itself.  The
-    # injectives' columns are where a shift crosses an orbit's end:
-    # ext_columns without its & V_1 fails here
+    # recurrence equals the transposed Hom rows, and each compat mask is the
+    # complement of the relation's row, its transposed column and the module
+    # itself, with the Ext rows taken as the transposed Hom columns one step
+    # back.  The injectives' Ext columns are where a shift crosses an orbit's
+    # end: build_matrices without its & V_1 fails here
     for cat in _small_cats() + [_cat("E6"), _cat("E7"), _cat("E8")]:
         where = (cat.datum.label, cat.datum.orientation)
         hom_cols = transpose(cat.hom)
-        ext_cols = transpose(cat.ext)
         assert hom_columns(cat) == hom_cols, where
-        assert ext_columns(cat) == ext_cols, where
-        assert cat.ext == tuple(hom_cols[k - 1] if ind.power else 0 for k, ind in enumerate(cat.indecs)), where
+        ext = [hom_cols[k - 1] if ind.power else 0 for k, ind in enumerate(cat.indecs)]
         full = (1 << len(cat.indecs)) - 1
-        for statistic, rows, cols in (("antichain", cat.hom, hom_cols), ("tilting", cat.ext, ext_cols)):
-            compatible = [full & ~(row | col | 1 << x) for x, (row, col) in enumerate(zip(rows, cols))]
+        for statistic, rows in (("antichain", cat.hom), ("tilting", ext)):
+            cols = transpose(rows)
+            compatible = tuple(full & ~(row | col | 1 << x) for x, (row, col) in enumerate(zip(rows, cols)))
             assert _compat_masks(cat, statistic) == compatible, (where, statistic)
 
 
@@ -156,13 +157,13 @@ def test_rows_match_pairwise_oracle():
         where = (cat.datum.label, cat.datum.orientation)
         hom = _pairwise(cat, hom_nonzero)
         ext = _pairwise(cat, ext_nonzero)
-        assert cat.hom == hom and cat.ext == ext, where
+        assert cat.hom == hom, where
         m = len(cat.indecs)
         for statistic, rel in (("antichain", hom), ("tilting", ext)):
-            compatible = [
+            compatible = tuple(
                 sum(1 << y for y in range(m) if y != x and not (rel[x] >> y) & 1 and not (rel[y] >> x) & 1)
                 for x in range(m)
-            ]
+            )
             assert _compat_masks(cat, statistic) == compatible, (where, statistic)
 
 

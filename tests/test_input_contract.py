@@ -15,6 +15,7 @@ every entry point that takes a rank refuses 1001 with one message.
 import contextlib
 import io
 import re
+import sys
 from typing import get_args
 
 import pytest
@@ -40,6 +41,9 @@ from dynkin_tilting.oeis import BFileError, parse_bfile
 _NOT_INTS = ["", " ", "-", "--", "-1", "+3", " 3", "3 ", "1_0", "\u0663", "\uff13", "\u00b2", "3.0", "0x3", "x", "e8"]
 # no junk token is '--' and a letter, which argparse would read as a prefix of
 # a long option, so a drawn argv never reaches `reconcile --online`
+# a digit run past CPython's default int-to-text limit of 4,300 digits: every
+# reader refuses it as it refuses any other token that is no integer
+_LONG_DIGITS = "9" * 5000
 _JUNK = st.one_of(
     st.sampled_from(_NOT_INTS + ["a", "AB", "none", "default", ">", ",", "1>2\n", "-h"]),
     st.text("ABDEacde0123456789 +_.>,\t\n\u0663", max_size=4),
@@ -162,7 +166,7 @@ def test_config_line_shows_an_unprintable_argument_by_repr():
 
 
 def _expected_type(label: str) -> DynkinType | None:
-    match = re.fullmatch(r"([A-G])([0-9]+)", label)
+    match = re.fullmatch(r"([A-G])([0-9]{1,4300})", label)
     if match is None:
         return None
     series, rank = match[1], int(match[2])
@@ -238,13 +242,13 @@ def test_every_entry_point_refuses_ranks_above_the_rank_limit(monkeypatch, entry
 
 def _expected_arrows(dtype: DynkinType, text: str):
     """The sorted arrows text names, or None: 'default', 'none' for the
-    empty arrow set, or fragments src>dst in ASCII digits covering each
+    empty arrow set, or fragments src>dst in 1 to 4,300 ASCII digits covering each
     diagram edge once."""
     shape = canonical_shape(dtype)
     if text == "default":
         return default_orientation(shape)
     fragments = [] if text == "none" else text.split(",")
-    matches = [re.fullmatch(r"([0-9]+)>([0-9]+)", fragment) for fragment in fragments]
+    matches = [re.fullmatch(r"([0-9]{1,4300})>([0-9]{1,4300})", fragment) for fragment in fragments]
     if None in matches:
         return None
     arrows = [(int(m[1]), int(m[2])) for m in matches]
@@ -271,11 +275,11 @@ _BFILE_TEXT = st.one_of(
 
 def _expected_entries(text: str) -> tuple[tuple[int, int], ...] | None:
     """The entries of a b-file text, or None: lines end at '\\n' alone, and
-    each is blank, a '#' comment, or an index and a value in ASCII digits
+    each is blank, a '#' comment, or an index and a value in 1 to 4,300 ASCII digits
     parted by spaces and tabs; the indices step by 1, and there is an entry."""
     entries: list[tuple[int, int]] = []
     for line in text.split("\n"):
-        match = re.fullmatch(r"[ \t]*(?:#.*|([0-9]+)[ \t]+([0-9]+))?[ \t]*", line)
+        match = re.fullmatch(r"[ \t]*(?:#.*|([0-9]{1,4300})[ \t]+([0-9]{1,4300}))?[ \t]*", line)
         if match is None or (match[1] and entries and int(match[1]) != entries[-1][0] + 1):
             return None
         if match[1]:
@@ -292,6 +296,7 @@ def _expected_entries(text: str) -> tuple[tuple[int, int], ...] | None:
 @example("A1000")
 @example("A1001")
 @example("A" + "9" * 20)
+@example("A" + _LONG_DIGITS)
 @example("")
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_type_labels_follow_one_rule(label):
@@ -309,6 +314,7 @@ def test_type_labels_follow_one_rule(label):
 @example(DynkinType("A", 3), "")
 @example(DynkinType("A", 3), "default")
 @example(DynkinType("A", 3), "1>2,none")
+@example(DynkinType("A", 3), f"1>2,{_LONG_DIGITS}>3")
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_orientation_text_follows_one_rule(dtype, text):
     try:
@@ -322,6 +328,8 @@ def test_orientation_text_follows_one_rule(dtype, text):
 @example("0\u30001\n1 2\x1c2 5")  # Unicode blanks are no field gap and no line end
 @example("0 1\r\n1 2")
 @example(" 0\t1 \n\n# c\n1  2\t")
+@example("0 " + _LONG_DIGITS)
+@example(_LONG_DIGITS + " 1")
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_bfile_text_is_read_or_refused(text):
     try:
@@ -329,3 +337,23 @@ def test_bfile_text_is_read_or_refused(text):
     except BFileError:
         got = None
     assert got == _expected_entries(text), text
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit here")
+@pytest.mark.parametrize("limit", [0, 640, 4300])
+def test_digit_runs_past_4300_are_refused_whatever_the_int_limit(limit):
+    # int() raises past the limit, or reads any length when it is 0; the
+    # readers refuse more than 4,300 digits either way, each with its own message
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert _plain_int(_LONG_DIGITS) is None and _plain_int("9" * 4301) is None
+        if not 0 < limit < 4300:
+            assert _plain_int("9" * 4300) == 10**4300 - 1
+        label = "A" + _LONG_DIGITS
+        assert _refusal(DynkinType.parse, label) == f"cannot parse type label {label!r}"
+        assert _refusal(parse_bfile, "X", "0 " + _LONG_DIGITS).startswith("line 1: non-integer field")
+        refusal = _cli_refusal("table", "A", _LONG_DIGITS)
+        assert refusal.endswith(f"argument n: expected an integer >= 0, got {_LONG_DIGITS!r}")
+    finally:
+        sys.set_int_max_str_digits(before)

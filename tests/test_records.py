@@ -23,7 +23,7 @@ _RECORDS = [
     (DiagramShape, (2, ((1, 2, 1, 1),))),
     (CartanDatum, (_A2.label, _A2.shape, _A2.orientation, _A2.cartan)),
     (Indec, (1, 0, (1, 0), 0b01)),
-    (ModCategory, (_A2, _A2_CAT.indecs, _A2_CAT.q, (1, 3, 4), (0, 0, 1))),
+    (ModCategory, (_A2, _A2_CAT.indecs, _A2_CAT.q, (5, 2, 6), (2, 1, 0), (4, 4, 3))),
     (CountTable, ("A2", 2, (1, 2, 2), (1, 3, 1), 5)),
     (SincereSplit, (1, 2, (0, 1, 0))),
     (Check, _CHECK_ARGS),
@@ -56,7 +56,7 @@ def test_mod_category_hashes_and_ignores_index():
     again = build_category(build_cartan(DynkinType("A", 2)))
     assert cat == again and hash(cat) == hash(again)
     assert cat == tuple(cat)  # a NamedTuple compares equal to a plain tuple
-    # the Hom/Ext rows take part in equality
+    # the Hom rows and compat masks take part in equality
     assert _A2_CAT != cat
     assert {cat, again, _A2_CAT} == {cat, _A2_CAT}
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dynkin_tilting
-from dynkin_tilting import cli, formulas, verify
+from dynkin_tilting import cli, formulas, oeis, verify
 from dynkin_tilting.cli import run
 from dynkin_tilting.verify import (
     orientation_sweep,
@@ -695,6 +695,18 @@ def test_cli_verify_out_survives_reader_closing_stdout(tmp_path):
 def test_cli_reconcile(capsys):
     assert run(["reconcile", "A009766", "--terms", "55"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_reconcile_compares_every_fixture_term_by_default(capsys):
+    # with no --terms each sequence is compared over its whole fixture, which
+    # for A129869 (20 terms) is shorter than any fixed default of 40
+    for sid in oeis.SEQUENCE_IDS:
+        held = len(oeis.fetch_bfile(sid).entries)
+        assert run(["reconcile", sid]) == 0, sid
+        sid_, terms, detail, status = capsys.readouterr().out.rstrip("\n").split("\t")
+        assert (sid_, terms, status) == (sid, f"terms={held}", "PASS")
+        assert detail.startswith(f"{held} terms agree"), detail
+        assert oeis.reconcile(sid) == oeis.reconcile(sid, held)
 
 
 @pytest.mark.parametrize("terms", ["200", "999", "10000000000000"])

@@ -266,8 +266,8 @@ MUTANTS = (
     Mutant(
         "sequence-one-term-refused",
         "oeis.py",
-        "if terms < 1:",
-        "if terms <= 1:",
+        "if terms is not None and terms < 1:",
+        "if terms is not None and terms <= 1:",
         (_TRIANGLES, "-k", "bad_inputs"),
     ),
     Mutant(
@@ -306,9 +306,16 @@ MUTANTS = (
     Mutant(
         "plain-int-takes-any-int",
         "diagrams.py",
-        "return int(text) if text.isascii() and text.isdecimal() else None",
+        "return int(text) if text.isascii() and text.isdecimal() and len(text) <= 4300 else None",
         "return int(text)",
         ("tests/test_diagrams.py", "-k", "plain_ascii_digits"),
+    ),
+    Mutant(
+        "plain-int-past-4300-digits",
+        "diagrams.py",
+        "return int(text) if text.isascii() and text.isdecimal() and len(text) <= 4300 else None",
+        "return int(text) if text.isascii() and text.isdecimal() else None",
+        ("tests/test_input_contract.py", "-k", "past_4300"),
     ),
     Mutant(
         "orientation-reads-with-int",
@@ -505,9 +512,16 @@ MUTANTS = (
     # --- the count side
     Mutant(
         "ext-one-direction",
+        "homs.py",
+        "tilting.append(others & ~(ext_row | ext_col))",
+        "tilting.append(others & ~ext_row)",
+        (_COUNTS,),
+    ),
+    Mutant(
+        "statistic-reads-wrong-masks",
         "enumeration.py",
-        "rows, cols = cat.ext, ext_columns(cat)",
-        "rows, cols = cat.ext, cat.ext",
+        'return cat.antichain_masks if statistic == "antichain" else cat.tilting_masks',
+        'return cat.tilting_masks if statistic == "antichain" else cat.antichain_masks',
         (_COUNTS,),
     ),
     Mutant(
@@ -518,10 +532,10 @@ MUTANTS = (
         (_COUNTS,),
     ),
     Mutant(
-        "ext-columns-keep-injectives",
+        "tilting-mask-keeps-injectives",
         "homs.py",
-        "return [(row << 1) & lifted for row in cat.hom]",
-        "return [row << 1 for row in cat.hom]",
+        "ext_col = (row << 1) & at_least[1]",
+        "ext_col = row << 1",
         ("tests/test_homs.py",),
     ),
     Mutant(
@@ -583,8 +597,8 @@ MUTANTS = (
     Mutant(
         "matrices-need-both",
         "enumeration.py",
-        "if cat.hom is None or cat.ext is None:",
-        "if cat.hom is None and cat.ext is None:",
+        "if cat.hom is None or cat.antichain_masks is None or cat.tilting_masks is None:",
+        "if cat.hom is None and cat.antichain_masks is None and cat.tilting_masks is None:",
         (_COUNTS, "-k", "requires_matrices"),
     ),
     # --- the category layer's guards: a cyclic orientation, a grid that misses a root
@@ -628,9 +642,16 @@ MUTANTS = (
     Mutant(
         "reconcile-online-by-default",
         "oeis.py",
-        "def reconcile(sequence_id: str, terms: int, online: bool = False) -> ReconcileResult:",
-        "def reconcile(sequence_id: str, terms: int, online: bool = True) -> ReconcileResult:",
+        "def reconcile(sequence_id: str, terms: int | None = None, online: bool = False) -> ReconcileResult:",
+        "def reconcile(sequence_id: str, terms: int | None = None, online: bool = True) -> ReconcileResult:",
         (_TRIANGLES, "-k", "offline"),
+    ),
+    Mutant(
+        "reconcile-fixed-default",
+        "oeis.py",
+        "terms = len(bfile.entries) if terms is None else terms",
+        "terms = 40 if terms is None else terms",
+        ("tests/test_verify_cli.py", "-k", "every_fixture_term"),
     ),
 )
 
