@@ -69,11 +69,18 @@ def _admit(series: str, rank: int) -> None:
 
 
 def _plain_int(text: str) -> int | None:
-    """The value of text if it is 1 to 4,300 ASCII digits 0-9, else None.  Every
-    integer read from text comes through here: int() also takes '+3', ' 3',
-    '1_0' and non-ASCII digits, and past CPython's default limit of 4,300
-    digits it raises, or reads at length if sys.set_int_max_str_digits allows."""
-    return int(text) if text.isascii() and text.isdecimal() and len(text) <= 4300 else None
+    """The value of text if it is 1 to 4,300 ASCII digits 0-9 that int() reads,
+    else None.  Every integer read from text comes through here: int() also
+    takes '+3', ' 3', '1_0' and non-ASCII digits; past CPython's default limit
+    of 4,300 digits it raises, or reads at length if sys.set_int_max_str_digits
+    allows; and under a lower limit set by a caller it raises sooner.  A run
+    it refuses is None here, so each reader gives its own refusal."""
+    if not (text.isascii() and text.isdecimal() and len(text) <= 4300):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past a digit limit set below 4,300
+        return None
 
 
 class _DynkinTypeFields(NamedTuple):

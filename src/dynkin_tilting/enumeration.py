@@ -15,8 +15,9 @@ are not results; it cuts a branch, and ends a level's loop, once too few
 candidates are left to close the rank deficit |supp T| - |T| (see _walk).
 Counts walk no set: a set of either statistic is one set per connected
 component of its support, so count_tables weighs each connected support
-once, with one recursion for both statistics and one memo shared by every
-support of a count, and combines the per-support weights over vertex sets.
+once, as homs.build_matrices lists them on the category, with one
+recursion for both statistics and one memo shared by every support of a
+count, and combines the per-support weights over vertex sets.
 A set is a (members, support) pair: sorted indices into cat.indecs and the
 union of their supports as a vertex bitmask, the format of Indec.support.
 listing_lines grows each line label by label along the walk's path, so a
@@ -59,7 +60,7 @@ def count_row(counts: Iterable[int], total: object = None) -> str:
 
 
 def _require_matrices(cat: ModCategory) -> None:
-    if cat.hom is None or cat.antichain_masks is None or cat.tilting_masks is None:
+    if cat.hom is None or cat.antichain_masks is None or cat.tilting_masks is None or cat.supports is None:
         raise ValueError("category matrices not built; call homs.build_matrices first")
 
 
@@ -195,10 +196,13 @@ def _component_product(cat: ModCategory, comp: Sequence[int], width: int) -> lis
     one int (coefficient k in bits [k * width, (k + 1) * width)), as a
     product over support components.
 
-    The connected supports are the distinct root supports.  The rank row of
-    a vertex set U, with v its lowest vertex, is F(U) = F(U - v) + sum over
-    connected C with v in C inside U of weight(C) x^|C| F(U - C), a sum over
-    the tilings of parts of U by disjoint connected pieces, adjacent or not.
+    The connected supports are the distinct root supports, which
+    homs.build_matrices lists in cat.supports in nondecreasing popcount,
+    each with the mask of the modules inside it, once for both statistics.
+    The rank row of a vertex set U, with v its lowest vertex, is
+    F(U) = F(U - v) + sum over connected C with v in C inside U of
+    weight(C) x^|C| F(U - C), a sum over the tilings of parts of U by
+    disjoint connected pieces, adjacent or not.
     The weight of C is whatever makes F(C) equal every compatible set inside
     C, not the sets with support exactly C.  Supports are weighed in
     increasing size, so F(C) found while weighing C lacks only C's own term,
@@ -210,19 +214,11 @@ def _component_product(cat: ModCategory, comp: Sequence[int], width: int) -> lis
     supports; one memo kept for the whole count weighs each mask once (A10
     tilting: 1,476 recursion calls against 4,806 with a memo per support).
     """
-    vmask = [ind.support for ind in cat.indecs]
     n = cat.n
-    # S_i, the modules whose support holds i: the Hom row of the projective M(i, 0)
-    touching = [cat.hom[end - qi] for end, qi in zip(cat.injective_slice(), cat.q)]
-    everything = (1 << len(vmask)) - 1
     by_lowest: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     rows = {0: [1] + [0] * n}
     memo: dict[int, int] = {}
-    for c in sorted(set(vmask), key=int.bit_count):
-        inside = everything
-        for i in range(n):
-            if not (c >> i) & 1:
-                inside &= ~touching[i]
+    for c, inside in cat.supports:
         size = c.bit_count()
         smaller = _row(c, rows, by_lowest, n)
         got = memo.get(inside)

@@ -17,7 +17,7 @@ them.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain, compress
 from typing import NamedTuple, Optional
 
 from .diagrams import (
@@ -44,14 +44,16 @@ class Indec(NamedTuple):
 
 
 class ModCategory(NamedTuple):
-    """All indecomposables of one (type, orientation), plus Hom rows and compat masks.
+    """All indecomposables of one (type, orientation), plus Hom rows, compat masks and supports.
 
     ``indecs`` is sorted by (vertex, power), so orbit i is the contiguous
     block of q(i) + 1 positions after the orbits of the smaller vertices.
     homs.build_matrices fills the rest, one int per module x: bit y of
     ``hom[x]`` says Hom(M_x, M_y) != 0, and of ``antichain_masks[x]``
     (``tilting_masks[x]``) that y != x and no Hom (Ext^1) runs between them
-    either way.  The category holds no Ext rows.
+    either way.  The category holds no Ext rows.  ``supports`` holds one
+    (C, inside) pair per distinct module support C, in nondecreasing
+    popcount, where bit x of inside says the support of M_x lies in C.
     """
 
     datum: CartanDatum
@@ -60,6 +62,7 @@ class ModCategory(NamedTuple):
     hom: Optional[tuple[int, ...]] = None
     antichain_masks: Optional[tuple[int, ...]] = None
     tilting_masks: Optional[tuple[int, ...]] = None
+    supports: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
     def n(self) -> int:
@@ -74,15 +77,17 @@ def knit_category(datum: CartanDatum) -> ModCategory:
     """Build the orbit grid M(i, u) and check it enumerates the positive roots.
 
     The positive roots are read first, so a datum not of finite type
-    raises DiagramError before any orbit is followed, on every call.
+    raises DiagramError before any orbit is followed, on every call.  Each
+    orbit is followed in sink order into its own vertex's block, and the
+    blocks are joined in vertex order, so no sort is needed.
     """
     roots = positive_roots(datum)
     n = datum.n
     kernel = reflection_kernel(datum.cartan)
     order = [v - 1 for v in sink_order(datum)]
     coxeter = order[::-1]
-    indecs: list[Indec] = []
-    q = [0] * n
+    bits = [1 << j for j in range(n)]
+    blocks: list[list[Indec]] = [[] for _ in range(n)]  # orbit i at i - 1
     for k, v in enumerate(order):
         x = [0] * n
         x[v] = 1
@@ -90,21 +95,19 @@ def knit_category(datum: CartanDatum) -> ModCategory:
         # reflections are invertible, so x is never zero and min(x) >= 0 means positive
         if min(x) < 0:
             raise AssertionError(f"projective at vertex {v + 1} knitted outside the positive cone")
-        u = 0
+        block = blocks[v]
         while min(x) >= 0:
-            if u == len(roots):
+            if len(block) == len(roots):
                 raise AssertionError(f"tau-minus orbit of vertex {v + 1} outgrows the {len(roots)} positive roots")
             dim = tuple(x)
-            indecs.append(Indec(v + 1, u, dim, sum(1 << j for j, c in enumerate(dim) if c)))
+            block.append(Indec(v + 1, len(block), dim, sum(compress(bits, dim))))
             reflect_in_place(kernel, coxeter, x)
-            u += 1
-        q[v] = u - 1
 
-    indecs.sort(key=lambda m: m.key)
+    indecs = tuple(chain.from_iterable(blocks))
     dims = [m.dim for m in indecs]
     if len(dims) != len(set(dims)) or set(dims) != roots:
         raise AssertionError(
             f"orbit grid of {datum.label} does not enumerate the positive roots "
             f"({len(dims)} orbit vectors vs {len(roots)} roots)"
         )
-    return ModCategory(datum, tuple(indecs), tuple(q))
+    return ModCategory(datum, indecs, tuple(len(block) - 1 for block in blocks))

@@ -538,7 +538,12 @@ def test_count_tables_requires_matrices():
         count_tables(bare, "antichain")
     # one field without the others is refused too, whichever one the statistic reads
     cat = _cat("A2")
-    for half in (cat._replace(hom=None), cat._replace(antichain_masks=None), cat._replace(tilting_masks=None)):
+    for half in (
+        cat._replace(hom=None),
+        cat._replace(antichain_masks=None),
+        cat._replace(tilting_masks=None),
+        cat._replace(supports=None),
+    ):
         for statistic in ("antichain", "tilting"):
             with pytest.raises(ValueError, match="matrices not built"):
                 count_tables(half, statistic)

@@ -6,7 +6,7 @@ import pytest
 
 from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
 from dynkin_tilting.enumeration import _compat_masks
-from dynkin_tilting.homs import build_category, build_matrices, hom_columns, injective_by_socle
+from dynkin_tilting.homs import build_category, build_matrices, injective_by_socle
 from dynkin_tilting.orbits import knit_category
 from tests.oracles import ext_nonzero, hom_nonzero, indec
 
@@ -125,22 +125,39 @@ def _small_cats():
 
 
 def test_columns_match_transpose_oracle():
-    # every orientation up to rank 5 plus default E6, E7 and E8: the column
-    # recurrence equals the transposed Hom rows, and each compat mask is the
-    # complement of the relation's row, its transposed column and the module
-    # itself, with the Ext rows taken as the transposed Hom columns one step
-    # back.  The injectives' Ext columns are where a shift crosses an orbit's
-    # end: build_matrices without its & V_1 fails here
+    # every orientation up to rank 5 plus default E6, E7 and E8: each compat
+    # mask is the complement of the relation's row, its transposed column and
+    # the module itself, with the Ext rows taken as the transposed Hom
+    # columns one step back.  build_matrices keeps its Hom columns to itself,
+    # so they are checked here through the masks: no two modules have Hom
+    # both ways, so each antichain mask pins its module's column, and each
+    # tilting mask the column one step back.  The injectives' Ext columns
+    # are where a shift crosses an orbit's end: build_matrices without its
+    # & V_1 fails here
     for cat in _small_cats() + [_cat("E6"), _cat("E7"), _cat("E8")]:
         where = (cat.datum.label, cat.datum.orientation)
         hom_cols = transpose(cat.hom)
-        assert hom_columns(cat) == hom_cols, where
         ext = [hom_cols[k - 1] if ind.power else 0 for k, ind in enumerate(cat.indecs)]
         full = (1 << len(cat.indecs)) - 1
         for statistic, rows in (("antichain", cat.hom), ("tilting", ext)):
             cols = transpose(rows)
             compatible = tuple(full & ~(row | col | 1 << x) for x, (row, col) in enumerate(zip(rows, cols)))
             assert _compat_masks(cat, statistic) == compatible, (where, statistic)
+
+
+def test_supports_match_pairwise_oracle():
+    # every orientation up to rank 5 plus default E6, E7 and E8: the category
+    # lists each distinct module support once, in nondecreasing popcount,
+    # with the modules whose support lies inside it, decided pair by pair
+    for cat in _small_cats() + [_cat("E6"), _cat("E7"), _cat("E8")]:
+        where = (cat.datum.label, cat.datum.orientation)
+        listed = [c for c, _ in cat.supports]
+        assert sorted(listed) == sorted({m.support for m in cat.indecs}), where
+        sizes = [c.bit_count() for c in listed]
+        assert sizes == sorted(sizes), where
+        for c, inside in cat.supports:
+            expected = sum(1 << k for k, m in enumerate(cat.indecs) if m.support | c == c)
+            assert inside == expected, (where, c)
 
 
 def _pairwise(cat, predicate):

@@ -357,3 +357,23 @@ def test_digit_runs_past_4300_are_refused_whatever_the_int_limit(limit):
         assert refusal.endswith(f"argument n: expected an integer >= 0, got {_LONG_DIGITS!r}")
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit here")
+def test_digit_runs_past_a_lowered_int_limit_are_refused():
+    # a caller's limit below 4,300 makes int() raise sooner; a run it
+    # refuses is no integer to the readers, which each give their own refusal
+    digits = "9" * 1000
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert _plain_int(digits) is None and _plain_int("9" * 640) == 10**640 - 1
+        label = "A" + digits
+        with pytest.raises(DiagramError, match=re.escape(f"cannot parse type label {label!r}")):
+            DynkinType.parse(label)
+        with pytest.raises(BFileError, match="^line 2: non-integer field"):
+            parse_bfile("X", "0 1\n1 " + digits)
+        refusal = _cli_refusal("table", "A", digits)
+        assert refusal.endswith(f"argument n: expected an integer >= 0, got {digits!r}")
+    finally:
+        sys.set_int_max_str_digits(before)

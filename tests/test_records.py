@@ -23,7 +23,7 @@ _RECORDS = [
     (DiagramShape, (2, ((1, 2, 1, 1),))),
     (CartanDatum, (_A2.label, _A2.shape, _A2.orientation, _A2.cartan)),
     (Indec, (1, 0, (1, 0), 0b01)),
-    (ModCategory, (_A2, _A2_CAT.indecs, _A2_CAT.q, (5, 2, 6), (2, 1, 0), (4, 4, 3))),
+    (ModCategory, (_A2, _A2_CAT.indecs, _A2_CAT.q, (5, 2, 6), (2, 1, 0), (4, 4, 3), ((1, 1), (2, 2), (3, 7)))),
     (CountTable, ("A2", 2, (1, 2, 2), (1, 3, 1), 5)),
     (SincereSplit, (1, 2, (0, 1, 0))),
     (Check, _CHECK_ARGS),

@@ -306,16 +306,23 @@ MUTANTS = (
     Mutant(
         "plain-int-takes-any-int",
         "diagrams.py",
-        "return int(text) if text.isascii() and text.isdecimal() and len(text) <= 4300 else None",
-        "return int(text)",
+        "if not (text.isascii() and text.isdecimal() and len(text) <= 4300):",
+        "if False:",
         ("tests/test_diagrams.py", "-k", "plain_ascii_digits"),
     ),
     Mutant(
         "plain-int-past-4300-digits",
         "diagrams.py",
-        "return int(text) if text.isascii() and text.isdecimal() and len(text) <= 4300 else None",
-        "return int(text) if text.isascii() and text.isdecimal() else None",
+        "if not (text.isascii() and text.isdecimal() and len(text) <= 4300):",
+        "if not (text.isascii() and text.isdecimal()):",
         ("tests/test_input_contract.py", "-k", "past_4300"),
+    ),
+    Mutant(
+        "plain-int-lets-int-raise",
+        "diagrams.py",
+        "except ValueError:  # past a digit limit set below 4,300",
+        "except TypeError:",
+        ("tests/test_input_contract.py", "-k", "lowered_int_limit"),
     ),
     Mutant(
         "orientation-reads-with-int",
@@ -540,10 +547,24 @@ MUTANTS = (
     ),
     Mutant(
         "support-from-injective",
-        "enumeration.py",
-        "touching = [cat.hom[end - qi] for end, qi in zip(cat.injective_slice(), cat.q)]",
-        "touching = [cat.hom[end] for end, qi in zip(cat.injective_slice(), cat.q)]",
+        "homs.py",
+        "starts = [end - qi for end, qi in zip(cat.injective_slice(), cat.q)]  # P(i) at i - 1",
+        "starts = [end for end, qi in zip(cat.injective_slice(), cat.q)]",
         (_COUNTS,),
+    ),
+    Mutant(
+        "supports-unsorted",
+        "homs.py",
+        "for c in sorted({ind.support for ind in cat.indecs}, key=int.bit_count):",
+        "for c in sorted({ind.support for ind in cat.indecs}, key=int.bit_count, reverse=True):",
+        (_COUNTS,),
+    ),
+    Mutant(
+        "inside-skips-a-vertex",
+        "homs.py",
+        "rest = ((1 << n) - 1) & ~c",
+        "rest = ((1 << n - 1) - 1) & ~c",
+        ("tests/test_homs.py", "-k", "supports"),
     ),
     Mutant(
         "tilting-diagonal-low",
@@ -597,8 +618,8 @@ MUTANTS = (
     Mutant(
         "matrices-need-both",
         "enumeration.py",
-        "if cat.hom is None or cat.antichain_masks is None or cat.tilting_masks is None:",
-        "if cat.hom is None and cat.antichain_masks is None and cat.tilting_masks is None:",
+        "if cat.hom is None or cat.antichain_masks is None or cat.tilting_masks is None or cat.supports is None:",
+        "if cat.hom is None and cat.antichain_masks is None and cat.tilting_masks is None and cat.supports is None:",
         (_COUNTS, "-k", "requires_matrices"),
     ),
     # --- the category layer's guards: a cyclic orientation, a grid that misses a root
