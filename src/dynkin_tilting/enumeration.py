@@ -12,7 +12,9 @@ keeps no Ext rows:
 Listings walk: one lexicographic backtracking walk over the indecomposables
 in (vertex, power) order.  For tilting it also visits Ext-rigid sets that
 are not results; it cuts a branch, and ends a level's loop, once too few
-candidates are left to close the rank deficit |supp T| - |T| (see _walk).
+candidates are left to close the rank deficit |supp T| - |T|, and it skips
+a level whose candidates, support and size it has already found to hold no
+result (see _walk).
 Counts walk no set: a set of either statistic is one set per connected
 component of its support, so count_tables weighs each connected support
 once, as homs.build_matrices lists them on the category, with one
@@ -82,8 +84,8 @@ def _walk(
     Depth-first without recursion.  The walk holds the open level it is
     extending (untried candidates, support, path, size of its children,
     deficit) and a stack of the open levels above it; descending pushes the
-    current level only if it still has candidates.  A set T is
-    support-tilting when its rank deficit d = |supp T| - |T| is 0; each
+    current level if it still has candidates or a positive deficit.  A set
+    T is support-tilting when its rank deficit d = |supp T| - |T| is 0; each
     added member raises |T| by one and |supp T| by at least zero, so a
     child of T has deficit at least d - 1, and a branch with fewer
     candidates than its deficit holds no tilting set and is cut.  A level
@@ -92,6 +94,21 @@ def _walk(
     result, and its candidates are those left after it, at most d - 2, so
     it is cut.  (At d = 1 the stop would need an empty candidate set, which
     already ends the loop.)
+
+    Levels of positive deficit that held no result are remembered, each as
+    one int packing its candidates, support and size, and a later level with
+    the same key is skipped.  The skip is exact: the sets below a level of T
+    are T u T' for the compatible nonempty T' inside its candidates, and
+    whether such a set is a result depends only on supp T, |T| and T',
+    never on the path to T.  Such a level closes where its loop ends, after
+    its last child.  `opened` holds its key and a mark, the path of the
+    last level that yielded before it opened, and `last` is the path of the
+    last level that yielded: the level held a result iff `last` is no
+    longer the mark.  Each level at or below it has a path made after it
+    opened (at depth 1, its own entry of steps), and the mark stays alive,
+    so none of them is the mark.  An antichain walk computes no deficit:
+    it stays 0, so no level takes a key, and the memo costs it one store
+    per result and the `need` tests.
 
     The path of the empty set is root; a node that descends extends its
     parent's path by steps[y], and a result closes it with ends[y].  Both
@@ -103,6 +120,12 @@ def _walk(
     tilting = statistic == "tilting"
     if steps is None:
         steps = ends = [(y,) for y in range(len(vmask))]
+    n = cat.n
+    width = n.bit_length()  # a set's size, at most n by Bongartz's bound
+    dead: set[int] = set()
+    opened: list[tuple[int, Sequence]] = []
+    last = root
+    deficit = 0  # an antichain walk never sets it
     yield root, 0
     stack = [((1 << len(vmask)) - 1, 0, root, 1, 0)]
     while stack:
@@ -115,13 +138,25 @@ def _walk(
             y = low.bit_length() - 1
             allowed = rest & comp[y]
             supp = base | vmask[y]
-            deficit = supp.bit_count() - size if tilting else 0
-            if not deficit:
+            if not (tilting and (deficit := supp.bit_count() - size)):
+                last = path
                 yield path + ends[y], supp
-            if allowed and allowed.bit_count() >= deficit:
-                if rest:
-                    stack.append((rest, base, path, size, need))
-                rest, base, path, size, need = allowed, supp, path + steps[y], size + 1, deficit
+                if not allowed:
+                    continue
+            elif allowed.bit_count() < deficit:
+                continue
+            else:
+                key = (allowed << n | supp) << width | size
+                if key in dead:
+                    continue
+                opened.append((key, last))
+            if rest or need:
+                stack.append((rest, base, path, size, need))
+            rest, base, path, size, need = allowed, supp, path + steps[y], size + 1, deficit
+        if need:
+            key, mark = opened.pop()
+            if last is mark:
+                dead.add(key)
 
 
 def enumerate_antichains(cat: ModCategory) -> Iterator[Pair]:

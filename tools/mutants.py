@@ -486,6 +486,20 @@ MUTANTS = (
         "if need > 1 and rest.bit_count() <= need:",
         (_COUNTS, "-k", "walker or listing"),
     ),
+    Mutant(
+        "dead-key-drops-size",
+        "enumeration.py",
+        "key = (allowed << n | supp) << width | size",
+        "key = (allowed << n | supp) << width",
+        (_COUNTS, "-k", "walker or listing"),
+    ),
+    Mutant(
+        "dead-level-despite-yield",
+        "enumeration.py",
+        "if last is mark:",
+        "if True:",
+        (_COUNTS, "-k", "walker or listing"),
+    ),
     # --- every command's stdout, written in blocks by run alone
     Mutant(
         "listing-writes-per-line",
