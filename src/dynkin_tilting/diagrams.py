@@ -57,8 +57,11 @@ class DiagramError(ValueError):
 
 def _admit(series: str, rank: int) -> None:
     """The one admission rule of a type, which DynkinType and the closed forms
-    run: its series has a range in RANK_RANGE, which holds its rank, and the
-    rank is at most MAX_RANK."""
+    run: its rank is an int, not a bool, a float or a digit string; its
+    series has a range in RANK_RANGE, which holds its rank; and the rank is
+    at most MAX_RANK."""
+    if type(rank) is not int:
+        raise DiagramError(f"rank must be an integer, got {rank!r}")
     if series not in RANK_RANGE:
         raise DiagramError(f"unknown series {series!r}")
     lo, hi = RANK_RANGE[series]
@@ -94,8 +97,6 @@ class DynkinType(_DynkinTypeFields):
     __slots__ = ()
 
     def __new__(cls, series: str, rank: int) -> "DynkinType":
-        if isinstance(rank, bool) or not isinstance(rank, int):
-            raise DiagramError(f"rank must be an integer, got {rank!r}")
         _admit(series, rank)
         return super().__new__(cls, series, rank)
 

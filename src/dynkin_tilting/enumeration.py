@@ -35,8 +35,7 @@ from math import comb
 from operator import itemgetter, or_
 from typing import Iterable, Iterator, Literal, NamedTuple, Sequence
 
-from .diagrams import DiagramError
-from .homs import injective_by_socle
+from .diagrams import DiagramError, orientation_text
 from .orbits import Indec, ModCategory
 
 Statistic = Literal["antichain", "tilting"]
@@ -320,39 +319,40 @@ class SincereSplit(NamedTuple):
 
 
 def classify_sincere(cat: ModCategory) -> SincereSplit:
-    """Classify the sincere antichains of a connected category.
-
-    Any antichain here contains at most one sincere element (they are
-    pairwise Hom-comparable); a violation raises, since it would mean the
-    category was knitted with the wrong conventions.
+    """Classify the sincere antichains of a connected category whose sincere
+    modules are pairwise Hom-comparable, so that an antichain holds at most
+    one of them; ValueError otherwise.  Every orientation of A, B, C and D
+    up to rank 6 and of G2 qualifies; default E6, E7, E8 and F4 do not.
     """
     if not cat.datum.is_connected():
         raise DiagramError("sincere classification needs a connected diagram")
     n = cat.n
     full = (1 << n) - 1
+    comp = _compat_masks(cat, "antichain")
     sincere_vertex = {k: ind.vertex for k, ind in enumerate(cat.indecs) if ind.support == full}
+    sincere = sum(1 << k for k in sincere_vertex)
+    if any(comp[k] & sincere for k in sincere_vertex):
+        raise ValueError(f"{cat.datum.label} has two Hom-orthogonal sincere modules; the split needs them comparable")
     u_count = 0
     v_count = 0
     per_vertex = [0] * (n + 1)
     for members, supp in _walk(cat, "antichain"):
         if supp != full:
             continue
-        vertices = [sincere_vertex[k] for k in members if k in sincere_vertex]
-        if len(vertices) > 1:
-            raise AssertionError("antichain with two sincere elements; conventions broken")
-        if vertices:
+        vertex = next((sincere_vertex[k] for k in members if k in sincere_vertex), 0)
+        if vertex:
             u_count += 1
-            per_vertex[vertices[0]] += 1
+            per_vertex[vertex] += 1
         else:
             v_count += 1
     return SincereSplit(u_count, v_count, tuple(per_vertex[1:]))
 
 
 def _is_antichain(cat: ModCategory, members: tuple[int, ...]) -> bool:
-    # row x holds Hom(x, y) for every y, so the members' own rows cover both directions
-    _require_matrices(cat)
+    # distinct members: each one's antichain mask must hold all the others
+    comp = _compat_masks(cat, "antichain")
     mask = sum(1 << x for x in members)
-    return not any(cat.hom[x] & mask & ~(1 << x) for x in members)
+    return not any((mask ^ 1 << x) & ~comp[x] for x in members)
 
 
 def _support_of(cat: ModCategory, members: tuple[int, ...]) -> int:
@@ -360,8 +360,14 @@ def _support_of(cat: ModCategory, members: tuple[int, ...]) -> int:
 
 
 def _check_antichain(cat: ModCategory, ac: Pair) -> None:
-    """ValueError unless the members are strictly increasing indices into
-    cat.indecs that form an antichain, and the support is their union."""
+    """ValueError unless the category is the eta maps' domain, a path with
+    every arrow i+1 -> i, and the members are strictly increasing indices
+    into cat.indecs that form an antichain, and the support is their union."""
+    if cat.datum.orientation != tuple((i + 1, i) for i in range(1, cat.n)):
+        raise ValueError(
+            f"eta is defined on a path with every arrow i+1>i only, not on {cat.datum.label} "
+            f"oriented {orientation_text(cat.datum.orientation)}"
+        )
     members, support = ac
     if tuple(members) != tuple(sorted(set(members) & set(range(len(cat.indecs))))):
         raise ValueError("members must be strictly increasing indices into cat.indecs")
@@ -376,7 +382,10 @@ def eta_map(cat: ModCategory, ac: Pair) -> Pair:
     """Strip the (unique) injective member from a sincere antichain.
 
     Returns the antichain unchanged when it has no injective member; the
-    result never contains an injective.  Inverse: eta_inverse.
+    result never contains an injective.  Inverse: eta_inverse.  The domain
+    is a path with every arrow i+1 -> i (default A, B, C, F and G): on any
+    other orientation, and on D and E, eta is no bijection, and both maps
+    raise ValueError.
     """
     _check_antichain(cat, ac)
     members, support = ac
@@ -393,21 +402,29 @@ def eta_map(cat: ModCategory, ac: Pair) -> Pair:
 
 
 def eta_inverse(cat: ModCategory, ac: Pair) -> Pair:
-    """Re-insert the injective whose socle sits at the smallest missing vertex."""
+    """Re-insert the injective whose socle sits at the smallest missing vertex.
+
+    On eta's domain every path into vertex i starts at some j >= i, so the
+    injective with socle S(i) is the one supported on {i, ..., n}.
+    """
     _check_antichain(cat, ac)
     members, support = ac
     injectives = set(cat.injective_slice())
     if any(k in injectives for k in members):
         raise ValueError("input already contains an injective")
-    missing = ((1 << cat.n) - 1) & ~support
+    full = (1 << cat.n) - 1
+    missing = full & ~support
     if not missing:
         return ac
-    i = (missing & -missing).bit_length()  # the smallest missing vertex
-    extra = injective_by_socle(cat)[i]
+    low = missing & -missing  # the smallest missing vertex
+    above = full & -low
+    extra = next((k for k in injectives if cat.indecs[k].support == above), None)
+    if extra is None:
+        raise AssertionError(f"no injective is supported on {above:#b}; conventions broken")
     members = tuple(sorted(members + (extra,)))
     if not _is_antichain(cat, members):
-        raise AssertionError(f"adding the injective at vertex {i} broke the antichain")
-    return members, support | cat.indecs[extra].support
+        raise AssertionError(f"adding the injective at vertex {low.bit_length()} broke the antichain")
+    return members, support | above
 
 
 def _label(ind: Indec) -> str:

@@ -109,7 +109,7 @@ EXCEPTIONAL_ROWS: dict[str, tuple[int, ...]] = {
 
 def a_s(series: str, n: int, s: int) -> int:
     """Count at support-rank s for the rank-n algebra of the given series."""
-    if n or series not in _EMPTY_SERIES:
+    if n or type(n) is not int or series not in _EMPTY_SERIES:
         _admit(series, n)
     if not 0 <= s <= n:
         raise ValueError(f"support-rank {s} out of range 0..{n}")
@@ -130,7 +130,7 @@ def a_s(series: str, n: int, s: int) -> int:
 
 def a_total(series: str, n: int) -> int:
     """Total count over all support-ranks."""
-    if n or series not in _EMPTY_SERIES:
+    if n or type(n) is not int or series not in _EMPTY_SERIES:
         _admit(series, n)
     if series == "A":
         return catalan_bracket(2 * n + 2, n + 1)
@@ -143,7 +143,8 @@ def a_total(series: str, n: int) -> int:
 
 def a_row(series: str, n: int) -> tuple[int, ...]:
     """The full row (a_0, ..., a_n)."""
-    return tuple(a_s(series, n, s) for s in range(n + 1))
+    # a_0 first: a_s admits the type before range() reads n
+    return (a_s(series, n, 0), *(a_s(series, n, s) for s in range(1, n + 1)))
 
 
 # --- identities -------------------------------------------------------------

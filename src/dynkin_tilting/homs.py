@@ -97,25 +97,3 @@ def build_category(datum) -> ModCategory:
     """Convenience: knit and fill matrices in one step."""
     return build_matrices(knit_category(datum))
 
-
-def injective_by_socle(cat: ModCategory) -> dict[int, int]:
-    """Map each vertex i to the index of the injective with socle S(i).
-
-    The orbit endpoint M(i, q(i)) is injective but carries the orbit label,
-    not the socle label; the socle labeling is recovered from
-    Hom(S(i), J) != 0 for exactly one injective J.
-    """
-    n = cat.n
-    simple_of = {}
-    for k, ind in enumerate(cat.indecs):
-        if sum(ind.dim) == 1:
-            simple_of[ind.dim.index(1) + 1] = k
-    out = {}
-    slice_ = cat.injective_slice()
-    for i in range(1, n + 1):
-        row = cat.hom[simple_of[i]]
-        hits = [j for j in slice_ if (row >> j) & 1]
-        if len(hits) != 1:
-            raise AssertionError(f"socle labeling of injectives failed at vertex {i}")
-        out[i] = hits[0]
-    return out

@@ -13,7 +13,17 @@ import pytest
 
 import dynkin_tilting
 from dynkin_tilting import enumeration, verify
-from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
+from dynkin_tilting.diagrams import (
+    RANK_RANGE,
+    CartanDatum,
+    DiagramShape,
+    DynkinType,
+    all_orientations,
+    build_cartan,
+    canonical_shape,
+    default_orientation,
+    orientation_text,
+)
 from dynkin_tilting.enumeration import (
     _compat_masks,
     _component_product,
@@ -537,6 +547,68 @@ def test_disjoint_union_counts_by_convolution():
     assert count_tables(_cat("E3"), "tilting").by_support_rank == (1, 3, 4, 2)
 
 
+def _relabelled(datum, perm):
+    """The datum with vertex v renamed perm[v - 1]: an edge whose endpoints
+    swap order swaps its valuation, and the Cartan matrix is permuted."""
+    n = datum.n
+    edges = []
+    for i, j, a, b in datum.shape.edges:
+        x, y = perm[i - 1], perm[j - 1]
+        edges.append((x, y, a, b) if x < y else (y, x, b, a))
+    cartan = [[0] * n for _ in range(n)]
+    for i, row in enumerate(datum.cartan):
+        for j, entry in enumerate(row):
+            cartan[perm[i] - 1][perm[j] - 1] = entry
+    orientation = tuple(sorted((perm[src - 1], perm[dst - 1]) for src, dst in datum.orientation))
+    return CartanDatum(datum.label, DiagramShape(n, tuple(sorted(edges))), orientation, tuple(map(tuple, cartan)))
+
+
+def _union(first, second):
+    """Two data side by side, the vertices of the second numbered after the first's."""
+    k, m = first.n, second.n
+    edges = first.shape.edges + tuple((i + k, j + k, a, b) for i, j, a, b in second.shape.edges)
+    orientation = first.orientation + tuple((src + k, dst + k) for src, dst in second.orientation)
+    cartan = tuple(row + (0,) * m for row in first.cartan) + tuple((0,) * k + row for row in second.cartan)
+    return CartanDatum(f"{first.label}+{second.label}", DiagramShape(k + m, edges), orientation, cartan)
+
+
+def _convolution(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_relabelling_keeps_the_count_rows():
+    # five drawn orientations of each type, each with its vertices permuted:
+    # no count may read canonical_shape's numbering beyond what the datum states
+    rng = random.Random(9)
+    for label in ["A5", "B5", "C5", "D6", "E6", "E7", "E8", "F4", "G2", "D8", "B7"]:
+        dtype = DynkinType.parse(label)
+        for _ in range(5):
+            datum = build_cartan(dtype, rng.choice(all_orientations(canonical_shape(dtype))))
+            perm = rng.sample(range(1, datum.n + 1), datum.n)
+            cat = build_category(_relabelled(datum, perm))
+            assert count_tables(cat, "tilting").by_support_rank == a_row(*dtype), (label, perm)
+            antichains = count_tables(build_category(datum), "antichain").by_size
+            assert count_tables(cat, "antichain").by_size == antichains, (label, perm)
+
+
+@pytest.mark.parametrize("first, second", [("A3", "D4"), ("B3", "G2"), ("E6", "A2"), ("F4", "C3")])
+def test_disjoint_union_rows_are_convolutions(first, second):
+    # a set over A u B is a set over A beside a set over B: no Hom and no Ext
+    # runs between the parts, and support-rank and size add
+    types = [DynkinType.parse(label) for label in (first, second)]
+    parts = [build_category(build_cartan(dtype)) for dtype in types]
+    cat = build_category(_union(*(part.datum for part in parts)))
+    assert count_tables(cat, "tilting").by_support_rank == _convolution(*(a_row(*dtype) for dtype in types))
+    union = count_tables(cat, "antichain")
+    tables = [count_tables(part, "antichain") for part in parts]
+    assert union.by_support_rank == _convolution(*(table.by_support_rank for table in tables))
+    assert union.by_size == _convolution(*(table.by_size for table in tables))
+
+
 def test_antichain_size_one_counts_bricks():
     # every indecomposable is a brick, so singletons are exactly the indecs
     for label in ["A3", "B3", "D4"]:
@@ -683,6 +755,47 @@ def test_classify_sincere_b4_per_vertex():
     split = classify_sincere(_cat("B4"))
     assert split.per_vertex == (10, 3, 2, 5)
     assert sum(split.per_vertex) == 20
+
+
+@pytest.mark.parametrize("label", ["E6", "F4"])
+def test_classify_sincere_refuses_hom_orthogonal_sincere_modules(label):
+    # default E6 and F4 each have two sincere modules with no Hom between them
+    with pytest.raises(ValueError, match=f"{label} has two Hom-orthogonal sincere modules"):
+        classify_sincere(_cat(label))
+
+
+@pytest.mark.parametrize("label", ["B2", "B3", "B4", "B5", "D6", "G2"])
+def test_classify_sincere_splits_every_sincere_antichain(label):
+    cat = _cat(label)
+    full = (1 << cat.n) - 1
+    sincere_modules = {k for k, m in enumerate(cat.indecs) if m.support == full}
+    sincere = [members for members, support in enumerate_antichains(cat) if support == full]
+    split = classify_sincere(cat)
+    assert split.u_count == sum(1 for members in sincere if sincere_modules.intersection(members))
+    assert split.total == len(sincere) == count_tables(cat, "antichain").by_support_rank[-1]
+    assert sum(split.per_vertex) == split.u_count
+
+
+def _off_eta_domain():
+    for label in ["A3", "B3", "F4"]:
+        shape = canonical_shape(DynkinType.parse(label))
+        default = orientation_text(default_orientation(shape))
+        yield from ((label, text) for text in all_orientations(shape) if text != default)
+    yield from ((label, "default") for label in ["D4", "D5", "E6"])
+
+
+@pytest.mark.parametrize("label, orientation", list(_off_eta_domain()))
+def test_eta_refuses_categories_off_its_domain(label, orientation):
+    # the strip-the-injective bijection holds only on a path with every
+    # arrow i+1 -> i; elsewhere both maps refuse every antichain they take
+    cat = _cat(label, orientation)
+    full = (1 << cat.n) - 1
+    injectives = set(cat.injective_slice())
+    for ac in enumerate_antichains(cat):
+        for eta, takes in [(eta_map, ac[1] == full), (eta_inverse, injectives.isdisjoint(ac[0]))]:
+            if takes:
+                with pytest.raises(ValueError, match=r"eta is defined on a path with every arrow i\+1>i only"):
+                    eta(cat, ac)
 
 
 def test_eta_roundtrip_b2():

@@ -5,8 +5,8 @@ import re
 import pytest
 
 from dynkin_tilting.diagrams import RANK_RANGE, DynkinType, all_orientations, build_cartan, canonical_shape
-from dynkin_tilting.enumeration import _compat_masks
-from dynkin_tilting.homs import build_category, build_matrices, injective_by_socle
+from dynkin_tilting.enumeration import _compat_masks, eta_inverse
+from dynkin_tilting.homs import build_category, build_matrices
 from dynkin_tilting.orbits import knit_category
 from tests.oracles import ext_nonzero, hom_nonzero, indec
 
@@ -199,18 +199,25 @@ def test_unknown_key_raises():
                     predicate(cat, *pair)
 
 
+# the strip-the-injective maps' domain: the paths with every arrow i+1 -> i
+ETA_DOMAIN = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(1, 8)] + [f"C{n}" for n in range(2, 7)] + ["F4", "G2"]
+)
+
+
 def test_injective_socle_labels():
-    # linear A_n: I(i) is the interval [i..n]
-    for n in range(2, 6):
-        cat = _cat(f"A{n}")
-        labels = injective_by_socle(cat)
-        for i in range(1, n + 1):
-            assert cat.indecs[labels[i]].support == sum(1 << (v - 1) for v in range(i, n + 1))
-    # every type: socle labeling is a bijection onto the injective slice
-    for label in TYPES:
+    # eta_inverse inserts, at vertex i, the injective supported on {i, ..., n};
+    # it must be the one injective that the simple S(i) maps to
+    for label in ETA_DOMAIN:
         cat = _cat(label)
-        labels = injective_by_socle(cat)
-        assert sorted(labels.values()) == sorted(cat.injective_slice())
+        simple = {m.dim.index(1) + 1: k for k, m in enumerate(cat.indecs) if sum(m.dim) == 1}
+        for i in range(1, cat.n + 1):
+            socle = [j for j in cat.injective_slice() if hom_nonzero(cat, cat.indecs[simple[i]].key, cat.indecs[j].key)]
+            # S(1), ..., S(i - 1): an antichain with no injective, whose
+            # smallest missing vertex is i
+            below = tuple(sorted(simple[v] for v in range(1, i)))
+            members, _ = eta_inverse(cat, (below, (1 << (i - 1)) - 1))
+            assert len(socle) == 1 and set(members) - set(below) == set(socle), (label, i)
 
 
 def test_injectives_pairwise_hom_comparable_b_series():

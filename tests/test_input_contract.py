@@ -8,8 +8,9 @@ draws only `--max-n` tokens that are refused before a suite runs, and
 `reconcile` never draws `--online`.  The text strategy feeds the three text
 readers, `DynkinType.parse`, `build_cartan` and `parse_bfile`, and checks
 what they accept against a regular-expression statement of the same rule.
-The closed forms admit a type by that statement too, plus A0 and B0, and
-every entry point that takes a rank refuses 1001 with one message.
+The closed forms admit a type by that statement too, plus A0 and B0; every
+entry point that takes a rank refuses 1001 with one message, and a rank
+that is a bool, a float or a string with another.
 """
 
 import contextlib
@@ -200,6 +201,16 @@ def test_closed_forms_admit_by_the_type_rule(series, n):
     expected = (series, n) in {("A", 0), ("B", 0)} or _expected_type(f"{series}{n}") is not None
     assert (_refusal(formulas.a_s, series, n, 0) is None) == expected, (series, n)
     assert (_refusal(formulas.a_total, series, n) is None) == expected, (series, n)
+
+
+@pytest.mark.parametrize("rank", [True, False, 3.0, "3"])
+@pytest.mark.parametrize("series", ["A", "B"])
+def test_a_rank_that_is_no_int_is_refused(series, rank):
+    # True == 1, False == 0 and 3.0 == 3, but none of them is a rank, and
+    # False must not pass for the empty types A0 and B0
+    calls = [DynkinType, lambda *args: formulas.a_s(*args, 0), formulas.a_total, formulas.a_row]
+    for call in calls:
+        assert _refusal(call, series, rank) == f"rank must be an integer, got {rank!r}", (call, rank)
 
 
 def _cli_refusal(*argv: str) -> str | None:

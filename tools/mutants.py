@@ -355,6 +355,13 @@ MUTANTS = (
     ),
     # --- one admission rule for a type's series and rank, and text read or shown
     Mutant(
+        "rank-may-be-bool",
+        "diagrams.py",
+        "if type(rank) is not int:",
+        "if type(rank) not in (int, bool):",
+        ("tests/test_input_contract.py", "-k", "no_int"),
+    ),
+    Mutant(
         "rank-limit-inclusive",
         "diagrams.py",
         "if rank > MAX_RANK:",
@@ -460,9 +467,23 @@ MUTANTS = (
     Mutant(
         "eta-top-missing-vertex",
         "enumeration.py",
-        "i = (missing & -missing).bit_length()  # the smallest missing vertex",
-        "i = missing.bit_length()",
+        "low = missing & -missing  # the smallest missing vertex",
+        "low = 1 << missing.bit_length() >> 1",
         (_COUNTS, "-k", "eta"),
+    ),
+    Mutant(
+        "eta-any-orientation",
+        "enumeration.py",
+        "if cat.datum.orientation != tuple((i + 1, i) for i in range(1, cat.n)):",
+        "if False:",
+        (_COUNTS, "-k", "eta"),
+    ),
+    Mutant(
+        "sincere-split-any-category",
+        "enumeration.py",
+        "if any(comp[k] & sincere for k in sincere_vertex):",
+        "if False:",
+        (_COUNTS, "-k", "classify_sincere"),
     ),
     Mutant(
         "budget-at-limit",
