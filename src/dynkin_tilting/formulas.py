@@ -47,7 +47,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .diagrams import RANK_RANGE, _admit
 
@@ -204,15 +204,12 @@ def _instances(name: str, series: str | None, max_n: int) -> Iterator[tuple]:
                         yield key, n, s
 
 
-def _a_or_zero(series: str, n: int, s: int) -> int:
-    # the triangle's empty exterior: cells right of the diagonal are 0
-    return 0 if s > n else a_s(series, n, s)
-
-
 def hook_check(series: str, n: int, s: int) -> bool:
     """a_s(n) = a_s(n-1) + a_{s-1}(n) on the staircase 1 <= s <= n - c, c = 0, 1, 2, 3 for A, B, D, E."""
     _require_region("hook_check", series, n, s)
-    return a_s(series, n, s) == _a_or_zero(series, n - 1, s) + a_s(series, n, s - 1)
+    lower, row = _a_cells(a_s, series, n - 1), _a_cells(a_s, series, n)
+    # the triangle's empty exterior: cell s of row n - 1 is 0 at s = n
+    return row[s] == (lower[s] if s < n else 0) + row[s - 1]
 
 
 def modified_hook_check(series: str, n: int) -> bool:
@@ -233,22 +230,34 @@ def modified_hook_check(series: str, n: int) -> bool:
     )
 
 
-# Partial sums shared by consecutive identity instances: row sums here and
-# diagonal sums of the z triangles below.  Each cache holds at most two
-# entries, so they cost O(n) memory, and _reset_partial_sums empties both so
-# that the next call reads a_s and z_value afresh.
+# Rows and partial sums shared by consecutive identity instances, in four
+# caches of at most two entries each, so together they cost O(n) memory:
+#   _a_cells(cell, series, n)   the a-row of rank n, read through cell;
+#   _z_cells(cell, series, t)   row t of a z triangle, read through cell;
+#   _row_sums(series, n)        prefix sums of the a-row of rank n;
+#   _DIAGONAL_SUMS[series, t]   diagonal sums of the z triangle above row t.
+# A check passes the a_s or z_value it looks up on this module as cell, so a
+# replaced function is a new key and shows at the very next call.  The sums
+# are keyed by series and rank alone: _reset_partial_sums empties all four,
+# so that the next call reads a_s and z_value afresh.
+
+
+@lru_cache(maxsize=2)
+def _a_cells(cell: Callable[[str, int, int], int], series: str, n: int) -> tuple[int, ...]:
+    """The row (a_0, ..., a_n) of rank n, each entry cell(series, n, s)."""
+    return tuple(cell(series, n, s) for s in range(n + 1))
 
 
 @lru_cache(maxsize=2)
 def _row_sums(series: str, n: int) -> tuple[int, ...]:
     """Prefix sums (a_0, a_0 + a_1, ..., a(n)) of the row of rank n."""
-    return tuple(accumulate(a_row(series, n)))
+    return tuple(accumulate(_a_cells(a_s, series, n)))
 
 
 def summation_check(series: str, n: int, s: int) -> bool:
     """sum_{i<=s} a_i(n) = a_s(n+1) for series A, B, D and 1 <= s <= n-1."""
     _require_region("summation_check", series, n, s)
-    return _row_sums(series, n)[s] == a_s(series, n + 1, s)
+    return _row_sums(series, n)[s] == _a_cells(a_s, series, n + 1)[s]
 
 
 def total_split_check(series: str, n: int) -> bool:
@@ -329,10 +338,23 @@ def z_value(series: str, t: int, s: int) -> int:
     raise ValueError(f"z triangles exist for series A, B, D, not {series!r}")
 
 
+@lru_cache(maxsize=2)
+def _z_cells(cell: Callable[[str, int, int], int], series: str, t: int) -> tuple[int, ...]:
+    """Row t of the z triangle over its region, each entry cell(series, t, s).
+
+    The region is s <= (t+2)//2 for the sheared ballot and s <= t for the
+    Pascal and Lucas triangles, whose cells right of it are 0.
+    """
+    top = (t + 2) // 2 if series == "A" else t
+    return tuple(cell(series, t, s) for s in range(top + 1))
+
+
 def z_recursion_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = z_{s-1}(t-1) + z_s(t-1) inside each triangle."""
     _require_region("z_recursion_check", series, t, s)
-    return z_value(series, t, s) == z_value(series, t - 1, s - 1) + z_value(series, t - 1, s)
+    lower, row = _z_cells(z_value, series, t - 1), _z_cells(z_value, series, t)
+    # B and D reach s = t, one cell right of row t - 1's region
+    return row[s] == lower[s - 1] + (lower[s] if s < len(lower) else 0)
 
 
 _DIAGONAL_SUMS: dict[tuple[str, int], tuple[int, ...]] = {}
@@ -356,9 +378,9 @@ def _diagonal_sums(series: str, t: int) -> tuple[int, ...]:
         first = 1 if series == "D" else 0
         sums = (0,) * first
     for r in range(first, t):
-        top = (r + 2) // 2 if series == "A" else r
-        sums = tuple(acc + z_value(series, r, r - d) if r - d <= top else acc for d, acc in enumerate(sums))
-        sums += (z_value(series, r, 0),)
+        row = _z_cells(z_value, series, r)
+        sums = tuple(acc + row[r - d] if r - d < len(row) else acc for d, acc in enumerate(sums))
+        sums += (row[0],)
     # keep the newest entry next to this one
     for key in list(_DIAGONAL_SUMS)[:-1]:
         del _DIAGONAL_SUMS[key]
@@ -367,6 +389,8 @@ def _diagonal_sums(series: str, t: int) -> tuple[int, ...]:
 
 
 def _reset_partial_sums() -> None:
+    _a_cells.cache_clear()
+    _z_cells.cache_clear()
     _row_sums.cache_clear()
     _DIAGONAL_SUMS.clear()
 
@@ -374,7 +398,7 @@ def _reset_partial_sums() -> None:
 def hockey_stick_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = sum_{i=0..s} z_i(t-s+i-1), the telescoped recursion."""
     _require_region("hockey_stick_check", series, t, s)
-    return z_value(series, t, s) == _diagonal_sums(series, t)[t - s - 1]
+    return _z_cells(z_value, series, t)[s] == _diagonal_sums(series, t)[t - s - 1]
 
 
 def z_boundary_check(series: str, t: int) -> bool:

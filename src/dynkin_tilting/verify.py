@@ -185,7 +185,7 @@ _IDENTITY_FAMILIES = (
     ("id.shear", "n", "shear_check", None),
 )
 
-# largest identity-suite bound: the suite takes about 0.1 s at 80 and 0.35 s
+# largest identity-suite bound: the suite takes about 0.07 s at 80 and 0.23 s
 # at 120 (CPython 3.11, 2 vCPUs), and its time grows about as max_n cubed
 IDENTITY_MAX_N = 120
 # smallest identity-suite bound at which every family has an instance

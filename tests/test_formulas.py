@@ -454,11 +454,17 @@ def test_shear_relations():
         ("z_value", ("B", 4, 4), f.z_boundary_check, ("B", 4)),  # the last entry, not the first
         ("z_value", ("D", 4, 4), f.z_boundary_check, ("D", 4)),
         ("z_value", ("A", 8, 5), f.z_boundary_check, ("A", 4)),  # the zero, not the first entry
+        # the checks that read cached rows: the first call fills the cache
+        ("a_s", ("A", 5, 2), f.summation_check, ("A", 4, 2)),  # row n + 1
+        ("z_value", ("B", 5, 2), f.z_recursion_check, ("B", 6, 3)),  # z_{s-1}(t-1)
+        ("z_value", ("B", 5, 3), f.z_recursion_check, ("B", 6, 3)),  # z_s(t-1)
+        ("z_value", ("B", 6, 2), f.hockey_stick_check, ("B", 6, 2)),  # z_s(t)
     ],
 )
 def test_identity_checks_see_one_wrong_cell(monkeypatch, name, cell, check, args):
     # the checks look their terms up on the module, so one wrong cell shows,
-    # also when the check's verdict is a conjunction and the cell is in one part
+    # also when the check's verdict is a conjunction and the cell is in one
+    # part, and also when the check's rows are cached from the call before
     assert check(*args)
     original = getattr(f, name)
     monkeypatch.setattr(f, name, lambda *a: original(*a) + (a == cell))

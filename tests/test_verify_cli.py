@@ -187,6 +187,25 @@ def test_identity_argument_domains(monkeypatch):
     assert set(_count_identity_calls(monkeypatch, verify.IDENTITY_MIN_N)) == families
 
 
+@pytest.mark.parametrize("max_n, a_s_calls, z_value_calls", [(10, 1026, 616), (30, 6316, 4206)])
+def test_identity_suite_cell_calls(monkeypatch, max_n, a_s_calls, z_value_calls):
+    # the cells the suite computes: hook, summation, z-recursion and
+    # hockey-stick read each row once per family, not once per instance
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("a_s", "z_value"):
+        monkeypatch.setattr(formulas, name, counting(name, getattr(formulas, name)))
+    assert verify_identities(max_n).passed
+    assert calls == {"a_s": a_s_calls, "z_value": z_value_calls}
+
+
 @pytest.mark.parametrize(
     "max_n, calls, digest",
     [
@@ -285,11 +304,12 @@ def test_identity_suite_forgets_stale_partial_sums(
 
 
 def test_identity_suite_memory_stays_linear(monkeypatch, forget_partial_sums):
-    # Only the two families that cache sums run: traced allocations make the
-    # whole suite at 120 about 8 s, and the other families keep nothing
-    # between instances.  A cache of the whole triangle peaks near 0.54 MB.
+    # Only the four families that cache rows or sums run: traced allocations
+    # make the whole suite at 120 about 8 s, and the other families keep
+    # nothing between instances.  A cache of the whole triangle peaks near
+    # 0.54 MB.
     for name in _FAMILY_OF:
-        if name not in ("summation_check", "hockey_stick_check"):
+        if name not in ("hook_check", "summation_check", "z_recursion_check", "hockey_stick_check"):
             monkeypatch.setattr(formulas, name, lambda *args: True)
     tracemalloc.start()
     try:

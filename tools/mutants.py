@@ -117,8 +117,23 @@ MUTANTS = (
     Mutant(
         "hook-true",
         "formulas.py",
-        "return a_s(series, n, s) == _a_or_zero(series, n - 1, s) + a_s(series, n, s - 1)",
+        "return row[s] == (lower[s] if s < n else 0) + row[s - 1]",
         "return True",
+        ("tests/test_formulas.py", "-k", "one_wrong_cell"),
+    ),
+    # --- the cached rows that the identity checks read
+    Mutant(
+        "hook-lower-row-is-row-n",
+        "formulas.py",
+        "lower, row = _a_cells(a_s, series, n - 1), _a_cells(a_s, series, n)",
+        "lower, row = _a_cells(a_s, series, n), _a_cells(a_s, series, n)",
+        ("tests/test_formulas.py", "-k", "one_wrong_cell"),
+    ),
+    Mutant(
+        "diagonal-sums-next-row",
+        "formulas.py",
+        "row = _z_cells(z_value, series, r)",
+        "row = _z_cells(z_value, series, r + 1)",
         ("tests/test_formulas.py", "-k", "one_wrong_cell"),
     ),
     Mutant(
@@ -453,7 +468,7 @@ MUTANTS = (
     Mutant(
         "summation-true",
         "formulas.py",
-        "return _row_sums(series, n)[s] == a_s(series, n + 1, s)",
+        "return _row_sums(series, n)[s] == _a_cells(a_s, series, n + 1)[s]",
         "return True",
         ("tests/test_verify_cli.py", "-k", "stale_partial_sums"),
     ),
