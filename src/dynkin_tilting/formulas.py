@@ -230,16 +230,11 @@ def modified_hook_check(series: str, n: int) -> bool:
     )
 
 
-# Rows and partial sums shared by consecutive identity instances, in four
-# caches of at most two entries each, so together they cost O(n) memory:
-#   _a_cells(cell, series, n)   the a-row of rank n, read through cell;
-#   _z_cells(cell, series, t)   row t of a z triangle, read through cell;
-#   _row_sums(series, n)        prefix sums of the a-row of rank n;
-#   _DIAGONAL_SUMS[series, t]   diagonal sums of the z triangle above row t.
-# A check passes the a_s or z_value it looks up on this module as cell, so a
-# replaced function is a new key and shows at the very next call.  The sums
-# are keyed by series and rank alone: _reset_partial_sums empties all four,
-# so that the next call reads a_s and z_value afresh.
+# Rows and sums shared by consecutive identity instances, in four caches of
+# at most two entries each, so together they cost O(n) memory.  Every key
+# starts with the cell function whose values the entry holds, the a_s or
+# z_value a check looks up on this module: a replaced function is a new key,
+# so it shows at the very next call and no caller ever empties a cache.
 
 
 @lru_cache(maxsize=2)
@@ -249,15 +244,15 @@ def _a_cells(cell: Callable[[str, int, int], int], series: str, n: int) -> tuple
 
 
 @lru_cache(maxsize=2)
-def _row_sums(series: str, n: int) -> tuple[int, ...]:
-    """Prefix sums (a_0, a_0 + a_1, ..., a(n)) of the row of rank n."""
-    return tuple(accumulate(_a_cells(a_s, series, n)))
+def _row_sums(cell: Callable[[str, int, int], int], series: str, n: int) -> tuple[int, ...]:
+    """Prefix sums (a_0, a_0 + a_1, ..., a(n)) of the row of rank n, read through cell."""
+    return tuple(accumulate(_a_cells(cell, series, n)))
 
 
 def summation_check(series: str, n: int, s: int) -> bool:
     """sum_{i<=s} a_i(n) = a_s(n+1) for series A, B, D and 1 <= s <= n-1."""
     _require_region("summation_check", series, n, s)
-    return _row_sums(series, n)[s] == _a_cells(a_s, series, n + 1)[s]
+    return _row_sums(a_s, series, n)[s] == _a_cells(a_s, series, n + 1)[s]
 
 
 def total_split_check(series: str, n: int) -> bool:
@@ -357,11 +352,11 @@ def z_recursion_check(series: str, t: int, s: int) -> bool:
     return row[s] == lower[s - 1] + (lower[s] if s < len(lower) else 0)
 
 
-_DIAGONAL_SUMS: dict[tuple[str, int], tuple[int, ...]] = {}
+_DIAGONAL_SUMS: dict[tuple[Callable[[str, int, int], int], str, int], tuple[int, ...]] = {}
 
 
-def _diagonal_sums(series: str, t: int) -> tuple[int, ...]:
-    """Entry d is sum_i z_i(d+i) over the rows d+i < t of the z triangle.
+def _diagonal_sums(cell: Callable[[str, int, int], int], series: str, t: int) -> tuple[int, ...]:
+    """Entry d is sum_i z_i(d+i) over the rows d+i < t of the z triangle read through cell.
 
     hockey_stick_check(series, t, s) reads entry d = t-s-1.  The entry for t
     extends the one for t-1 by row t-1, or is built row by row from the
@@ -369,36 +364,29 @@ def _diagonal_sums(series: str, t: int) -> tuple[int, ...]:
     adds only its region s <= (r+2)//2: the diagonals that leave it are never
     read by an instance inside the hockey-stick region.
     """
-    sums = _DIAGONAL_SUMS.get((series, t))
+    sums = _DIAGONAL_SUMS.get((cell, series, t))
     if sums is not None:
         return sums
     first = t - 1
-    sums = _DIAGONAL_SUMS.get((series, first))
+    sums = _DIAGONAL_SUMS.get((cell, series, first))
     if sums is None:
         first = 1 if series == "D" else 0
         sums = (0,) * first
     for r in range(first, t):
-        row = _z_cells(z_value, series, r)
+        row = _z_cells(cell, series, r)
         sums = tuple(acc + row[r - d] if r - d < len(row) else acc for d, acc in enumerate(sums))
         sums += (row[0],)
     # keep the newest entry next to this one
     for key in list(_DIAGONAL_SUMS)[:-1]:
         del _DIAGONAL_SUMS[key]
-    _DIAGONAL_SUMS[(series, t)] = sums
+    _DIAGONAL_SUMS[(cell, series, t)] = sums
     return sums
-
-
-def _reset_partial_sums() -> None:
-    _a_cells.cache_clear()
-    _z_cells.cache_clear()
-    _row_sums.cache_clear()
-    _DIAGONAL_SUMS.clear()
 
 
 def hockey_stick_check(series: str, t: int, s: int) -> bool:
     """z_s(t) = sum_{i=0..s} z_i(t-s+i-1), the telescoped recursion."""
     _require_region("hockey_stick_check", series, t, s)
-    return _z_cells(z_value, series, t)[s] == _diagonal_sums(series, t)[t - s - 1]
+    return _z_cells(z_value, series, t)[s] == _diagonal_sums(z_value, series, t)[t - s - 1]
 
 
 def z_boundary_check(series: str, t: int) -> bool:

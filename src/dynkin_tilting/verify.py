@@ -197,6 +197,8 @@ IDENTITY_MIN_N = next(
 
 
 def _require_identity_bound(max_n: int) -> None:
+    if type(max_n) is not int:
+        raise ValueError(f"identity-suite bound must be an integer, got {max_n!r}")
     if max_n < IDENTITY_MIN_N:
         raise ValueError(
             f"identity-suite bound {max_n} is below {IDENTITY_MIN_N}; some identity families would have no instance"
@@ -223,8 +225,6 @@ def verify_identities(max_n: int) -> VerificationReport:
     looked up on ``formulas`` when its family runs, so wrappers see every call.
     """
     _require_identity_bound(max_n)
-    # sums cached by an earlier call may come from other a_s or z_value
-    formulas._reset_partial_sums()
     checks = []
     for check_id, var, name, series in _IDENTITY_FAMILIES:
         instances = formulas._instances(name, series, max_n)
@@ -235,6 +235,8 @@ def verify_identities(max_n: int) -> VerificationReport:
 def verify_sincere_structure(n_max: int) -> VerificationReport:
     """Exhaustive classification of sincere antichains for B_n, n <= n_max,
     plus the strip-the-injective bijection for B_n and for linear A_n."""
+    if type(n_max) is not int:
+        raise ValueError(f"sincere-structure bound must be an integer, got {n_max!r}")
     if n_max < 2:
         raise ValueError(f"sincere-structure bound {n_max} is below 2; there would be no check")
     if n_max > 6:

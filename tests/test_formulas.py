@@ -272,10 +272,7 @@ def test_identity_check_regions(name, arity, count, digest):
     # each check's guard refuses exactly outside its argument region: only
     # its text counts as a refusal, so a check body that raises fails here
     check = getattr(f, name)
-    try:
-        admitted = [args for args in _region_grid(arity) if _admitted(check, *args, refusal=_OUTSIDE)]
-    finally:
-        f._reset_partial_sums()
+    admitted = [args for args in _region_grid(arity) if _admitted(check, *args, refusal=_OUTSIDE)]
     assert len(admitted) == count
     assert hashlib.sha256(repr(admitted).encode()).hexdigest() == digest
 
@@ -341,30 +338,30 @@ HOCKEY_STICK_INSTANCES = [
 def test_shared_partial_sums_match_literal_sums(order):
     # reversed, every row and t starts cold; A's last instances per t read the
     # diagonals next to those its truncated region leaves out
-    f._reset_partial_sums()
     for series, n, s in SUMMATION_INSTANCES[::order]:
         literal = partial_row_sum(series, n, s)
-        assert f._row_sums(series, n)[s] == literal, (series, n, s)
+        assert f._row_sums(f.a_s, series, n)[s] == literal, (series, n, s)
         assert f.summation_check(series, n, s) == (literal == f.a_s(series, n + 1, s))
     for series, t, s in HOCKEY_STICK_INSTANCES[::order]:
         literal = partial_diagonal_sum(series, t, s)
-        assert f._diagonal_sums(series, t)[t - s - 1] == literal, (series, t, s)
+        assert f._diagonal_sums(f.z_value, series, t)[t - s - 1] == literal, (series, t, s)
         assert f.hockey_stick_check(series, t, s) == (f.z_value(series, t, s) == literal)
 
 
-def test_cold_hockey_stick_does_not_recurse():
+def test_cold_hockey_stick_does_not_recurse(monkeypatch):
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
-    f._reset_partial_sums()
+    # a new z_value is a new cache key, so the diagonal sums start cold
+    z_value = f.z_value
+    monkeypatch.setattr(f, "z_value", lambda *args: z_value(*args))
     sys.setrecursionlimit(depth + 50)
     try:
         t = depth + 150
         assert f.hockey_stick_check("B", t, 1)  # t = 1 + (t - 1)
     finally:
         sys.setrecursionlimit(limit)
-        f._reset_partial_sums()
 
 
 def test_public_formulas_are_plain_functions():
@@ -459,12 +456,14 @@ def test_shear_relations():
         ("z_value", ("B", 5, 2), f.z_recursion_check, ("B", 6, 3)),  # z_{s-1}(t-1)
         ("z_value", ("B", 5, 3), f.z_recursion_check, ("B", 6, 3)),  # z_s(t-1)
         ("z_value", ("B", 6, 2), f.hockey_stick_check, ("B", 6, 2)),  # z_s(t)
+        ("a_s", ("A", 4, 1), f.summation_check, ("A", 4, 2)),  # a term of row n's prefix sum
+        ("z_value", ("B", 3, 0), f.hockey_stick_check, ("B", 6, 2)),  # a diagonal term
     ],
 )
 def test_identity_checks_see_one_wrong_cell(monkeypatch, name, cell, check, args):
     # the checks look their terms up on the module, so one wrong cell shows,
     # also when the check's verdict is a conjunction and the cell is in one
-    # part, and also when the check's rows are cached from the call before
+    # part, and also when the check's rows or sums are cached from the call before
     assert check(*args)
     original = getattr(f, name)
     monkeypatch.setattr(f, name, lambda *a: original(*a) + (a == cell))

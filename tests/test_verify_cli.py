@@ -3,6 +3,7 @@
 import hashlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -252,6 +253,19 @@ def test_identity_bound_below_minimum_rejected(monkeypatch):
             run_suite("quick", max_n=bad)
 
 
+def test_suite_bounds_that_are_no_int_are_refused(monkeypatch):
+    # refused before anything is built, not by range() after the categories
+    monkeypatch.setattr(verify, "build_category", _refuse_to_build)
+    for bad in (30.0, "30"):
+        text = re.escape(f"identity-suite bound must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            verify_identities(bad)
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            run_suite("quick", max_n=bad)
+    with pytest.raises(ValueError, match=r"^sincere-structure bound must be an integer, got 3\.0$"):
+        verify_sincere_structure(3.0)
+
+
 def test_failing_identity_instance_is_reported(monkeypatch):
     shear = formulas.shear_check
     monkeypatch.setattr(formulas, "shear_check", lambda *args: args != ("B", 3, 1) and shear(*args))
@@ -262,12 +276,6 @@ def test_failing_identity_instance_is_reported(monkeypatch):
     assert [c.check_id for c in failed] == ["id.shear"]
     assert failed[0].actual == "failed at [('B', 3, 1)]"
     assert rep.render().endswith("# 1 of 16 checks FAILED\n")
-
-
-@pytest.fixture
-def forget_partial_sums():
-    yield
-    formulas._reset_partial_sums()
 
 
 def _literal_summation(series, n, s):
@@ -286,11 +294,10 @@ def _literal_hockey_stick(series, t, s):
     ],
     ids=["summation", "hockey-stick"],
 )
-def test_identity_suite_forgets_stale_partial_sums(
-    monkeypatch, forget_partial_sums, patched, cell, check_name, literal
-):
-    # A run reads the A rows first and leaves the D rows cached, so the sums
-    # a run could read stale are those of calls made outside it, like these
+def test_identity_suite_forgets_stale_partial_sums(monkeypatch, patched, cell, check_name, literal):
+    # The sums that the calls outside the run cache here were read through the
+    # unpatched cell function; the patched one is a new cache key, so the run
+    # must read its sums afresh and report what the literal sums report
     assert verify_identities(12).passed
     assert formulas.summation_check("A", 2, 1) and formulas.hockey_stick_check("A", 2, 1)
     original = getattr(formulas, patched)
@@ -303,7 +310,7 @@ def test_identity_suite_forgets_stale_partial_sums(
     assert report[_FAMILY_OF[check_name]].actual == f"failed at {failures[:5]}"
 
 
-def test_identity_suite_memory_stays_linear(monkeypatch, forget_partial_sums):
+def test_identity_suite_memory_stays_linear(monkeypatch):
     # Only the four families that cache rows or sums run: traced allocations
     # make the whole suite at 120 about 8 s, and the other families keep
     # nothing between instances.  A cache of the whole triangle peaks near

@@ -132,8 +132,15 @@ MUTANTS = (
     Mutant(
         "diagonal-sums-next-row",
         "formulas.py",
-        "row = _z_cells(z_value, series, r)",
-        "row = _z_cells(z_value, series, r + 1)",
+        "row = _z_cells(cell, series, r)",
+        "row = _z_cells(cell, series, r + 1)",
+        ("tests/test_formulas.py", "-k", "one_wrong_cell"),
+    ),
+    Mutant(
+        "diagonal-sums-key-without-cell",
+        "formulas.py",
+        "sums = _DIAGONAL_SUMS.get((cell, series, t))",
+        "sums = next((v for key, v in _DIAGONAL_SUMS.items() if key[1:] == (series, t)), None)",
         ("tests/test_formulas.py", "-k", "one_wrong_cell"),
     ),
     Mutant(
@@ -468,7 +475,7 @@ MUTANTS = (
     Mutant(
         "summation-true",
         "formulas.py",
-        "return _row_sums(series, n)[s] == _a_cells(a_s, series, n + 1)[s]",
+        "return _row_sums(a_s, series, n)[s] == _a_cells(a_s, series, n + 1)[s]",
         "return True",
         ("tests/test_verify_cli.py", "-k", "stale_partial_sums"),
     ),
