@@ -19,18 +19,8 @@ Series tables (a_s = count at support-rank s, a = row total):
   D_n:  a_s = [n+s-2 over s] for s<n,   a_n = [2n-2 over n-2],  a = [2n-1 over n-1]
   E/F/G: fixed exceptional rows below.
 
-Identity regions, as least n (t for the z triangles) per series and the
-range of s; series E ends at its last rank, 8:
-
-  hook_check                   A1 B2 D3 E4   1 <= s <= n - 0/1/2/3
-  modified_hook_check          D3 E4
-  summation_check              A1 B1 D2      1 <= s <= n - 1
-  total_split_check, diagonal_checks          A1 B1 D2
-  comparison_check, b_decomposition_check, lucas_vs_d_deviation_check   n >= 2
-  z_recursion_check            A1 B1 D2      1 <= s <= (t+1)//2, t, t
-  hockey_stick_check           A1 B1 D2      1 <= s <= t//2, t-1, t-2
-  z_boundary_check             A0 B0 D1
-  shear_check                  A1 B1 D2      0 <= s <= n, n, n-1; n+s >= 3
+Each identity check's argument region, per series, is stated once, in the
+report families of ``IDENTITY_FAMILIES``.
 
 Admissible types are those that ``diagrams.DynkinType`` admits by its one
 rule, which refuses ``A1001 has rank 1001, above the rank limit of 1000``,
@@ -149,24 +139,36 @@ def a_row(series: str, n: int) -> tuple[int, ...]:
 
 # --- identities -------------------------------------------------------------
 
-# The identity regions of the module docstring, admitted by _require_region
-# and run by verify.verify_identities: per series (None for a check of n alone)
+# One row per report family of verify.verify_identities, in report order: its
+# check id, the variable its subject bounds, the check's name on this module,
+# and its region per series (None for a check of n alone).  A region row is
 # the least n, or (least n, least s, c, d, corner) for a check that takes s,
-# admitting least s <= s <= (n - c) // d and n + s >= corner.
-_REGIONS = {
-    "hook_check": {"A": (1, 1, 0, 1, 0), "B": (2, 1, 1, 1, 0), "D": (3, 1, 2, 1, 0), "E": (4, 1, 3, 1, 0)},
-    "modified_hook_check": {"D": 3, "E": 4},
-    "summation_check": {"A": (1, 1, 1, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 1, 1, 0)},
-    "total_split_check": {"A": 1, "B": 1, "D": 2},
-    "comparison_check": {None: 2},
-    "diagonal_checks": {"A": 1, "B": 1, "D": 2},
-    "b_decomposition_check": {None: 2},
-    "lucas_vs_d_deviation_check": {None: 2},
-    "z_recursion_check": {"A": (1, 1, -1, 2, 0), "B": (1, 1, 0, 1, 0), "D": (2, 1, 0, 1, 0)},
-    "hockey_stick_check": {"A": (1, 1, 0, 2, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)},
-    "z_boundary_check": {"A": 0, "B": 0, "D": 1},
+# admitting least s <= s <= (n - c) // d and n + s >= corner.  Series E ends
+# at its last rank, 8, at any suite bound.
+IDENTITY_FAMILIES = (
+    ("id.hook.A", "n", "hook_check", {"A": (1, 1, 0, 1, 0)}),
+    ("id.hook.B", "n", "hook_check", {"B": (2, 1, 1, 1, 0)}),
+    ("id.hook.D", "n", "hook_check", {"D": (3, 1, 2, 1, 0)}),
+    ("id.hook.E", "n", "hook_check", {"E": (4, 1, 3, 1, 0)}),
+    ("id.modified-hook.D", "n", "modified_hook_check", {"D": 3}),
+    ("id.modified-hook.E", "n", "modified_hook_check", {"E": 4}),
+    ("id.summation", "n", "summation_check", {"A": (1, 1, 1, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 1, 1, 0)}),
+    ("id.total-split", "n", "total_split_check", {"A": 1, "B": 1, "D": 2}),
+    ("id.comparison", "n", "comparison_check", {None: 2}),
+    ("id.diagonals", "n", "diagonal_checks", {"A": 1, "B": 1, "D": 2}),
+    ("id.b-decomposition", "n", "b_decomposition_check", {None: 2}),
+    ("id.lucas-deviation", "n", "lucas_vs_d_deviation_check", {None: 2}),
+    ("id.z-recursion", "t", "z_recursion_check", {"A": (1, 1, -1, 2, 0), "B": (1, 1, 0, 1, 0), "D": (2, 1, 0, 1, 0)}),
+    ("id.hockey-stick", "t", "hockey_stick_check", {"A": (1, 1, 0, 2, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)}),
+    ("id.z-boundary", "t", "z_boundary_check", {"A": 0, "B": 0, "D": 1}),
     # n + s >= 3 drops (D, 2, 0): the Lucas triangle has no row t = 0
-    "shear_check": {"A": (1, 0, 0, 1, 0), "B": (1, 0, 0, 1, 0), "D": (2, 0, 1, 1, 3)},
+    ("id.shear", "n", "shear_check", {"A": (1, 0, 0, 1, 0), "B": (1, 0, 0, 1, 0), "D": (2, 0, 1, 1, 3)}),
+)
+
+# each check's whole region, the union of its families' rows, which _require_region admits
+_REGIONS = {
+    name: {key: row for _, _, check, region in IDENTITY_FAMILIES if check == name for key, row in region.items()}
+    for _, _, name, _ in IDENTITY_FAMILIES
 }
 
 
@@ -191,17 +193,16 @@ def _last(series: str | None, max_n: int) -> int:
     return (series and RANK_RANGE[series][1]) or max_n
 
 
-def _instances(name: str, series: str | None, max_n: int) -> Iterator[tuple]:
-    """The region of check `name` up to max_n, of one series if given, in series, n, s order."""
-    for key, row in _REGIONS[name].items():
-        if series in (None, key):
-            if isinstance(row, int):
-                yield from ((n,) if key is None else (key, n) for n in range(row, _last(key, max_n) + 1))
-            else:
-                least, lo, c, d, corner = row
-                for n in range(least, _last(key, max_n) + 1):
-                    for s in range(max(lo, corner - n), (n - c) // d + 1):
-                        yield key, n, s
+def _instances(region: dict, max_n: int) -> Iterator[tuple]:
+    """A family's region up to max_n, as argument tuples in series, n, s order."""
+    for key, row in region.items():
+        if isinstance(row, int):
+            yield from ((n,) if key is None else (key, n) for n in range(row, _last(key, max_n) + 1))
+        else:
+            least, lo, c, d, corner = row
+            for n in range(least, _last(key, max_n) + 1):
+                for s in range(max(lo, corner - n), (n - c) // d + 1):
+                    yield key, n, s
 
 
 def hook_check(series: str, n: int, s: int) -> bool:

@@ -149,12 +149,11 @@ def orientation_sweep(series: str, n: int) -> list[str]:
 def verify_bc_equality(n_max: int) -> VerificationReport:
     """CountTables of B_n and C_n agree entrywise for 2 <= n <= n_max.
 
-    Refused before B2 is built if n_max < 2, which leaves no check, or if
-    B_{n_max} (and so C_{n_max}, which has the same counts) has more than
-    MAX_RESULTS result sets.
+    Refused before B2 is built if n_max is no int, if n_max < 2, which
+    leaves no check, or if B_{n_max} (and so C_{n_max}, which has the same
+    counts) has more than MAX_RESULTS result sets.
     """
-    if n_max < 2:
-        raise ValueError(f"B/C comparison bound {n_max} is below 2; there would be no check")
+    _require_bound("B/C comparison", n_max, 2, "there would be no check")
     check_result_budget(DynkinType("B", n_max))
     checks = []
     for n in range(2, n_max + 1):
@@ -164,27 +163,6 @@ def verify_bc_equality(n_max: int) -> VerificationReport:
     return VerificationReport(tuple(checks))
 
 
-# one report line per family: check id, the variable its subject bounds, the
-# check on formulas and the series it runs (None: every series of its region)
-_IDENTITY_FAMILIES = (
-    ("id.hook.A", "n", "hook_check", "A"),
-    ("id.hook.B", "n", "hook_check", "B"),
-    ("id.hook.D", "n", "hook_check", "D"),
-    ("id.hook.E", "n", "hook_check", "E"),
-    ("id.modified-hook.D", "n", "modified_hook_check", "D"),
-    ("id.modified-hook.E", "n", "modified_hook_check", "E"),
-    ("id.summation", "n", "summation_check", None),
-    ("id.total-split", "n", "total_split_check", None),
-    ("id.comparison", "n", "comparison_check", None),
-    ("id.diagonals", "n", "diagonal_checks", None),
-    ("id.b-decomposition", "n", "b_decomposition_check", None),
-    ("id.lucas-deviation", "n", "lucas_vs_d_deviation_check", None),
-    ("id.z-recursion", "t", "z_recursion_check", None),
-    ("id.hockey-stick", "t", "hockey_stick_check", None),
-    ("id.z-boundary", "t", "z_boundary_check", None),
-    ("id.shear", "n", "shear_check", None),
-)
-
 # largest identity-suite bound: the suite takes about 0.07 s at 80 and 0.23 s
 # at 120 (CPython 3.11, 2 vCPUs), and its time grows about as max_n cubed
 IDENTITY_MAX_N = 120
@@ -192,19 +170,23 @@ IDENTITY_MAX_N = 120
 IDENTITY_MIN_N = next(
     m
     for m in range(IDENTITY_MAX_N + 1)
-    if all(next(formulas._instances(name, series, m), None) for _, _, name, series in _IDENTITY_FAMILIES)
+    if all(next(formulas._instances(region, m), None) for *_, region in formulas.IDENTITY_FAMILIES)
 )
 
 
+def _require_bound(what: str, bound: int, least: int, why: str, most: int | None = None) -> None:
+    """Refuse a suite bound that is no int, below least (why says what would go wrong) or above most."""
+    if type(bound) is not int:
+        raise ValueError(f"{what} bound must be an integer, got {bound!r}")
+    if bound < least:
+        raise ValueError(f"{what} bound {bound} is below {least}; {why}")
+    if most is not None and bound > most:
+        raise ValueError(f"{what} bound {bound} is above the limit of {most}")
+
+
 def _require_identity_bound(max_n: int) -> None:
-    if type(max_n) is not int:
-        raise ValueError(f"identity-suite bound must be an integer, got {max_n!r}")
-    if max_n < IDENTITY_MIN_N:
-        raise ValueError(
-            f"identity-suite bound {max_n} is below {IDENTITY_MIN_N}; some identity families would have no instance"
-        )
-    if max_n > IDENTITY_MAX_N:
-        raise ValueError(f"identity-suite bound {max_n} is above the limit of {IDENTITY_MAX_N}")
+    why = "some identity families would have no instance"
+    _require_bound("identity-suite", max_n, IDENTITY_MIN_N, why, IDENTITY_MAX_N)
 
 
 def _family(check_id: str, subject: str, check, instances) -> Check:
@@ -220,27 +202,22 @@ def verify_identities(max_n: int) -> VerificationReport:
     max_n must be at least IDENTITY_MIN_N, so that no family is empty, and
     at most IDENTITY_MAX_N, so that the suite ends within seconds.
 
-    The regions are those that the ``formulas`` module docstring lists.
+    The families and their regions are the rows of ``formulas.IDENTITY_FAMILIES``.
     A family runs series by series, then by n, then by s.  Each check is
     looked up on ``formulas`` when its family runs, so wrappers see every call.
     """
     _require_identity_bound(max_n)
     checks = []
-    for check_id, var, name, series in _IDENTITY_FAMILIES:
-        instances = formulas._instances(name, series, max_n)
-        checks.append(_family(check_id, f"{var}<={formulas._last(series, max_n)}", getattr(formulas, name), instances))
+    for check_id, var, name, region in formulas.IDENTITY_FAMILIES:
+        last = max(formulas._last(key, max_n) for key in region)
+        checks.append(_family(check_id, f"{var}<={last}", getattr(formulas, name), formulas._instances(region, max_n)))
     return VerificationReport(tuple(checks))
 
 
 def verify_sincere_structure(n_max: int) -> VerificationReport:
     """Exhaustive classification of sincere antichains for B_n, n <= n_max,
     plus the strip-the-injective bijection for B_n and for linear A_n."""
-    if type(n_max) is not int:
-        raise ValueError(f"sincere-structure bound must be an integer, got {n_max!r}")
-    if n_max < 2:
-        raise ValueError(f"sincere-structure bound {n_max} is below 2; there would be no check")
-    if n_max > 6:
-        raise ValueError("sincere-structure enumeration is desk-scale: n_max <= 6")
+    _require_bound("sincere-structure", n_max, 2, "there would be no check", 6)
     checks = []
     for n in range(2, n_max + 1):
         cat = build_category(build_cartan(DynkinType("B", n)))
@@ -285,7 +262,7 @@ def _eta_check(series: str, n: int, cat) -> Check:
     )
 
 
-# prefix length verify_reconcile checks per sequence by default
+# prefix length verify_reconcile checks per sequence
 RECONCILE_TERMS = {
     "A009766": 55,
     "A059481": 55,
@@ -297,14 +274,11 @@ RECONCILE_TERMS = {
 }
 
 
-def verify_reconcile(terms: dict[str, int] | None = None) -> VerificationReport:
+def verify_reconcile() -> VerificationReport:
     """Compare generated sequence prefixes against the shipped b-files."""
-    terms = RECONCILE_TERMS if terms is None else terms
-    if not terms:
-        raise ValueError("verify_reconcile needs at least one sequence")
     checks = []
-    for sid in sorted(terms):
-        res = oeis.reconcile(sid, terms[sid])
+    for sid in sorted(RECONCILE_TERMS):
+        res = oeis.reconcile(sid, RECONCILE_TERMS[sid])
         actual = "prefix agrees" if res.passed else res.detail
         checks.append(_check("oeis.reconcile", f"{sid} terms={res.terms}", "prefix agrees", actual))
     return VerificationReport(tuple(checks))

@@ -179,6 +179,29 @@ def test_exceptional_totals_are_coxeter_catalan_numbers():
         assert f.a_total(label[0], int(label[1:])) == total, label
 
 
+def _classical_degrees(series, n):
+    """The degrees of the Weyl group of A_n, B_n, C_n or D_n (n >= 4)."""
+    if series == "A":
+        return tuple(range(2, n + 2))
+    if series in "BC":
+        return tuple(range(2, 2 * n + 1, 2))
+    return (*range(2, 2 * n - 1, 2), n)
+
+
+def test_diagonals_are_positive_coxeter_catalan_numbers():
+    # the full-support count a_n(X_n) is prod (h + d_i - 2) / d_i over each
+    # component's degrees d_i, h the component's Coxeter number
+    by_type = {
+        (series, n): (_classical_degrees(series, n),)
+        for series, least in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+        for n in range(least, 121)
+    }
+    by_type.update({(label[0], int(label[1:])): components for label, components in WEYL_DEGREES.items()})
+    for (series, n), components in by_type.items():
+        count = math.prod(Fraction(max(degrees) + d - 2, d) for degrees in components for d in degrees)
+        assert f.a_s(series, n, n) == count, (series, n)
+
+
 def convolve(row1: tuple[int, ...], row2: tuple[int, ...]) -> tuple[int, ...]:
     """Row of a disjoint union: supports split over the two components."""
     out = [0] * (len(row1) + len(row2) - 1)

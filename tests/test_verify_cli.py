@@ -73,7 +73,7 @@ def test_library_callers_refuse_ranks_above_the_row_cap(monkeypatch):
         verify_bc_equality(9000)
 
 
-# a bound or a table that leaves no check would render "# all 0 checks passed"
+# a bound that leaves no check would render "# all 0 checks passed"
 @pytest.mark.parametrize(
     "suite, arg, match",
     [
@@ -81,9 +81,8 @@ def test_library_callers_refuse_ranks_above_the_row_cap(monkeypatch):
         (verify_bc_equality, -3, "below 2"),
         (verify_sincere_structure, 1, "below 2"),
         (verify_sincere_structure, 0, "below 2"),
-        (verify.verify_reconcile, {}, "at least one sequence"),
     ],
-    ids=["bc-1", "bc-minus-3", "sincere-1", "sincere-0", "reconcile-empty"],
+    ids=["bc-1", "bc-minus-3", "sincere-1", "sincere-0"],
 )
 def test_suites_refuse_to_pass_vacuously(monkeypatch, suite, arg, match):
     monkeypatch.setattr(verify, "build_category", _refuse_to_build)
@@ -238,7 +237,8 @@ def test_identity_min_n_comes_from_the_regions():
     # id.hook.D and id.modified-hook.D start at n = 3; README and the CLI
     # help state the bound
     assert verify.IDENTITY_MIN_N == 3
-    assert not list(formulas._instances("hook_check", "D", 2))
+    regions = {check_id: region for check_id, *_, region in formulas.IDENTITY_FAMILIES}
+    assert not list(formulas._instances(regions["id.hook.D"], 2))
 
 
 def test_identity_bound_below_minimum_rejected(monkeypatch):
@@ -264,6 +264,10 @@ def test_suite_bounds_that_are_no_int_are_refused(monkeypatch):
             run_suite("quick", max_n=bad)
     with pytest.raises(ValueError, match=r"^sincere-structure bound must be an integer, got 3\.0$"):
         verify_sincere_structure(3.0)
+    for bad in ("3", 3.0):
+        text = re.escape(f"B/C comparison bound must be an integer, got {bad!r}")
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            verify_bc_equality(bad)
 
 
 def test_failing_identity_instance_is_reported(monkeypatch):
@@ -333,7 +337,7 @@ def test_suite_bounds_at_their_edges(monkeypatch):
     assert verify_sincere_structure(2).passed
     assert verify_sincere_structure(6).passed
     monkeypatch.setattr(verify, "build_category", _refuse_to_build)
-    with pytest.raises(ValueError, match=r"^sincere-structure enumeration is desk-scale: n_max <= 6$"):
+    with pytest.raises(ValueError, match=r"^sincere-structure bound 7 is above the limit of 6$"):
         verify_sincere_structure(7)
 
 
@@ -359,7 +363,8 @@ def test_failing_check_does_not_abort(tmp_path, monkeypatch):
     bad = tmp_path / "b129869.txt"
     bad.write_text("0 1\n1 5\n2 21\n3 1\n4 1\n5 1\n6 1\n7 1\n")
     monkeypatch.setenv(oeis.FIXTURE_ENV_VAR, str(tmp_path))
-    rep = verify.verify_reconcile({"A129869": 8})
+    monkeypatch.setattr(verify, "RECONCILE_TERMS", {"A129869": 8})
+    rep = verify.verify_reconcile()
     assert not rep.passed
     assert len(rep.checks) == 1
     assert "FAIL" in rep.render()

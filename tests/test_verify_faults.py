@@ -24,16 +24,33 @@ QUICK_CHECKS = 109
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
-def test_verify_quick_matches_the_benchmark_digest(monkeypatch, capsys):
-    # the benchmark's own pin, read from its file; its dataclasses need the
-    # module registered while it runs
+def _benchmark_verify_pins():
+    """The benchmark's own (flags, digest) pins, read from its file; its
+    dataclasses need the module registered while it runs."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
-    assert run(["verify", "--quick"]) == 0
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads._VERIFY
+
+
+# the benchmark's pins, then both edges of the identity-suite bound:
+# IDENTITY_MAX_N, where the cached rows and sums are largest, and IDENTITY_MIN_N
+_VERIFY_PINS = (
+    *_benchmark_verify_pins(),
+    (("--full", "--max-n", "120"), "e915b955c8ff9c12e652345f9387d73e26dc3bf796d1804403b9253a5b4e58bc"),
+    (("--quick", "--max-n", "3"), "790ccf3157101834f37da310c5084368a90615edf051dc1fc1829eed896f1515"),
+)
+
+
+@pytest.mark.parametrize("flags, digest", _VERIFY_PINS, ids=[" ".join(flags) for flags, _ in _VERIFY_PINS])
+def test_verify_quick_matches_the_benchmark_digest(flags, digest, capsys):
+    assert run(["verify", *flags]) == 0
     stdout = capsys.readouterr().out
-    assert hashlib.sha256(stdout.encode()).hexdigest() == dict(workloads._VERIFY)[("--quick",)]
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def _failing_quick_run(tmp_path, capsys):

@@ -295,27 +295,32 @@ MUTANTS = (
     Mutant(
         "sincere-bound-six-refused",
         "verify.py",
-        "if n_max > 6:",
-        "if n_max >= 6:",
+        '_require_bound("sincere-structure", n_max, 2, "there would be no check", 6)',
+        '_require_bound("sincere-structure", n_max, 2, "there would be no check", 5)',
         ("tests/test_verify_cli.py", "-k", "edges"),
     ),
-    # guards whose line occurs twice in its file, named by occurrence
     Mutant(
         "bc-bound-two-refused",
         "verify.py",
-        "if n_max < 2:",
-        "if n_max <= 2:",
+        '_require_bound("B/C comparison", n_max, 2, "there would be no check")',
+        '_require_bound("B/C comparison", n_max, 3, "there would be no check")',
         ("tests/test_verify_cli.py", "-k", "edges"),
-        occurrence=1,
     ),
     Mutant(
         "sincere-bound-two-refused",
         "verify.py",
-        "if n_max < 2:",
-        "if n_max <= 2:",
+        '_require_bound("sincere-structure", n_max, 2, "there would be no check", 6)',
+        '_require_bound("sincere-structure", n_max, 3, "there would be no check", 6)',
         ("tests/test_verify_cli.py", "-k", "edges"),
-        occurrence=2,
     ),
+    Mutant(
+        "bound-without-upper-limit",
+        "verify.py",
+        "if most is not None and bound > most:",
+        "if False:",
+        ("tests/test_verify_cli.py", "-k", "edges or below_minimum"),
+    ),
+    # guards whose line occurs twice in its file, named by occurrence
     Mutant(
         "catalan-bracket-takes-negative-t",
         "formulas.py",
@@ -424,8 +429,15 @@ MUTANTS = (
     Mutant(
         "hockey-stick-a-to-t",
         "formulas.py",
-        '"hockey_stick_check": {"A": (1, 1, 0, 2, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)},',
-        '"hockey_stick_check": {"A": (1, 1, 0, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)},',
+        '("id.hockey-stick", "t", "hockey_stick_check", {"A": (1, 1, 0, 2, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)}),',
+        '("id.hockey-stick", "t", "hockey_stick_check", {"A": (1, 1, 0, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 2, 1, 0)}),',
+        ("tests/test_verify_cli.py", "-k", "identity"),
+    ),
+    Mutant(
+        "summation-family-drops-d",
+        "formulas.py",
+        '("id.summation", "n", "summation_check", {"A": (1, 1, 1, 1, 0), "B": (1, 1, 1, 1, 0), "D": (2, 1, 1, 1, 0)}),',
+        '("id.summation", "n", "summation_check", {"A": (1, 1, 1, 1, 0), "B": (1, 1, 1, 1, 0)}),',
         ("tests/test_verify_cli.py", "-k", "identity"),
     ),
     Mutant(
